@@ -4,8 +4,8 @@ Five subcommands: simulate, compare, sweep, kalman-check, best-response.
 Settings come from built-in defaults, then an optional flat JSON config
 file (--config), then flags; later sources win.  Every run writes its CSV
 plus a <out>.config.json sidecar holding the fully resolved settings.
-Exit codes: 0 success / assertion passed, 1 assertion failed, 2 usage or
-configuration error.
+Every setting is checked before any work starts.  Exit codes: 0 success /
+assertion passed, 1 assertion failed, 2 usage, configuration or I/O error.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import alpha_infty, cost_from_variance, rho_star_const, var_limit
 from .game import best_response
 from .kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
-from .model import ModelConfig
+from .model import ModelConfig, require_int
 from .policies import PolicySpec
 from .sim import RunPlan, run, run_paired, sweep_rho
 
@@ -90,6 +90,8 @@ def _load_config_file(path: str) -> dict:
     out = {}
     for key, value in data.items():
         try:
+            if CONFIG_KEYS[key] is int:
+                require_int(key, value)  # int() would truncate 2.5 to 2
             out[key] = CONFIG_KEYS[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r} has invalid value {value!r}") from exc
@@ -110,7 +112,15 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
             settings[key] = value
     settings["threads"] = _resolve_threads(getattr(args, "threads", None))
     settings["command"] = command
+    out_dir = os.path.dirname(os.path.abspath(settings["out"]))
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir} does not exist")
     return settings
+
+
+def _check_t_max(t_max: int) -> None:
+    if t_max < 0:
+        raise ConfigError(f"t_max must be >= 0, got {t_max}")
 
 
 def _resolve_threads(flag: Optional[int]) -> int:
@@ -252,6 +262,7 @@ def cmd_sweep(settings: dict) -> int:
 
 def cmd_kalman_check(settings: dict, t_max: int) -> int:
     cfg = _model_config(settings)
+    _check_t_max(t_max)
     schedule = AlphaSchedule(cfg, t_max)
     worst = 0.0
     rows = []
@@ -277,6 +288,7 @@ def cmd_kalman_check(settings: dict, t_max: int) -> int:
 def cmd_best_response(settings: dict, opponents: str, t_max: int,
                       assert_nash: bool) -> int:
     cfg = _model_config(settings)
+    _check_t_max(t_max)
     if opponents == "wstar":
         opp = AlphaSchedule(cfg, t_max).rhos(t_max)
     elif opponents == "constant":
@@ -385,7 +397,7 @@ def main(argv=None) -> int:
         if args.command == "kalman-check":
             return cmd_kalman_check(settings, args.t_max)
         return cmd_best_response(settings, args.opponents, args.t_max, args.assert_nash)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

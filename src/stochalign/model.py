@@ -7,19 +7,30 @@ kinds.  Stretches always sum to zero, so the functions here operate on the
 last axis of arbitrarily batched position arrays.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .streams import normalize_seed
+from .structmat import row_sum
+
+
+def require_int(name: str, value) -> None:
+    """Reject anything but an integer (bools included) for a count setting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Scenario parameters.
 
-    sigma0 may be zero (all agents start at the origin); the measurement
-    and drift noise scales must be positive.
+    n and horizon are integers.  sigma0 may be zero (all agents start at
+    the origin); the measurement and drift noise scales must be positive.
+    All three are finite.
     """
 
     n: int
@@ -30,6 +41,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_int("n", self.n)
+        require_int("horizon", self.horizon)
+        for name in ("sigma0", "sigma_m", "sigma_d"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.sigma0 < 0:
@@ -59,14 +76,20 @@ def init_world(cfg: ModelConfig, rng: np.random.Generator) -> WorldState:
     return WorldState(round=0, positions=rng.normal(0.0, cfg.sigma0, cfg.n))
 
 
-def stretch_values(positions: np.ndarray) -> np.ndarray:
-    """Stretches along the last axis: mean of the others minus self."""
+def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Stretches along the last axis: mean of the others minus self.
+
+    out, when given, receives the result (it must not overlap positions).
+    """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[-1]
     if n < 2:
         raise ValueError(f"need at least 2 agents, got {n}")
-    s = positions.sum(axis=-1, keepdims=True)
-    return (s - positions) / (n - 1) - positions
+    s = row_sum(positions)[..., np.newaxis]
+    out = np.subtract(s, positions, out=out)
+    out /= n - 1
+    out -= positions
+    return out
 
 
 def stretch(world: WorldState) -> np.ndarray:

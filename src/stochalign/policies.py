@@ -69,7 +69,8 @@ class PolicySpec:
 
     kind: one of POLICY_KINDS.
     rho: responsiveness for "weighted".
-    rhos: per-round responsiveness for "scheduled" (values used as given).
+    rhos: per-round responsiveness for "scheduled", each in [0, 1]; the
+        engine requires one value per simulated round.
     base / shift_rule: for "shifted", the underlying spec plus a callable
         (measurements, t) -> common shift.
     """
@@ -88,8 +89,13 @@ class PolicySpec:
                 raise ValueError("weighted policy needs rho")
             if not 0.0 <= self.rho <= 1.0:
                 raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if self.kind == "scheduled" and self.rhos is None:
-            raise ValueError("scheduled policy needs rhos")
+        if self.kind == "scheduled":
+            if self.rhos is None:
+                raise ValueError("scheduled policy needs rhos")
+            rhos = np.asarray(self.rhos, dtype=float)
+            if rhos.ndim != 1 or not np.all((rhos >= 0.0) & (rhos <= 1.0)):
+                raise ValueError(f"scheduled rhos must be a sequence of values in [0, 1], "
+                                 f"got {self.rhos!r}")
         if self.kind == "shifted" and (self.base is None or self.shift_rule is None):
             raise ValueError("shifted policy needs base and shift_rule")
 

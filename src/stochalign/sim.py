@@ -1,11 +1,23 @@
 """Monte Carlo engine.
 
 Replications are split into fixed-size blocks; each block derives its own
-noise streams from (seed, block index, noise kind) and simulates all of
-its replications as (block, n) arrays.  Per-block partial statistics are
-merged in block order, so results are bit-identical for any thread count,
-and two runs with the same plan consume identical noise (common random
-numbers) because every policy draws the same shapes in the same order.
+noise streams from (seed, block index, noise kind).  One block loop
+simulates L policy lanes at once: the state has shape (L, block, n), and
+the initial, measurement and drift normals are drawn once per block as
+(block, n) arrays and broadcast to every lane.  All lanes therefore see
+identical noise (common random numbers) for the price of one draw.
+`run` is one lane; `run_paired` is two lanes plus the diagnostics of
+their difference; `sweep_rho` runs its grid as lanes, in chunks.
+
+A sweep chunk holds max(1, block_size // min(block_size, replications))
+grid points, so it never simulates more replications at once than one
+block of a single run does.  The bound is there for peak memory: every
+per-round array grows with the number of lanes, and the whole grid in one
+pass would multiply the block's footprint by the grid size.
+
+Per-block partial statistics are merged in block order, and every lane is
+reduced over its own contiguous slice, so results are bit-identical for
+any thread count and any number of lanes.
 
 Per-round statistics treat the replication as the sampling unit: the
 reported variance / mean-absolute-stretch are means over replications of
@@ -15,17 +27,19 @@ replication-level spread of those averages.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from . import streams
 from .analysis import var_limit
 from .kalman import AlphaSchedule
-from .model import ModelConfig, stretch_values
+from .model import ModelConfig, require_int, stretch_values
 from .policies import PolicyFn, PolicySpec, make_policy
+from .structmat import row_sum
 
 DEFAULT_BLOCK_SIZE = 20_000
+TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs only
 
 
 @dataclass(frozen=True)
@@ -49,14 +63,15 @@ class RunPlan:
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.horizon is not None and self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
+        for name in ("replications", "threads", "block_size"):
+            value = getattr(self, name)
+            require_int(name, value)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.horizon is not None:
+            require_int("horizon", self.horizon)
+            if self.horizon < 0:
+                raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.stat_agent is not None and not 0 <= self.stat_agent < self.cfg.n:
             raise ValueError(f"stat_agent must be in [0, {self.cfg.n}), got {self.stat_agent}")
 
@@ -130,79 +145,116 @@ class SweepPoint:
 
 
 def _blocks(replications: int, block_size: int):
-    """Deterministic partition of replication indices into blocks."""
+    """Deterministic partition of the replications into (index, count) blocks."""
+    return [(index, min(block_size, replications - start))
+            for index, start in enumerate(range(0, replications, block_size))]
+
+
+def _compile(plan: RunPlan, policies) -> List[PolicyFn]:
+    """Compile every lane's policy before any block starts.
+
+    PolicySpecs share one alpha schedule; callables pass through.  A
+    scheduled policy must cover every round of the plan.
+    """
+    schedule = None
     out = []
-    start = 0
-    index = 0
-    while start < replications:
-        count = min(block_size, replications - start)
-        out.append((index, count))
-        start += count
-        index += 1
+    for policy in policies:
+        if isinstance(policy, PolicySpec):
+            base = policy
+            while base.kind == "shifted":
+                base = base.base
+            if base.kind == "scheduled" and len(base.rhos) < plan.rounds:
+                raise ValueError(f"scheduled policy has {len(base.rhos)} rhos "
+                                 f"but the run has {plan.rounds} rounds")
+            if schedule is None:
+                schedule = AlphaSchedule(plan.cfg, plan.rounds)
+            out.append(make_policy(policy, plan.cfg, schedule))
+        elif callable(policy):
+            out.append(policy)
+        else:
+            raise ValueError(f"policy must be a PolicySpec or callable, got {policy!r}")
     return out
 
 
-def _compile(plan: RunPlan, which: str = "a") -> PolicyFn:
-    policy = plan.policy if which == "a" else plan.policy_b
-    if isinstance(policy, PolicySpec):
-        schedule = AlphaSchedule(plan.cfg, plan.rounds)
-        return make_policy(policy, plan.cfg, schedule)
-    if not callable(policy):
-        raise ValueError(f"policy must be a PolicySpec or callable, got {policy!r}")
-    return policy
-
-
 class _Accumulator:
-    """Per-block sums for one policy's per-round statistics."""
+    """One block's sums of every lane's per-round statistics.
 
-    def __init__(self, rounds: int, plan: RunPlan):
-        shape = rounds + 1
-        self.sum_sq = np.zeros(shape)
-        self.sum_sq2 = np.zeros(shape)
-        self.sum_abs = np.zeros(shape)
-        self.sum_abs2 = np.zeros(shape)
-        self.max_zero_sum = np.zeros(shape)
-        self.plan = plan
-        if plan.record_moments:
-            self.pow_sums = np.zeros((shape, 4))
-        else:
-            self.pow_sums = None
-        if plan.record_com:
-            self.com_sum = np.zeros(shape)
-        else:
-            self.com_sum = None
+    Per-lane sums are (lanes, rounds+1) arrays.  A paired accumulator
+    also keeps run_paired's diagnostics of lane 1 against lane 0.  Each
+    lane is reduced over its own contiguous slice, so its sums carry the
+    same bits whatever the number of lanes.
+    """
 
-    def record(self, t: int, st: np.ndarray, pos: np.ndarray):
-        plan = self.plan
-        if plan.stat_agent is None:
-            sq = np.einsum("ij,ij->i", st, st) / st.shape[1]
-            ab = np.abs(st).mean(axis=1)
+    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "pow_sums", "com_sum",
+            "diff_sum", "diff_sum2", "shift_sum")
+    MAXES = ("max_zero_sum", "max_diff", "shift_spread", "rule_dev")
+
+    def __init__(self, plan: RunPlan, lanes: int, paired: bool, shift_rule=None):
+        shape = (lanes, plan.rounds + 1)
+        for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
+            setattr(self, name, np.zeros(shape))
+        self.pow_sums = np.zeros(shape + (4,)) if plan.record_moments else None
+        self.com_sum = np.zeros(shape) if plan.record_com else None
+        for name in ("max_diff", "diff_sum", "diff_sum2", "shift_sum", "shift_spread"):
+            setattr(self, name, np.zeros(plan.rounds + 1) if paired else None)
+        self.rule_dev = np.zeros(plan.rounds + 1) if shift_rule is not None else None
+        self.shift_rule = shift_rule
+        self.stat_agent = plan.stat_agent
+
+    def record(self, t: int, st: np.ndarray, pos: np.ndarray, work: np.ndarray):
+        """Add round t; work is (lanes, count) scratch for per-replication values."""
+        lanes, count, n = st.shape
+        col = None if self.stat_agent is None else st[:, :, self.stat_agent]
+        if col is None:
+            flat = st.reshape(lanes * count, n)
+            np.einsum("ij,ij->i", flat, flat, out=work.reshape(-1))
+            work /= n
         else:
-            col = st[:, plan.stat_agent]
-            sq = col * col
-            ab = np.abs(col)
-        self.sum_sq[t] = sq.sum()
-        self.sum_sq2[t] = (sq * sq).sum()
-        self.sum_abs[t] = ab.sum()
-        self.sum_abs2[t] = (ab * ab).sum()
-        self.max_zero_sum[t] = np.abs(st.sum(axis=1)).max()
+            np.multiply(col, col, out=work)
+        self.sum_sq[:, t] = work.sum(axis=1)
+        self.sum_sq2[:, t] = np.multiply(work, work, out=work).sum(axis=1)
+        ab = work
+        if col is None:
+            row_sum(np.abs(st), out=ab)
+            ab /= n
+        else:
+            np.abs(col, out=ab)
+        self.sum_abs[:, t] = ab.sum(axis=1)
+        if self.max_diff is not None:
+            self.max_diff[t] = np.abs(st[0] - st[1]).max()
+            d = ab[1] - ab[0]
+            self.diff_sum[t] = d.sum()
+            self.diff_sum2[t] = (d * d).sum()
+        self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
+        zero_sum = np.abs(row_sum(st, out=work), out=work)
+        self.max_zero_sum[:, t] = zero_sum.max(axis=1)
         if self.pow_sums is not None:
-            st2 = st * st
-            self.pow_sums[t] = (st.sum(), st2.sum(), (st2 * st).sum(), (st2 * st2).sum())
+            flat = st.reshape(lanes, count * n)
+            st2 = flat * flat
+            self.pow_sums[:, t] = np.column_stack(
+                (flat.sum(axis=1), st2.sum(axis=1), (st2 * flat).sum(axis=1),
+                 (st2 * st2).sum(axis=1)))
         if self.com_sum is not None:
-            self.com_sum[t] = pos.mean(axis=1).sum()
-        return ab
+            self.com_sum[:, t] = (row_sum(pos) / n).sum(axis=1)
+
+    def record_moves(self, t: int, y: np.ndarray, moves: np.ndarray):
+        """Paired only: the per-agent move difference of lane 0 minus lane 1."""
+        move_diff = moves[0] - moves[1]
+        common = row_sum(move_diff) / move_diff.shape[-1]
+        self.shift_sum[t] = common.sum()
+        self.shift_spread[t] = np.abs(move_diff - common[:, np.newaxis]).max()
+        if self.rule_dev is not None:
+            self.rule_dev[t] = np.abs(common - self.shift_rule(y[0], t)).max()
 
     def merge(self, other: "_Accumulator"):
-        self.sum_sq += other.sum_sq
-        self.sum_sq2 += other.sum_sq2
-        self.sum_abs += other.sum_abs
-        self.sum_abs2 += other.sum_abs2
-        np.maximum(self.max_zero_sum, other.max_zero_sum, out=self.max_zero_sum)
-        if self.pow_sums is not None:
-            self.pow_sums += other.pow_sums
-        if self.com_sum is not None:
-            self.com_sum += other.com_sum
+        for name in self.SUMS:
+            mine = getattr(self, name)
+            if mine is not None:
+                mine += getattr(other, name)
+        for name in self.MAXES:
+            mine = getattr(self, name)
+            if mine is not None:
+                np.maximum(mine, getattr(other, name), out=mine)
 
 
 def _mean_and_se(total: np.ndarray, total_sq: np.ndarray, count: int):
@@ -213,26 +265,20 @@ def _mean_and_se(total: np.ndarray, total_sq: np.ndarray, count: int):
     return mean, np.sqrt(var / count)
 
 
-def _finalize(acc: _Accumulator, count: int, n: int) -> List[RoundStats]:
-    var, var_se = _mean_and_se(acc.sum_sq, acc.sum_sq2, count)
-    mabs, mabs_se = _mean_and_se(acc.sum_abs, acc.sum_abs2, count)
+def _finalize(acc: _Accumulator, lane: int, count: int, n: int) -> List[RoundStats]:
+    var, var_se = _mean_and_se(acc.sum_sq[lane], acc.sum_sq2[lane], count)
+    mabs, mabs_se = _mean_and_se(acc.sum_abs[lane], acc.sum_abs2[lane], count)
     rounds = []
     for t in range(len(var)):
         skew = kurt = com = None
         if acc.pow_sums is not None:
-            skew, kurt = _shape_moments(acc.pow_sums[t], count * n)
+            skew, kurt = _shape_moments(acc.pow_sums[lane, t], count * n)
         if acc.com_sum is not None:
-            com = acc.com_sum[t] / count
+            com = acc.com_sum[lane, t] / count
         rounds.append(RoundStats(
-            round=t,
-            var_stretch=float(var[t]),
-            mean_abs_stretch=float(mabs[t]),
-            std_error=float(mabs_se[t]),
-            var_std_error=float(var_se[t]),
-            skewness=skew,
-            excess_kurtosis=kurt,
-            center_of_mass=com,
-        ))
+            round=t, var_stretch=float(var[t]), mean_abs_stretch=float(mabs[t]),
+            std_error=float(mabs_se[t]), var_std_error=float(var_se[t]),
+            skewness=skew, excess_kurtosis=kurt, center_of_mass=com))
     return rounds
 
 
@@ -247,139 +293,89 @@ def _shape_moments(pows: np.ndarray, count: int):
     return float(m3 / m2 ** 1.5), float(m4 / (m2 * m2) - 3.0)
 
 
-def _run_block(plan: RunPlan, policy: PolicyFn, index: int, count: int):
+def _run_block(plan: RunPlan, policies: List[PolicyFn], paired: bool, shift_rule,
+               index: int, count: int):
+    """Simulate one block of replications for every policy lane.
+
+    The state is (lanes, count, n); each noise draw is (count, n) and is
+    broadcast to every lane.  Only the positions and the stretches are
+    held for all lanes: the measurements overwrite the stretches, and each
+    lane's moves are added as soon as its policy returns them.
+    """
     cfg = plan.cfg
     rounds = plan.rounds
+    lanes = len(policies)
+    shape = (count, cfg.n)
     gen_init = streams.substream(cfg.seed, index, streams.INIT)
     gen_meas = streams.substream(cfg.seed, index, streams.MEASURE)
     gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
 
-    acc = _Accumulator(rounds, plan)
-    traces = _TraceBuffer(plan, rounds, count) if plan.record_traces else None
-    pos = gen_init.normal(0.0, cfg.sigma0, (count, cfg.n))
+    acc = _Accumulator(plan, lanes, paired, shift_rule)
+    if plan.record_traces:
+        stretch_trace = np.empty((lanes, rounds + 1, count, cfg.n))
+        com_trace = np.empty((lanes, rounds + 1, count))
+    pos = np.empty((lanes,) + shape)
+    pos[...] = gen_init.normal(0.0, cfg.sigma0, shape)
+    st = np.empty_like(pos)
+    work = np.empty((lanes, count))
     for t in range(rounds + 1):
-        st = stretch_values(pos)
-        acc.record(t, st, pos)
-        if traces is not None:
-            traces.record(t, st, pos, 0)
+        stretch_values(pos, out=st)
+        acc.record(t, st, pos, work)
+        if plan.record_traces:
+            stretch_trace[:, t] = st
+            com_trace[:, t] = row_sum(pos) / cfg.n
         if t == rounds:
             break
-        y = st + gen_meas.normal(0.0, cfg.sigma_m, (count, cfg.n))
-        pos = pos + policy(y, t) + gen_drift.normal(0.0, cfg.sigma_d, (count, cfg.n))
-    return acc, traces
+        y = st
+        y += gen_meas.normal(0.0, cfg.sigma_m, shape)
+        moves = (policy(y[lane], t) for lane, policy in enumerate(policies))
+        if paired:
+            moves = list(moves)
+            acc.record_moves(t, y, moves)
+        for lane, move in enumerate(moves):
+            pos[lane] += move
+        pos += gen_drift.normal(0.0, cfg.sigma_d, shape)
+    return acc, (stretch_trace, com_trace) if plan.record_traces else None
 
 
-class _TraceBuffer:
-    """Full per-replication traces; only sensible for small runs."""
+def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
+    """Run every block of the plan for all lanes and merge in block order.
 
-    LIMIT = 50_000_000
+    Returns the merged accumulator and, when the plan records traces, the
+    (stretch, com) traces with a leading lane axis.
+    """
+    if plan.record_traces:
+        cells = (plan.rounds + 1) * plan.replications * plan.cfg.n * len(policies)
+        if cells > TRACE_LIMIT:
+            raise ValueError(f"trace recording would allocate {cells} cells "
+                             f"(limit {TRACE_LIMIT}); reduce replications or horizon")
+    fns = _compile(plan, policies)
 
-    def __init__(self, plan: RunPlan, rounds: int, count: int, pair: bool = False):
-        lanes = 2 if pair else 1
-        self.stretch = np.empty((lanes, rounds + 1, count, plan.cfg.n))
-        self.com = np.empty((lanes, rounds + 1, count))
+    def worker(block):
+        return _run_block(plan, fns, paired, shift_rule, *block)
 
-    def record(self, t: int, st: np.ndarray, pos: np.ndarray, lane: int):
-        self.stretch[lane, t] = st
-        self.com[lane, t] = pos.mean(axis=1)
-
-
-def _merge_traces(traces, axis_reps: int = 2):
-    if traces[0] is None:
-        return None
-    return np.concatenate([tr for tr in traces], axis=axis_reps)
-
-
-def _check_trace_size(plan: RunPlan, pair: bool) -> None:
-    """Reject whole-run trace requests that would not fit in memory."""
-    if not plan.record_traces:
-        return
-    cells = (plan.rounds + 1) * plan.replications * plan.cfg.n * (2 if pair else 1)
-    if cells > _TraceBuffer.LIMIT:
-        raise ValueError(
-            f"trace recording would allocate {cells} cells "
-            f"(limit {_TraceBuffer.LIMIT}); reduce replications or horizon")
-
-
-def _dispatch(plan: RunPlan, worker):
-    """Run one worker per block and merge results in block order."""
     blocks = _blocks(plan.replications, plan.block_size)
     if plan.threads == 1 or len(blocks) == 1:
-        return [worker(index, count) for index, count in blocks]
-    with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-        return list(pool.map(lambda bc: worker(*bc), blocks))
+        parts = [worker(block) for block in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
+            parts = list(pool.map(worker, blocks))
+    acc = parts[0][0]
+    for other, _ in parts[1:]:
+        acc.merge(other)
+    if not plan.record_traces:
+        return acc, None
+    return acc, tuple(np.concatenate([part[1][i] for part in parts], axis=2) for i in (0, 1))
 
 
 def run(plan: RunPlan) -> RunResult:
     """Simulate the plan and return per-round statistics."""
-    _check_trace_size(plan, pair=False)
-    policy = _compile(plan)
-    parts = _dispatch(plan, lambda index, count: _run_block(plan, policy, index, count))
-
-    total = parts[0][0]
-    for acc, _ in parts[1:]:
-        total.merge(acc)
-    rounds = _finalize(total, plan.replications, plan.cfg.n)
-
-    result = RunResult(rounds=rounds, max_abs_stretch_sum=total.max_zero_sum)
-    if plan.record_traces:
-        stretch = np.concatenate([tr.stretch for _, tr in parts], axis=2)
-        com = np.concatenate([tr.com for _, tr in parts], axis=2)
-        result.stretch_traces = stretch[0]
-        result.com_traces = com[0]
+    acc, traces = _simulate(plan, [plan.policy])
+    result = RunResult(rounds=_finalize(acc, 0, plan.replications, plan.cfg.n),
+                       max_abs_stretch_sum=acc.max_zero_sum[0])
+    if traces is not None:
+        result.stretch_traces, result.com_traces = traces[0][0], traces[1][0]
     return result
-
-
-def _run_block_paired(plan: RunPlan, policy_a: PolicyFn, policy_b: PolicyFn,
-                      shift_rule, index: int, count: int):
-    cfg = plan.cfg
-    rounds = plan.rounds
-    gen_init = streams.substream(cfg.seed, index, streams.INIT)
-    gen_meas = streams.substream(cfg.seed, index, streams.MEASURE)
-    gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
-
-    acc_a = _Accumulator(rounds, plan)
-    acc_b = _Accumulator(rounds, plan)
-    max_diff = np.zeros(rounds + 1)
-    diff_sum = np.zeros(rounds + 1)
-    diff_sum2 = np.zeros(rounds + 1)
-    shift_sum = np.zeros(rounds + 1)
-    shift_spread = np.zeros(rounds + 1)
-    rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
-    traces = _TraceBuffer(plan, rounds, count, pair=True) if plan.record_traces else None
-
-    pos_a = gen_init.normal(0.0, cfg.sigma0, (count, cfg.n))
-    pos_b = pos_a.copy()
-    for t in range(rounds + 1):
-        st_a = stretch_values(pos_a)
-        st_b = stretch_values(pos_b)
-        ab_a = acc_a.record(t, st_a, pos_a)
-        ab_b = acc_b.record(t, st_b, pos_b)
-        max_diff[t] = np.abs(st_a - st_b).max()
-        d = ab_b - ab_a
-        diff_sum[t] = d.sum()
-        diff_sum2[t] = (d * d).sum()
-        if traces is not None:
-            traces.record(t, st_a, pos_a, 0)
-            traces.record(t, st_b, pos_b, 1)
-        if t == rounds:
-            break
-        noise_m = gen_meas.normal(0.0, cfg.sigma_m, (count, cfg.n))
-        y_a = st_a + noise_m
-        y_b = st_b + noise_m
-        mv_a = policy_a(y_a, t)
-        mv_b = policy_b(y_b, t)
-        move_diff = mv_a - mv_b
-        common = move_diff.mean(axis=1)
-        shift_sum[t] = common.sum()
-        shift_spread[t] = np.abs(move_diff - common[:, np.newaxis]).max()
-        if rule_dev is not None:
-            rule_dev[t] = np.abs(common - shift_rule(y_a, t)).max()
-        drift = gen_drift.normal(0.0, cfg.sigma_d, (count, cfg.n))
-        pos_a = pos_a + mv_a + drift
-        pos_b = pos_b + mv_b + drift
-    return (acc_a, acc_b, max_diff, diff_sum, diff_sum2, shift_sum,
-            shift_spread, rule_dev, traces)
 
 
 def run_paired(plan: RunPlan, shift_rule=None) -> PairedRunResult:
@@ -391,45 +387,24 @@ def run_paired(plan: RunPlan, shift_rule=None) -> PairedRunResult:
     """
     if plan.policy_b is None:
         raise ValueError("run_paired needs plan.policy_b")
-    _check_trace_size(plan, pair=True)
-    policy_a = _compile(plan, "a")
-    policy_b = _compile(plan, "b")
-    parts = _dispatch(
-        plan,
-        lambda index, count: _run_block_paired(plan, policy_a, policy_b,
-                                               shift_rule, index, count))
-
-    acc_a, acc_b = parts[0][0], parts[0][1]
-    max_diff, diff_sum, diff_sum2 = parts[0][2], parts[0][3], parts[0][4]
-    shift_sum, shift_spread, rule_dev = parts[0][5], parts[0][6], parts[0][7]
-    for part in parts[1:]:
-        acc_a.merge(part[0])
-        acc_b.merge(part[1])
-        np.maximum(max_diff, part[2], out=max_diff)
-        diff_sum += part[3]
-        diff_sum2 += part[4]
-        shift_sum += part[5]
-        np.maximum(shift_spread, part[6], out=shift_spread)
-        if rule_dev is not None:
-            np.maximum(rule_dev, part[7], out=rule_dev)
-
-    reps = plan.replications
-    diff_mean, diff_se = _mean_and_se(diff_sum, diff_sum2, reps)
+    acc, traces = _simulate(plan, [plan.policy, plan.policy_b], paired=True,
+                            shift_rule=shift_rule)
+    reps, n = plan.replications, plan.cfg.n
+    diff_mean, diff_se = _mean_and_se(acc.diff_sum, acc.diff_sum2, reps)
     result = PairedRunResult(
-        stats_a=_finalize(acc_a, reps, plan.cfg.n),
-        stats_b=_finalize(acc_b, reps, plan.cfg.n),
-        max_stretch_diff=max_diff,
+        stats_a=_finalize(acc, 0, reps, n),
+        stats_b=_finalize(acc, 1, reps, n),
+        max_stretch_diff=acc.max_diff,
         diff_mean=diff_mean,
         diff_se=diff_se,
-        shift_mean=shift_sum / reps,
-        shift_spread=shift_spread,
-        shift_rule_dev=rule_dev,
+        shift_mean=acc.shift_sum / reps,
+        shift_spread=acc.shift_spread,
+        shift_rule_dev=acc.rule_dev,
     )
-    if plan.record_traces:
-        stretch = np.concatenate([part[8].stretch for part in parts], axis=2)
-        com = np.concatenate([part[8].com for part in parts], axis=2)
-        result.stretch_traces_a, result.stretch_traces_b = stretch[0], stretch[1]
-        result.com_traces_a, result.com_traces_b = com[0], com[1]
+    if traces is not None:
+        stretch, com = traces
+        result.stretch_traces_a, result.stretch_traces_b = stretch
+        result.com_traces_a, result.com_traces_b = com
     return result
 
 
@@ -451,12 +426,24 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     closed form is infinite (rho = 0) are still simulated; their tail
     estimate is a horizon artifact, not a steady state.
     """
+    specs = [PolicySpec(kind="weighted", rho=float(rho)) for rho in grid]
+    if not specs:
+        return []
+    plan = RunPlan(cfg=cfg, policy=specs[0], replications=replications, horizon=horizon,
+                   threads=threads, block_size=block_size)
+    # a chunk of lanes holds no more replications than one block
+    chunk = max(1, block_size // min(block_size, replications))
     points = []
-    for rho in grid:
-        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=float(rho)),
-                       replications=replications, horizon=horizon,
-                       threads=threads, block_size=block_size)
-        points.append(SweepPoint(rho=float(rho),
-                                 var_empirical=steady_state_variance(run(plan)),
-                                 var_closed_form=var_limit(rho, cfg)))
+    for first in range(0, len(specs), chunk):
+        points += _sweep_lanes(plan, specs[first:first + chunk])
     return points
+
+
+def _sweep_lanes(plan: RunPlan, specs: List[PolicySpec]) -> List[SweepPoint]:
+    """One sweep chunk: its grid points run as the lanes of one simulation."""
+    acc, _ = _simulate(plan, specs)
+    reps, cfg = plan.replications, plan.cfg
+    return [SweepPoint(rho=spec.rho,
+                       var_empirical=steady_state_variance(_finalize(acc, lane, reps, cfg.n)),
+                       var_closed_form=var_limit(spec.rho, cfg))
+            for lane, spec in enumerate(specs)]

@@ -11,6 +11,27 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# numpy sums rows shorter than this strictly left to right
+SEQUENTIAL_SUM_MAX = 7
+
+
+def row_sum(v: np.ndarray, out=None) -> np.ndarray:
+    """v.sum(axis=-1), bit for bit, without numpy's per-row reduction loop.
+
+    numpy adds the elements of a row shorter than 8 strictly left to
+    right (checked for numpy 2.4), so adding whole columns in that order
+    gives the same bits at a fraction of the cost when there are many
+    short rows.  Longer rows use numpy's own reduction.
+    """
+    n = v.shape[-1]
+    if not 2 <= n <= SEQUENTIAL_SUM_MAX:
+        return np.sum(v, axis=-1, out=out)
+    out = np.add(v[..., 0], v[..., 1], out=out)
+    for j in range(2, n):
+        out += v[..., j]
+    return out
+
+
 class SingularStructuredMatrixError(ValueError):
     """Raised when an M(a, b) matrix fails an exact invertibility condition."""
 
@@ -103,5 +124,5 @@ def apply(x: StructuredMatrix, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != x.n:
         raise ValueError(f"vector length {v.shape[-1]} != dimension {x.n}")
-    s = v.sum(axis=-1, keepdims=True)
+    s = row_sum(v)[..., np.newaxis]
     return x.off * s + (x.diag - x.off) * v

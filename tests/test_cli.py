@@ -100,6 +100,14 @@ class TestConfigFile:
         code = main(["simulate", "--config", "nope.json", "--threads", "1"])
         assert code == 2
 
+    def test_fractional_integer_setting_rejected(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"horizon": 2.5}))
+        code = main(["simulate", "--config", "cfg.json", "--reps", "10",
+                     "--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert "'horizon'" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text("{not json")
         code = main(["simulate", "--config", "cfg.json", "--threads", "1"])
@@ -258,6 +266,34 @@ class TestThreadsResolution:
         main(args + ["--threads", "1", "--out", "a.csv"])
         main(args + ["--threads", "4", "--out", "b.csv"])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestFailClosed:
+    def test_non_finite_noise_writes_nothing(self, tmp_path, capsys):
+        code = main(["simulate", "--sigma-m", "nan", "--reps", "10", "--threads", "1",
+                     "--out", "s.csv"])
+        assert code == 2
+        assert "sigma_m must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_t_max_writes_nothing(self, tmp_path, capsys):
+        code = main(["kalman-check", "--t-max", "-1", "--threads", "1", "--out", "k.csv"])
+        assert code == 2
+        assert "t_max must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_output_directory_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["simulate", "--reps", "10", "--threads", "1",
+                     "--out", str(tmp_path / "missing" / "s.csv")])
+        assert code == 2
+        assert "does not exist" in capsys.readouterr().err
+
+    def test_unwritable_output_is_an_io_error(self, tmp_path, capsys):
+        # the output path is a directory, so opening it for writing fails
+        code = main(["kalman-check", "--t-max", "3", "--threads", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestUsageErrors:

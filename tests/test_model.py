@@ -45,6 +45,20 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(n=3, horizon=-1)
 
+    def test_rejects_fractional_horizon(self):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            ModelConfig(n=3, horizon=2.5)
+
+    def test_rejects_non_integer_agent_count(self):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ModelConfig(n=3.0)
+
+    @pytest.mark.parametrize("name", ["sigma0", "sigma_m", "sigma_d"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_sigmas(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelConfig(n=3, **{name: value})
+
     def test_degenerate_initial_spread_allowed(self):
         cfg = ModelConfig(n=4, sigma0=0.0)
         world = init_world(cfg, rng_for(0))

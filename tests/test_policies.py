@@ -160,6 +160,11 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             PolicySpec(kind="scheduled")
 
+    @pytest.mark.parametrize("rhos", [[2.0, -1.0], [0.5, float("nan")], [float("inf")]])
+    def test_scheduled_rejects_values_outside_unit_interval(self, rhos):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PolicySpec(kind="scheduled", rhos=rhos)
+
     def test_shifted_needs_base_and_rule(self):
         with pytest.raises(ValueError):
             PolicySpec(kind="shifted", base=PolicySpec(kind="weighted", rho=0.5))

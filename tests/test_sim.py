@@ -44,6 +44,24 @@ class TestRunPlanValidation:
         with pytest.raises(ValueError):
             small_plan(stat_agent=-1)
 
+    def test_rejects_fractional_counts(self):
+        with pytest.raises(ValueError):
+            small_plan(horizon=2.5)
+        with pytest.raises(ValueError):
+            small_plan(replications=10.0)
+
+    def test_short_schedule_rejected_before_any_block(self, monkeypatch):
+        import stochalign.streams
+
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        monkeypatch.setattr(stochalign.streams, "substream", no_blocks)
+        plan = small_plan(cfg=ModelConfig(n=3, horizon=5, seed=7), threads=2,
+                          policy=PolicySpec(kind="scheduled", rhos=[0.5, 0.5]))
+        with pytest.raises(ValueError, match="2 rhos but the run has 5 rounds"):
+            run(plan)
+
     def test_horizon_override(self):
         assert small_plan().rounds == 10
         assert small_plan(horizon=25).rounds == 25
@@ -234,6 +252,27 @@ class TestSteadyState:
         result = run(small_plan())
         assert steady_state_variance(result) == pytest.approx(
             steady_state_variance(result.rounds))
+
+
+class TestLanes:
+    def test_sweep_points_equal_single_runs_bit_for_bit(self):
+        # 700 replications and 2000-replication blocks: chunks of 2 lanes
+        cfg = ModelConfig(n=3, horizon=30, seed=12)
+        grid = [0.1, 0.4, 0.7, 1.0, 0.25]
+        points = sweep_rho(cfg, grid, 700, block_size=2_000)
+        for rho, point in zip(grid, points):
+            alone = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=rho),
+                                replications=700, block_size=2_000))
+            assert point.var_empirical == steady_state_variance(alone)
+
+    def test_paired_lanes_equal_single_runs_bit_for_bit(self):
+        plan = small_plan(policy=PolicySpec(kind="wstar"), policy_b=PolicySpec(kind="matc"),
+                          replications=900, block_size=400, record_com=True)
+        paired = run_paired(plan)
+        assert paired.stats_a == run(plan).rounds
+        assert paired.stats_b == run(small_plan(policy=PolicySpec(kind="matc"),
+                                                replications=900, block_size=400,
+                                                record_com=True)).rounds
 
 
 class TestSweep:
