@@ -118,11 +118,6 @@ def _resolve(args: argparse.Namespace, command: str) -> dict:
     return settings
 
 
-def _check_t_max(t_max: int) -> None:
-    if t_max < 0:
-        raise ConfigError(f"t_max must be >= 0, got {t_max}")
-
-
 def _resolve_threads(flag: Optional[int]) -> int:
     if flag is None:
         env = os.environ.get(THREADS_ENV)
@@ -262,7 +257,8 @@ def cmd_sweep(settings: dict) -> int:
 
 def cmd_kalman_check(settings: dict, t_max: int) -> int:
     cfg = _model_config(settings)
-    _check_t_max(t_max)
+    if t_max < 0:
+        raise ConfigError(f"t_max must be >= 0, got {t_max}")
     schedule = AlphaSchedule(cfg, t_max)
     worst = 0.0
     rows = []
@@ -288,7 +284,6 @@ def cmd_kalman_check(settings: dict, t_max: int) -> int:
 def cmd_best_response(settings: dict, opponents: str, t_max: int,
                       assert_nash: bool) -> int:
     cfg = _model_config(settings)
-    _check_t_max(t_max)
     if opponents == "wstar":
         opp = AlphaSchedule(cfg, t_max).rhos(t_max)
     elif opponents == "constant":

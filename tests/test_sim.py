@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stochalign import streams
 from stochalign.analysis import var_limit
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
@@ -51,12 +52,10 @@ class TestRunPlanValidation:
             small_plan(replications=10.0)
 
     def test_short_schedule_rejected_before_any_block(self, monkeypatch):
-        import stochalign.streams
-
         def no_blocks(*args):
             raise AssertionError("a block started")
 
-        monkeypatch.setattr(stochalign.streams, "substream", no_blocks)
+        monkeypatch.setattr(streams, "substream", no_blocks)
         plan = small_plan(cfg=ModelConfig(n=3, horizon=5, seed=7), threads=2,
                           policy=PolicySpec(kind="scheduled", rhos=[0.5, 0.5]))
         with pytest.raises(ValueError, match="2 rhos but the run has 5 rounds"):

@@ -15,6 +15,7 @@ from stochalign.structmat import (
     inverse,
     mn,
     mul,
+    row_sum,
 )
 
 
@@ -183,3 +184,17 @@ def test_operator_sugar():
     assert (prod.diag, prod.off) == (4.0, 4.0)
     vec = m @ np.array([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(vec, np.array([7.0, 8.0, 9.0]))
+
+
+class TestRowSum:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_same_bits_as_numpy_sum(self, n):
+        # wide dynamic range, so any change of summation order shows
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=(3, 501, n)) * np.exp(5.0 * rng.normal(size=(3, 501, n)))
+        expect = v.sum(axis=-1)
+        np.testing.assert_array_equal(row_sum(v), expect)
+        out = np.empty((3, 501))
+        assert row_sum(v, out=out) is out
+        np.testing.assert_array_equal(out, expect)
+        np.testing.assert_array_equal(row_sum(v[0, 0]), expect[0, 0])
