@@ -2,10 +2,10 @@
 
 n agents each observe a noisy version of their stretch (the gap between
 the average of everyone else and themselves), move some fraction of the
-observation, and drift.  The package provides the exact dynamics, the
-structured-matrix algebra behind them, Kalman-filter machinery with O(1)
-closed forms, the standard policies and their closed-form limits, the
-best-response game layer, and a reproducible Monte Carlo engine with a
+observation, and drift.  The package provides the stretch map, the
+structured-matrix algebra behind the dynamics, Kalman-filter machinery
+with O(1) closed forms, the standard policies and their closed-form
+limits, the best-response game layer, and a reproducible Monte Carlo engine with a
 CSV-producing command line (`stochalign`).
 """
 
@@ -14,13 +14,11 @@ from .analysis import (SteadyStatePrediction, alpha_infty, cost_from_variance,
                        variance_from_cost)
 from .game import BestResponseSchedule, best_response, deviant_policy, nash_residual
 from .kalman import (AlphaSchedule, KalmanState, LinearSystem,
-                     alignment_initial_state, alignment_system, alpha_schedule,
+                     alignment_initial_state, alignment_system,
                      closed_form_filter_state, dense_filter_path, gain,
                      measurement_update, scalar_filter_step, time_update)
-from .model import (ModelConfig, WorldState, cost_estimate, init_world,
-                    measure, step, stretch, stretch_values)
-from .policies import (PolicySpec, make_policy, matc_moves, shifted_moves,
-                       weighted_moves, wstar_moves)
+from .model import ModelConfig, cost_estimate, stretch_values
+from .policies import Gain, PolicySpec, make_policy
 from .sim import (PairedRunResult, RoundStats, RunPlan, RunResult, SweepPoint,
                   run, run_paired, steady_state_variance, sweep_rho)
 from .structmat import (SingularStructuredMatrixError, StructuredMatrix,

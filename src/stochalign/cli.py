@@ -4,7 +4,8 @@ Five subcommands: simulate, compare, sweep, kalman-check, best-response.
 Settings come from built-in defaults, then an optional flat JSON config
 file (--config), then flags; later sources win.  Every run writes its CSV
 plus a <out>.config.json sidecar holding the fully resolved settings.
-Every setting is checked before any work starts.  Exit codes: 0 success /
+Every setting is checked before any work starts, and the CSV and its
+sidecar are both written or neither is.  Exit codes: 0 success /
 assertion passed, 1 assertion failed, 2 usage, configuration or I/O error.
 """
 
@@ -146,18 +147,34 @@ def _policy_spec(name: str, rho: float) -> PolicySpec:
     return PolicySpec(kind=name)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+def _write_outputs(settings: dict, header: str, rows) -> None:
+    """Write the CSV and its <out>.config.json sidecar, or neither.
 
-
-def _write_sidecar(settings: dict) -> None:
-    path = settings["out"] + ".config.json"
-    with open(path, "w") as fh:
-        json.dump(settings, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    Both are written to temp files beside their targets and moved into
+    place only once both are complete, the sidecar first; if the CSV then
+    cannot be moved, the new sidecar is removed again.
+    """
+    out = settings["out"]
+    sidecar = out + ".config.json"
+    tmp_out, tmp_sidecar = (f"{path}.{os.getpid()}.tmp" for path in (out, sidecar))
+    try:
+        with open(tmp_out, "x", newline="") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
+        with open(tmp_sidecar, "x") as fh:
+            json.dump(settings, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp_sidecar, sidecar)
+        try:
+            os.replace(tmp_out, out)
+        except OSError:
+            os.remove(sidecar)
+            raise
+    finally:
+        for tmp in (tmp_out, tmp_sidecar):
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
 
 def cmd_simulate(settings: dict) -> int:
@@ -168,8 +185,7 @@ def cmd_simulate(settings: dict) -> int:
     result = run(plan)
     rows = ([_fmt(r.round), _fmt(r.var_stretch), _fmt(r.mean_abs_stretch),
              _fmt(r.std_error)] for r in result)
-    _write_csv(settings["out"], "round,var_stretch,mean_abs_stretch,stderr", rows)
-    _write_sidecar(settings)
+    _write_outputs(settings, "round,var_stretch,mean_abs_stretch,stderr", rows)
 
     if spec.kind == "weighted":
         limit = var_limit(spec.rho, cfg)
@@ -203,8 +219,7 @@ def cmd_compare(settings: dict, a: str, b: str, rho_a: float, rho_b: float) -> i
         shift = paired.shift_mean[t] if t < plan.rounds else math.nan
         rows.append([_fmt(t), _fmt(sa.center_of_mass), _fmt(sb.center_of_mass),
                      _fmt(paired.max_stretch_diff[t]), _fmt(shift)])
-    _write_csv(settings["out"], "round,com_a,com_b,max_stretch_diff,move_shift", rows)
-    _write_sidecar(settings)
+    _write_outputs(settings, "round,com_a,com_b,max_stretch_diff,move_shift", rows)
 
     print(f"paired {a} vs {b}: max stretch difference "
           f"{_fmt(paired.max_stretch_diff.max())} -> {settings['out']}")
@@ -243,8 +258,7 @@ def cmd_sweep(settings: dict) -> int:
     for p in points:
         empirical = "divergent" if math.isinf(p.var_closed_form) else _fmt(p.var_empirical)
         rows.append([_fmt(p.rho), empirical, _fmt(p.var_closed_form)])
-    _write_csv(settings["out"], "rho,var_empirical,var_closed_form", rows)
-    _write_sidecar(settings)
+    _write_outputs(settings, "rho,var_empirical,var_closed_form", rows)
 
     finite = [p for p in points if not math.isinf(p.var_closed_form)]
     if finite:
@@ -269,8 +283,7 @@ def cmd_kalman_check(settings: dict, t_max: int) -> int:
         worst = max(worst, cov_dev, gain_dev)
         rows.append([_fmt(t), _fmt(schedule.alpha(t)), _fmt(schedule.rho(t)),
                      _fmt(cov_dev), _fmt(gain_dev)])
-    _write_csv(settings["out"], "t,alpha,rho_star,cov_dev,gain_dev", rows)
-    _write_sidecar(settings)
+    _write_outputs(settings, "t,alpha,rho_star,cov_dev,gain_dev", rows)
 
     residual = abs(schedule.alpha(t_max) - alpha_infty(cfg))
     ok = worst <= KALMAN_TOL
@@ -298,8 +311,7 @@ def cmd_best_response(settings: dict, opponents: str, t_max: int,
     residual = np.abs(br.responsiveness - opp)
     rows = ([_fmt(t), _fmt(opp[t]), _fmt(br.responsiveness[t]), _fmt(residual[t])]
             for t in range(t_max + 1))
-    _write_csv(settings["out"], "t,opp_rho,best_response,residual", rows)
-    _write_sidecar(settings)
+    _write_outputs(settings, "t,opp_rho,best_response,residual", rows)
 
     worst = residual.max()
     print(f"best response vs {opponents} opponents: max residual {_fmt(worst)} "

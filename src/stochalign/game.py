@@ -14,7 +14,7 @@ import numpy as np
 
 from .kalman import AlphaSchedule, scalar_filter_step
 from .model import ModelConfig
-from .policies import PolicyFn
+from .policies import Gain
 
 
 @dataclass(frozen=True)
@@ -64,17 +64,16 @@ def nash_residual(schedule: Sequence[float], cfg: ModelConfig, t_max: int) -> fl
 
 
 def deviant_policy(coeffs: Sequence[float], schedule: AlphaSchedule,
-                   agent: int = 0) -> PolicyFn:
+                   agent: int = 0) -> Gain:
     """Everyone plays rho*(t) except one agent, who plays coeffs[t].
 
-    Used by the empirical dominance checks: the returned callable plugs
-    into the Monte Carlo engine like any other policy.
+    Used by the empirical dominance checks.  The returned Gain has one
+    row of per-agent scales per round that both coeffs and the schedule
+    cover; the engine rejects it for a run with more rounds.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-
-    def moves(y: np.ndarray, t: int) -> np.ndarray:
-        mv = schedule.rho(t) * np.asarray(y, dtype=float)
-        mv[..., agent] = coeffs[t] * y[..., agent]
-        return mv
-
-    return moves
+    rounds = min(len(coeffs), schedule.t_max + 1)
+    rhos = schedule.rhos(schedule.t_max)[:rounds]
+    scale = np.repeat(rhos[:, np.newaxis], schedule.cfg.n, axis=1)
+    scale[:, agent] = coeffs[:rounds]
+    return Gain(scale)

@@ -13,13 +13,12 @@ Two routes to the same covariances are kept deliberately separate:
 correctness guard for everything downstream.
 """
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, require_int
 from .structmat import StructuredMatrix, mn
 
 
@@ -138,54 +137,43 @@ class AlphaSchedule:
         alpha_{t+1} = sigma_m^2 alpha_t / (c alpha_t + sigma_m^2) + c sigma_d^2,
         rho*(t)     = alpha_t / (c alpha_t + sigma_m^2),         c = n/(n-1).
 
-    Values are computed eagerly through the config horizon and extended
-    transparently (and cached) when later rounds are requested.
+    Both are computed once, for rounds 0..t_max (default: the config
+    horizon); a round outside that range is rejected.
     """
 
     def __init__(self, cfg: ModelConfig, t_max: Optional[int] = None):
+        t_max = cfg.horizon if t_max is None else t_max
+        require_int("t_max", t_max)
+        if t_max < 0:
+            raise ValueError(f"t_max must be >= 0, got {t_max}")
         self.cfg = cfg
-        self._alphas = [cfg.n * cfg.sigma0 ** 2 / (cfg.n - 1)]
-        self._lock = threading.Lock()  # extension may be reached from worker threads
-        self.extend_to(cfg.horizon if t_max is None else t_max)
+        self.t_max = t_max
+        c = cfg.n / (cfg.n - 1)
+        sm2 = cfg.sigma_m ** 2
+        csd2 = c * cfg.sigma_d ** 2
+        a = [cfg.n * cfg.sigma0 ** 2 / (cfg.n - 1)]
+        for _ in range(t_max):
+            prev = a[-1]
+            a.append(sm2 * prev / (c * prev + sm2) + csd2)
+        self._alphas = np.array(a)
+        self._rhos = self._alphas / (c * self._alphas + sm2)
 
-    def extend_to(self, t: int) -> None:
-        if len(self._alphas) > t:
-            return
-        c = self.cfg.n / (self.cfg.n - 1)
-        sm2 = self.cfg.sigma_m ** 2
-        csd2 = c * self.cfg.sigma_d ** 2
-        with self._lock:
-            a = self._alphas
-            while len(a) <= t:
-                prev = a[-1]
-                a.append(sm2 * prev / (c * prev + sm2) + csd2)
+    def _check(self, t: int) -> int:
+        if not 0 <= t <= self.t_max:
+            raise ValueError(f"round {t} is outside the schedule's rounds 0..{self.t_max}")
+        return t
 
     def alpha(self, t: int) -> float:
-        if t < 0:
-            raise ValueError(f"round must be >= 0, got {t}")
-        self.extend_to(t)
-        return self._alphas[t]
+        return float(self._alphas[self._check(t)])
 
     def rho(self, t: int) -> float:
-        a = self.alpha(t)
-        c = self.cfg.n / (self.cfg.n - 1)
-        return a / (c * a + self.cfg.sigma_m ** 2)
+        return float(self._rhos[self._check(t)])
 
     def alphas(self, t_max: int) -> np.ndarray:
-        self.extend_to(t_max)
-        return np.array(self._alphas[:t_max + 1])
+        return self._alphas[:self._check(t_max) + 1].copy()
 
     def rhos(self, t_max: int) -> np.ndarray:
-        a = self.alphas(t_max)
-        c = self.cfg.n / (self.cfg.n - 1)
-        return a / (c * a + self.cfg.sigma_m ** 2)
-
-
-def alpha_schedule(cfg: ModelConfig, t_max: int) -> AlphaSchedule:
-    """Construct the schedule through round t_max."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    return AlphaSchedule(cfg, t_max)
+        return self._rhos[:self._check(t_max) + 1].copy()
 
 
 def closed_form_filter_state(cfg: ModelConfig, t: int,

@@ -1,15 +1,16 @@
-"""Core state-transition model: n agents on the line.
+"""The model's scenario and its stretch map: n agents on the line.
 
 Each agent i sees a noisy measurement of its stretch (the gap between the
 average of everyone else and itself), chooses a move, and drifts.  All
 noise is zero-mean Gaussian and independent across agents, rounds and
-kinds.  Stretches always sum to zero, so the functions here operate on the
-last axis of arbitrarily batched position arrays.
+kinds; the Monte Carlo engine in `sim` draws it.  Stretches always sum to
+zero, and stretch_values works on the last axis of arbitrarily batched
+position arrays.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -28,7 +29,7 @@ def require_int(name: str, value) -> None:
 class ModelConfig:
     """Scenario parameters.
 
-    n and horizon are integers.  sigma0 may be zero (all agents start at
+    n, horizon and seed are integers.  sigma0 may be zero (all agents start at
     the origin); the measurement and drift noise scales must be positive.
     All three are finite.
     """
@@ -43,6 +44,7 @@ class ModelConfig:
     def __post_init__(self):
         require_int("n", self.n)
         require_int("horizon", self.horizon)
+        require_int("seed", self.seed)
         for name in ("sigma0", "sigma_m", "sigma_d"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -58,22 +60,6 @@ class ModelConfig:
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         object.__setattr__(self, "seed", normalize_seed(self.seed))
-
-
-@dataclass
-class WorldState:
-    """Positions of all n agents at the start of a round."""
-
-    round: int
-    positions: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
-
-
-def init_world(cfg: ModelConfig, rng: np.random.Generator) -> WorldState:
-    """Draw initial positions i.i.d. N(0, sigma0^2)."""
-    return WorldState(round=0, positions=rng.normal(0.0, cfg.sigma0, cfg.n))
 
 
 def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -92,28 +78,6 @@ def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None) -> n
     return out
 
 
-def stretch(world: WorldState) -> np.ndarray:
-    return stretch_values(world.positions)
-
-
-def measure(world: WorldState, cfg: ModelConfig, rng: np.random.Generator) -> np.ndarray:
-    """One measurement vector: stretch plus N(0, sigma_m^2) per agent."""
-    _check_length(world.positions, cfg)
-    return stretch(world) + rng.normal(0.0, cfg.sigma_m, world.positions.shape)
-
-
-def step(world: WorldState, moves: np.ndarray, cfg: ModelConfig,
-         rng: np.random.Generator) -> WorldState:
-    """Advance one round: add each agent's move, then its drift noise."""
-    moves = np.asarray(moves, dtype=float)
-    _check_length(world.positions, cfg)
-    if moves.shape != world.positions.shape:
-        raise ValueError(
-            f"moves shape {moves.shape} != positions shape {world.positions.shape}")
-    drift = rng.normal(0.0, cfg.sigma_d, world.positions.shape)
-    return WorldState(round=world.round + 1, positions=world.positions + moves + drift)
-
-
 def cost_estimate(samples) -> float:
     """Mean absolute value of a batch of stretch samples."""
     samples = np.asarray(samples, dtype=float)
@@ -121,8 +85,3 @@ def cost_estimate(samples) -> float:
         raise ValueError("cost estimate needs at least one sample")
     return float(np.abs(samples).mean())
 
-
-def _check_length(positions: np.ndarray, cfg: ModelConfig) -> None:
-    if positions.shape[-1] != cfg.n:
-        raise ValueError(
-            f"world has {positions.shape[-1]} agents but config says n={cfg.n}")

@@ -1,66 +1,51 @@
-"""Alignment policies: maps from a round's measurements to moves.
+"""Alignment policies, compiled to per-round gains.
 
-All functions accept measurement arrays of shape (..., n) and return moves
-of the same shape, so they drop into both single-world stepping and the
-vectorized Monte Carlo engine.
+Every policy the package ships is a weighted-average rule: at round t
+each agent moves a scale known before round 0 times either its own
+measurement or a structured linear map of the round's measurement
+vector.  make_policy compiles a declarative PolicySpec into that Gain
+once; the engine then calls it as gain(measurements, t).
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .kalman import AlphaSchedule
 from .model import ModelConfig
-from .structmat import apply, mn
+from .structmat import StructuredMatrix, apply, mn
 
-# a policy maps (measurements, round index) to moves
-PolicyFn = Callable[[np.ndarray, int], np.ndarray]
-
-POLICY_KINDS = ("weighted", "scheduled", "wstar", "matc", "shifted")
+POLICY_KINDS = ("weighted", "scheduled", "wstar", "matc")
 
 
-def weighted_moves(measurements: np.ndarray, rho: float) -> np.ndarray:
-    """Constant responsiveness: move rho times your own measurement."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    return rho * np.asarray(measurements, dtype=float)
+@dataclass(frozen=True, eq=False)
+class Gain:
+    """Round-t moves scale[t] * y, or scale[t] * apply(op, y) when op is set.
 
-
-def wstar_moves(measurements: np.ndarray, t: int,
-                schedule: AlphaSchedule) -> np.ndarray:
-    """Round-optimal responsiveness rho*(t) times your own measurement."""
-    return schedule.rho(t) * np.asarray(measurements, dtype=float)
-
-
-def matc_moves(measurements: np.ndarray, t: int,
-               schedule: AlphaSchedule) -> np.ndarray:
-    """Move toward the estimated center of mass instead of the stretch target.
-
-    Equals (n-1)/n * rho*(t) * (Y_i - mean of the other measurements),
-    i.e. a rescaled application of the negated stretch operator to Y.
-    Keeps the center of the group's estimated positions fixed.
+    scale has one entry per round, or one row of n per-agent entries per
+    round; it is stored as a read-only float copy.  Measurements y have
+    shape (..., n).
     """
-    y = np.asarray(measurements, dtype=float)
-    n = y.shape[-1]
-    if n != schedule.cfg.n:
-        raise ValueError(f"measurement length {n} != configured n {schedule.cfg.n}")
-    coeff = (n - 1) / n * schedule.rho(t)
-    return -coeff * apply(mn(n), y)
 
+    scale: np.ndarray
+    op: Optional[StructuredMatrix] = None
 
-def shifted_moves(base_moves: np.ndarray, shift) -> np.ndarray:
-    """Add a common shift to every agent's move.
+    def __post_init__(self):
+        scale = np.array(self.scale, dtype=float)
+        if scale.ndim not in (1, 2):
+            raise ValueError(f"gain scale must be (rounds,) or (rounds, n), got {scale.shape}")
+        scale.flags.writeable = False
+        object.__setattr__(self, "scale", scale)
 
-    shift may be a scalar or an array broadcastable against the leading
-    (replication) axes; the same value is added to all n agents, which
-    leaves every stretch unchanged.
-    """
-    base = np.asarray(base_moves, dtype=float)
-    shift = np.asarray(shift, dtype=float)
-    if shift.ndim > 0:
-        shift = shift[..., np.newaxis]
-    return base + shift
+    def __call__(self, y: np.ndarray, t: int) -> np.ndarray:
+        if self.op is None:
+            return self.scale[t] * y
+        # scale apply's fresh result in place: a new (count, n) array per
+        # call costs page faults once blocks are large
+        moves = apply(self.op, y)
+        moves *= self.scale[t]
+        return moves
 
 
 @dataclass(frozen=True)
@@ -71,15 +56,11 @@ class PolicySpec:
     rho: responsiveness for "weighted".
     rhos: per-round responsiveness for "scheduled", each in [0, 1]; the
         engine requires one value per simulated round.
-    base / shift_rule: for "shifted", the underlying spec plus a callable
-        (measurements, t) -> common shift.
     """
 
     kind: str
     rho: Optional[float] = None
     rhos: Optional[Sequence[float]] = None
-    base: Optional["PolicySpec"] = None
-    shift_rule: Optional[Callable[[np.ndarray, int], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
@@ -96,25 +77,24 @@ class PolicySpec:
             if rhos.ndim != 1 or not np.all((rhos >= 0.0) & (rhos <= 1.0)):
                 raise ValueError(f"scheduled rhos must be a sequence of values in [0, 1], "
                                  f"got {self.rhos!r}")
-        if self.kind == "shifted" and (self.base is None or self.shift_rule is None):
-            raise ValueError("shifted policy needs base and shift_rule")
 
 
-def make_policy(spec: PolicySpec, cfg: ModelConfig,
-                schedule: Optional[AlphaSchedule] = None) -> PolicyFn:
-    """Compile a PolicySpec into a (measurements, t) -> moves callable."""
+def make_policy(spec: PolicySpec, cfg: ModelConfig, rounds: Optional[int] = None) -> Gain:
+    """Compile a PolicySpec into its Gain for rounds 0..rounds-1.
+
+    rounds defaults to the config horizon.  "weighted" moves rho times
+    the agent's own measurement, "scheduled" rhos[t] times it (rhos is
+    taken whole), "wstar" rho*(t) times it, and "matc" moves
+    -(n-1)/n rho*(t) times the stretch operator applied to the
+    measurements, i.e. toward the estimated center of mass.
+    """
+    rounds = cfg.horizon if rounds is None else rounds
     if spec.kind == "weighted":
-        rho = spec.rho
-        return lambda y, t: rho * np.asarray(y, dtype=float)
+        return Gain(np.full(rounds, spec.rho, dtype=float))
     if spec.kind == "scheduled":
-        rhos = np.asarray(spec.rhos, dtype=float)
-        return lambda y, t: rhos[t] * np.asarray(y, dtype=float)
-    if schedule is None:
-        schedule = AlphaSchedule(cfg)
+        return Gain(spec.rhos)
+    rhos = AlphaSchedule(cfg, rounds).rhos(rounds)[:rounds]
     if spec.kind == "wstar":
-        return lambda y, t: wstar_moves(y, t, schedule)
-    if spec.kind == "matc":
-        return lambda y, t: matc_moves(y, t, schedule)
-    base_fn = make_policy(spec.base, cfg, schedule)
-    shift_rule = spec.shift_rule
-    return lambda y, t: shifted_moves(base_fn(y, t), shift_rule(y, t))
+        return Gain(rhos)
+    n = cfg.n
+    return Gain(-((n - 1) / n * rhos), mn(n))

@@ -33,9 +33,8 @@ import numpy as np
 
 from . import streams
 from .analysis import var_limit
-from .kalman import AlphaSchedule
 from .model import ModelConfig, require_int, stretch_values
-from .policies import PolicyFn, PolicySpec, make_policy
+from .policies import Gain, PolicySpec, make_policy
 from .structmat import row_sum
 
 DEFAULT_BLOCK_SIZE = 20_000
@@ -51,9 +50,9 @@ class RunPlan:
     """
 
     cfg: ModelConfig
-    policy: Union[PolicySpec, PolicyFn]
+    policy: Union[PolicySpec, Gain]
     replications: int
-    policy_b: Union[PolicySpec, PolicyFn, None] = None
+    policy_b: Union[PolicySpec, Gain, None] = None
     horizon: Optional[int] = None
     record_com: bool = False
     record_traces: bool = False
@@ -72,8 +71,10 @@ class RunPlan:
             require_int("horizon", self.horizon)
             if self.horizon < 0:
                 raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        if self.stat_agent is not None and not 0 <= self.stat_agent < self.cfg.n:
-            raise ValueError(f"stat_agent must be in [0, {self.cfg.n}), got {self.stat_agent}")
+        if self.stat_agent is not None:
+            require_int("stat_agent", self.stat_agent)
+            if not 0 <= self.stat_agent < self.cfg.n:
+                raise ValueError(f"stat_agent must be in [0, {self.cfg.n}), got {self.stat_agent}")
 
     @property
     def rounds(self) -> int:
@@ -150,30 +151,29 @@ def _blocks(replications: int, block_size: int):
             for index, start in enumerate(range(0, replications, block_size))]
 
 
-def _compile(plan: RunPlan, policies) -> List[PolicyFn]:
-    """Compile every lane's policy before any block starts.
+def _compile(plan: RunPlan, policies) -> List[Gain]:
+    """Compile every lane's policy to a Gain before any block starts.
 
-    PolicySpecs share one alpha schedule; callables pass through.  A
-    scheduled policy must cover every round of the plan.
+    Each gain needs one scale (rho) per round of the plan, and a
+    per-agent gain one scale per agent.  make_policy covers the plan,
+    except for a scheduled spec, whose rhos it takes whole.
     """
-    schedule = None
-    out = []
+    gains = []
     for policy in policies:
         if isinstance(policy, PolicySpec):
-            base = policy
-            while base.kind == "shifted":
-                base = base.base
-            if base.kind == "scheduled" and len(base.rhos) < plan.rounds:
-                raise ValueError(f"scheduled policy has {len(base.rhos)} rhos "
-                                 f"but the run has {plan.rounds} rounds")
-            if schedule is None:
-                schedule = AlphaSchedule(plan.cfg, plan.rounds)
-            out.append(make_policy(policy, plan.cfg, schedule))
-        elif callable(policy):
-            out.append(policy)
+            covered = len(policy.rhos) if policy.kind == "scheduled" else plan.rounds
+            gain = make_policy(policy, plan.cfg, plan.rounds)
+        elif isinstance(policy, Gain):
+            if policy.scale.shape[1:] not in ((), (plan.cfg.n,)):
+                raise ValueError(f"gain scale of shape {policy.scale.shape} does not fit "
+                                 f"{plan.cfg.n} agents")
+            gain, covered = policy, len(policy.scale)
         else:
-            raise ValueError(f"policy must be a PolicySpec or callable, got {policy!r}")
-    return out
+            raise ValueError(f"policy must be a PolicySpec or a Gain, got {policy!r}")
+        if covered < plan.rounds:
+            raise ValueError(f"policy has {covered} rhos but the run has {plan.rounds} rounds")
+        gains.append(gain)
+    return gains
 
 
 class _Accumulator:
@@ -293,7 +293,7 @@ def _shape_moments(pows: np.ndarray, count: int):
     return float(m3 / m2 ** 1.5), float(m4 / (m2 * m2) - 3.0)
 
 
-def _run_block(plan: RunPlan, policies: List[PolicyFn], paired: bool, shift_rule,
+def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule,
                index: int, count: int):
     """Simulate one block of replications for every policy lane.
 

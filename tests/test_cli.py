@@ -295,6 +295,23 @@ class TestFailClosed:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_sidecar_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "out.csv.config.json").mkdir()
+        code = main(["simulate", "--reps", "10", "--rounds", "3", "--threads", "1",
+                     "--out", "out.csv"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv.config.json"]
+
+    def test_unwritable_csv_leaves_no_sidecar(self, tmp_path, capsys):
+        (tmp_path / "out.csv").mkdir()
+        code = main(["simulate", "--reps", "10", "--rounds", "3", "--threads", "1",
+                     "--out", "out.csv"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+        assert list((tmp_path / "out.csv").iterdir()) == []
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self):

@@ -95,15 +95,16 @@ class TestBestResponse:
 
 class TestDeviantPolicy:
     def test_matches_components(self):
+        # bit for bit: rho*(t) * y off the deviant column, coeffs[t] * y_i on it
         cfg = ModelConfig(n=3)
         sched = AlphaSchedule(cfg, 5)
         coeffs = np.array([0.9, 0.8, 0.7])
         fn = deviant_policy(coeffs, sched, agent=1)
-        y = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 1.0]])
-        out = fn(y, 2)
-        expect = sched.rho(2) * y
-        expect[:, 1] = 0.7 * y[:, 1]
-        np.testing.assert_allclose(out, expect, atol=1e-15)
+        y = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 1.0], [0.3, 0.7, -1.1]])
+        for t in range(3):
+            expect = sched.rho(t) * y
+            expect[:, 1] = coeffs[t] * y[:, 1]
+            np.testing.assert_array_equal(fn(y, t), expect)
 
     def test_does_not_mutate_measurements(self):
         cfg = ModelConfig(n=2)

@@ -15,7 +15,6 @@ from stochalign.kalman import (
     LinearSystem,
     alignment_initial_state,
     alignment_system,
-    alpha_schedule,
     closed_form_filter_state,
     dense_filter_path,
     gain,
@@ -128,12 +127,13 @@ class TestAlphaSchedule:
         sched = AlphaSchedule(ModelConfig(n=2), 0)
         assert sched.rho(0) == pytest.approx(0.4, abs=1e-15)
 
-    def test_lazy_extension_matches_eager(self):
+    def test_short_schedule_is_prefix_of_long(self):
         cfg = ModelConfig(n=5, sigma_m=2.0, sigma_d=0.7)
-        lazy = AlphaSchedule(cfg, 2)
-        eager = AlphaSchedule(cfg, 300)
-        assert lazy.alpha(300) == eager.alpha(300)
-        np.testing.assert_array_equal(lazy.alphas(300), eager.alphas(300))
+        short = AlphaSchedule(cfg, 2)
+        long_ = AlphaSchedule(cfg, 300)
+        np.testing.assert_array_equal(short.alphas(2), long_.alphas(300)[:3])
+        np.testing.assert_array_equal(short.rhos(2), long_.rhos(300)[:3])
+        assert short.rho(2) == long_.rho(2)
 
     def test_rho_stays_in_unit_interval(self):
         for n, sm, sd in ((2, 1.0, 1.0), (3, 0.1, 5.0), (10, 5.0, 0.1)):
@@ -167,22 +167,17 @@ class TestAlphaSchedule:
         with pytest.raises(ValueError):
             sched.alpha(-1)
 
-    def test_concurrent_extension_is_consistent(self):
-        from concurrent.futures import ThreadPoolExecutor
+    def test_rejects_rounds_beyond_t_max(self):
+        sched = AlphaSchedule(ModelConfig(n=2), 4)
+        for read in (sched.alpha, sched.rho, sched.alphas, sched.rhos):
+            with pytest.raises(ValueError, match="outside the schedule"):
+                read(5)
 
-        cfg = ModelConfig(n=3, sigma_m=1.1, sigma_d=0.9)
-        for _ in range(20):
-            shared = AlphaSchedule(cfg, 0)
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(shared.alpha, [500, 250, 400, 100, 500, 333, 50, 499]))
-            np.testing.assert_array_equal(
-                shared.alphas(500), AlphaSchedule(cfg, 500).alphas(500))
-
-    def test_helper_constructor(self):
+    def test_constructor_rejects_bad_t_max(self):
         cfg = ModelConfig(n=4)
-        assert alpha_schedule(cfg, 10).alpha(10) == AlphaSchedule(cfg, 10).alpha(10)
-        with pytest.raises(ValueError):
-            alpha_schedule(cfg, -1)
+        for t_max in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="t_max"):
+                AlphaSchedule(cfg, t_max)
 
 
 class TestClosedFormAgainstDense:

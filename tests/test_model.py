@@ -1,26 +1,38 @@
-"""Tests for the world model: positions, stretch, measurement, drift."""
+"""Tests for the world model: configuration, positions, stretch,
+measurement and drift.  Initial draws, measurements and drift exist only
+inside the Monte Carlo engine, so those are checked on its stretch and
+center-of-mass traces: one round of W(rho) maps a stretch s to
+(1 - c rho) s + M_n (rho e + d), c = n/(n-1), with measurement noise e
+and drift d.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from stochalign.model import (
-    ModelConfig,
-    cost_estimate,
-    init_world,
-    measure,
-    step,
-    stretch,
-    stretch_values,
-)
-from stochalign.streams import substream
+from stochalign.model import ModelConfig, cost_estimate, stretch_values
+from stochalign.policies import PolicySpec
+from stochalign.sim import RunPlan, run
+from stochalign.streams import INIT, substream
 
 TINY = 1e-12
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
+
+
+def engine_run(cfg, rho, reps, rounds=1, **plan):
+    """The engine's traced run of W(rho) for the given number of rounds."""
+    return run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=rho),
+                       replications=reps, horizon=rounds, record_traces=True, **plan))
+
+
+def engine_traces(cfg, rho, reps, rounds=1):
+    """(stretch, center of mass) traces of engine_run."""
+    result = engine_run(cfg, rho, reps, rounds)
+    return result.stretch_traces, result.com_traces
 
 
 class TestModelConfig:
@@ -53,6 +65,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="n must be an integer"):
             ModelConfig(n=3.0)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            ModelConfig(n=3, seed=seed)
+
     @pytest.mark.parametrize("name", ["sigma0", "sigma_m", "sigma_d"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_sigmas(self, name, value):
@@ -61,32 +78,32 @@ class TestModelConfig:
 
     def test_degenerate_initial_spread_allowed(self):
         cfg = ModelConfig(n=4, sigma0=0.0)
-        world = init_world(cfg, rng_for(0))
-        np.testing.assert_array_equal(world.positions, np.zeros(4))
+        st, com = engine_traces(cfg, 0.5, 10, rounds=0)
+        np.testing.assert_array_equal(st[0], np.zeros((10, 4)))
+        np.testing.assert_array_equal(com[0], np.zeros(10))
 
 
 class TestInitWorld:
     def test_shape_and_round(self):
-        cfg = ModelConfig(n=5)
-        world = init_world(cfg, rng_for(3))
-        assert world.round == 0
-        assert world.positions.shape == (5,)
+        result = engine_run(ModelConfig(n=5, seed=3), 0.5, 4, rounds=0)
+        assert [r.round for r in result.rounds] == [0]
+        assert result.stretch_traces.shape == (1, 4, 5)
 
     def test_deterministic_per_seed(self):
-        cfg = ModelConfig(n=5)
-        a = init_world(cfg, rng_for(9)).positions
-        b = init_world(cfg, rng_for(9)).positions
+        a, _ = engine_traces(ModelConfig(n=5, seed=9), 0.5, 6, rounds=0)
+        b, _ = engine_traces(ModelConfig(n=5, seed=9), 0.5, 6, rounds=0)
+        c, _ = engine_traces(ModelConfig(n=5, seed=10), 0.5, 6, rounds=0)
         np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_initial_spread_scale(self):
-        # sample variance of 1e5 draws should sit within 2% of sigma0^2
-        cfg = ModelConfig(n=3, sigma0=1.5)
-        rng = rng_for(17)
-        draws = np.concatenate(
-            [init_world(cfg, rng).positions for _ in range(40_000)]
-        )
-        assert draws.size == 120_000
-        assert abs(draws.var() / cfg.sigma0**2 - 1.0) < 0.02
+        # positions are i.i.d. N(0, sigma0^2): the center of mass has
+        # variance sigma0^2/n and each stretch c sigma0^2
+        cfg = ModelConfig(n=3, sigma0=1.5, seed=17)
+        st, com = engine_traces(cfg, 0.5, 40_000, rounds=0)
+        c = cfg.n / (cfg.n - 1)
+        assert abs(com[0].var() * cfg.n / cfg.sigma0**2 - 1.0) < 0.03
+        assert abs(st[0].var() / (c * cfg.sigma0**2) - 1.0) < 0.03
 
 
 class TestStretch:
@@ -122,68 +139,70 @@ class TestStretch:
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_stretch_of_world(self):
-        cfg = ModelConfig(n=3)
-        world = init_world(cfg, rng_for(1))
-        np.testing.assert_array_equal(stretch(world), stretch_values(world.positions))
+        # the engine's initial world is the block's INIT draw, bit for bit
+        cfg = ModelConfig(n=3, seed=4)
+        st, _ = engine_traces(cfg, 0.5, 6, rounds=0)
+        positions = substream(cfg.seed, 0, INIT).normal(0.0, cfg.sigma0, (6, 3))
+        np.testing.assert_array_equal(st[0], stretch_values(positions))
 
 
 class TestMeasure:
     def test_noise_free_limit(self):
-        cfg = ModelConfig(n=3, sigma_m=TINY)
-        world = init_world(cfg, rng_for(5))
-        y = measure(world, cfg, rng_for(6))
-        np.testing.assert_allclose(y, stretch(world), atol=1e-9)
+        # with no noise, W(1) moves each agent by its exact stretch
+        cfg = ModelConfig(n=3, sigma_m=TINY, sigma_d=TINY, seed=5)
+        st, _ = engine_traces(cfg, 1.0, 50)
+        np.testing.assert_allclose(st[1], -0.5 * st[0], atol=1e-9)
 
     def test_unbiased(self):
-        cfg = ModelConfig(n=3, sigma_m=1.0)
-        world = init_world(cfg, rng_for(2))
-        rng = rng_for(77)
-        samples = np.stack([measure(world, cfg, rng) for _ in range(50_000)])
-        np.testing.assert_allclose(samples.mean(axis=0), stretch(world), atol=0.02)
+        # W(1/2): s' - (1 - c/2) s = M_n e / 2 averages to zero
+        cfg = ModelConfig(n=3, sigma_m=1.0, sigma_d=TINY, seed=2)
+        st, _ = engine_traces(cfg, 0.5, 50_000)
+        residual = st[1] - 0.25 * st[0]
+        np.testing.assert_allclose(residual.mean(axis=0), np.zeros(3), atol=0.02)
 
     def test_noise_scale(self):
-        cfg = ModelConfig(n=2, sigma_m=0.7)
-        world = init_world(ModelConfig(n=2, sigma0=0.0), rng_for(0))
-        rng = rng_for(13)
-        samples = np.stack([measure(world, cfg, rng) for _ in range(50_000)])
-        assert abs(samples.var() / cfg.sigma_m**2 - 1.0) < 0.02
+        # from an aligned start W(1) leaves s' = M_n e, variance c sigma_m^2
+        cfg = ModelConfig(n=2, sigma0=0.0, sigma_m=0.7, sigma_d=TINY, seed=13)
+        st, _ = engine_traces(cfg, 1.0, 50_000)
+        assert abs(st[1].var() / (2.0 * cfg.sigma_m**2) - 1.0) < 0.03
 
 
 class TestStep:
     def test_zero_moves_drift_free(self):
-        cfg = ModelConfig(n=4, sigma_d=TINY)
-        world = init_world(cfg, rng_for(8))
-        nxt = step(world, np.zeros(4), cfg, rng_for(9))
-        assert nxt.round == 1
-        np.testing.assert_allclose(nxt.positions, world.positions, atol=1e-9)
+        cfg = ModelConfig(n=4, sigma_d=TINY, seed=8)
+        st, com = engine_traces(cfg, 0.0, 50)
+        np.testing.assert_allclose(st[1], st[0], atol=1e-9)
+        np.testing.assert_allclose(com[1], com[0], atol=1e-9)
 
     def test_moves_are_added(self):
-        cfg = ModelConfig(n=3, sigma_d=TINY)
-        world = init_world(cfg, rng_for(4))
-        nxt = step(world, -world.positions, cfg, rng_for(5))
-        np.testing.assert_allclose(nxt.positions, np.zeros(3), atol=1e-9)
+        # noise-free W(1/2) moves by s/2, which shrinks s to (1 - c/2) s
+        cfg = ModelConfig(n=3, sigma_m=TINY, sigma_d=TINY, seed=4)
+        st, _ = engine_traces(cfg, 0.5, 50)
+        np.testing.assert_allclose(st[1], 0.25 * st[0], atol=1e-9)
 
     def test_drift_scale(self):
-        cfg = ModelConfig(n=2, sigma0=0.0, sigma_d=2.0)
-        world = init_world(cfg, rng_for(0))
-        rng = rng_for(19)
-        increments = np.concatenate(
-            [step(world, np.zeros(2), cfg, rng).positions for _ in range(50_000)]
-        )
-        assert abs(increments.var() / cfg.sigma_d**2 - 1.0) < 0.02
+        # from an aligned start with no moves: s' = M_n d and the center
+        # moves by the mean drift
+        cfg = ModelConfig(n=2, sigma0=0.0, sigma_d=2.0, seed=19)
+        st, com = engine_traces(cfg, 0.0, 50_000)
+        assert abs(st[1].var() / (2.0 * cfg.sigma_d**2) - 1.0) < 0.03
+        assert abs(com[1].var() * cfg.n / cfg.sigma_d**2 - 1.0) < 0.03
 
     def test_rejects_shape_mismatch(self):
-        cfg = ModelConfig(n=3)
-        world = init_world(cfg, rng_for(0))
-        with pytest.raises(ValueError):
-            step(world, np.zeros(4), cfg, rng_for(1))
+        from stochalign.game import deviant_policy
+        from stochalign.kalman import AlphaSchedule
+
+        # a per-agent gain for 4 agents is rejected before a 3-agent run
+        wide = deviant_policy(np.full(2, 0.5), AlphaSchedule(ModelConfig(n=4), 1))
+        with pytest.raises(ValueError, match="does not fit 3 agents"):
+            run(RunPlan(cfg=ModelConfig(n=3, horizon=1), policy=wide, replications=5))
 
     def test_does_not_mutate_input(self):
-        cfg = ModelConfig(n=3)
-        world = init_world(cfg, rng_for(0))
-        before = world.positions.copy()
-        step(world, np.ones(3), cfg, rng_for(1))
-        np.testing.assert_array_equal(world.positions, before)
+        positions = rng_for(0).normal(size=(4, 3))
+        before = positions.copy()
+        stretch_values(positions)
+        stretch_values(positions, out=np.empty_like(positions))
+        np.testing.assert_array_equal(positions, before)
 
 
 class TestStretchRecursion:
@@ -195,18 +214,17 @@ class TestStretchRecursion:
 
         cfg = ModelConfig(n=4, sigma0=1.0, sigma_m=1.0, sigma_d=1.0)
         m = mn(4)
-        world = init_world(cfg, rng_for(111))
-        s_direct = stretch(world)
+        positions = rng_for(111).normal(0.0, cfg.sigma0, 4)
+        s_direct = stretch_values(positions)
         rng_m = rng_for(222)
         rng_d = rng_for(333)
         for t in range(100):
-            y = measure(world, cfg, rng_m)
+            y = stretch_values(positions) + rng_m.normal(0.0, cfg.sigma_m, 4)
             moves = 0.5 * y
             drift = rng_d.normal(scale=cfg.sigma_d, size=4)
-            nxt_positions = world.positions + moves + drift
-            world = type(world)(round=world.round + 1, positions=nxt_positions)
+            positions = positions + moves + drift
             s_direct = s_direct + apply(m, moves + drift)
-            np.testing.assert_allclose(stretch(world), s_direct, atol=1e-9)
+            np.testing.assert_allclose(stretch_values(positions), s_direct, atol=1e-9)
 
 
 class TestCostEstimate:

@@ -5,6 +5,7 @@ import pytest
 
 from stochalign import streams
 from stochalign.analysis import var_limit
+from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
 from stochalign.policies import PolicySpec
@@ -44,6 +45,9 @@ class TestRunPlanValidation:
             small_plan(stat_agent=3)
         with pytest.raises(ValueError):
             small_plan(stat_agent=-1)
+        for value in (1.5, True):
+            with pytest.raises(ValueError, match="stat_agent must be an integer"):
+                small_plan(stat_agent=value)
 
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValueError):
@@ -60,6 +64,22 @@ class TestRunPlanValidation:
                           policy=PolicySpec(kind="scheduled", rhos=[0.5, 0.5]))
         with pytest.raises(ValueError, match="2 rhos but the run has 5 rounds"):
             run(plan)
+
+    def test_short_deviant_gain_rejected_before_any_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        cfg = ModelConfig(n=3, horizon=5, seed=7)
+        short_coeffs = deviant_policy([0.5, 0.5], AlphaSchedule(cfg, 5))
+        short_schedule = deviant_policy(np.full(6, 0.5), AlphaSchedule(cfg, 3))
+        monkeypatch.setattr(streams, "substream", no_blocks)
+        for policy, rounds in ((short_coeffs, 2), (short_schedule, 4)):
+            with pytest.raises(ValueError, match=f"{rounds} rhos but the run has 5 rounds"):
+                run(small_plan(cfg=cfg, threads=2, policy=policy))
+
+    def test_rejects_plain_callables(self):
+        with pytest.raises(ValueError, match="PolicySpec or a Gain"):
+            run(small_plan(policy=lambda y, t: 0.5 * y))
 
     def test_horizon_override(self):
         assert small_plan().rounds == 10
