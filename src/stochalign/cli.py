@@ -152,17 +152,21 @@ def _write_outputs(settings: dict, header: str, rows) -> None:
 
     Both are written to temp files beside their targets and moved into
     place only once both are complete, the sidecar first; if the CSV then
-    cannot be moved, the new sidecar is removed again.
+    cannot be moved, the new sidecar is removed again.  Only temp files
+    this call created are ever removed.
     """
     out = settings["out"]
     sidecar = out + ".config.json"
     tmp_out, tmp_sidecar = (f"{path}.{os.getpid()}.tmp" for path in (out, sidecar))
+    created = []
     try:
         with open(tmp_out, "x", newline="") as fh:
+            created.append(tmp_out)
             fh.write(header + "\n")
             for row in rows:
                 fh.write(",".join(row) + "\n")
         with open(tmp_sidecar, "x") as fh:
+            created.append(tmp_sidecar)
             json.dump(settings, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp_sidecar, sidecar)
@@ -172,7 +176,7 @@ def _write_outputs(settings: dict, header: str, rows) -> None:
             os.remove(sidecar)
             raise
     finally:
-        for tmp in (tmp_out, tmp_sidecar):
+        for tmp in created:
             if os.path.exists(tmp):
                 os.remove(tmp)
 

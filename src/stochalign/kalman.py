@@ -10,7 +10,9 @@ Two routes to the same covariances are kept deliberately separate:
   per round.
 
 `kalman_check` style comparisons of the two routes are the main
-correctness guard for everything downstream.
+correctness guard for everything downstream.  `dense_filter_path` streams
+the dense route: it yields one fresh (P-_t, K_t) pair per round and solves
+for each gain once, so its memory is O(n^2) whatever the number of rounds.
 """
 
 from dataclasses import dataclass
@@ -37,8 +39,8 @@ class LinearSystem:
 class KalmanState:
     """Filter state at one round.
 
-    The _pre fields are the predicted quantities; the _post fields are
-    filled in by the measurement update.
+    The _pre fields are the predicted quantities; the _post fields and the
+    gain that produced them are filled in by the measurement update.
     """
 
     round: int
@@ -46,6 +48,7 @@ class KalmanState:
     cov_pre: np.ndarray
     estimate_post: Optional[np.ndarray] = None
     cov_post: Optional[np.ndarray] = None
+    gain: Optional[np.ndarray] = None
 
 
 def alignment_system(cfg: ModelConfig) -> LinearSystem:
@@ -97,6 +100,7 @@ def measurement_update(state: KalmanState, system: LinearSystem,
         cov_pre=state.cov_pre,
         estimate_post=estimate_post,
         cov_post=cov_post,
+        gain=k,
     )
 
 
@@ -112,21 +116,35 @@ def time_update(state: KalmanState, system: LinearSystem,
     )
 
 
+def _check_t_max(t_max) -> None:
+    require_int("t_max", t_max)
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+
+
 def dense_filter_path(cfg: ModelConfig, t_max: int):
     """Prediction covariance and gain per round from the dense filter.
 
     Runs the generic textbook recursions on the alignment system (the
     measurement and input values do not affect covariances, so zeros are
-    fed in).  Returns [(P-_t, K_t)] for t = 0..t_max as dense arrays.
+    fed in).  Yields (P-_t, K_t) for t = 0..t_max as fresh dense arrays,
+    one round at a time: each gain is the one the measurement update
+    solved for, and the path holds only the current round's matrices, so
+    its memory is O(n^2) independent of t_max.  t_max is checked when
+    this is called, not when the first round is drawn.
     """
+    _check_t_max(t_max)
+    return _dense_filter_rounds(cfg, t_max)
+
+
+def _dense_filter_rounds(cfg: ModelConfig, t_max: int):
     system = alignment_system(cfg)
     state = alignment_initial_state(cfg)
     zeros = np.zeros(cfg.n)
-    out = []
     for _ in range(t_max + 1):
-        out.append((state.cov_pre.copy(), gain(state, system)))
-        state = time_update(measurement_update(state, system, zeros), system, zeros)
-    return out
+        post = measurement_update(state, system, zeros)
+        yield state.cov_pre, post.gain
+        state = time_update(post, system, zeros)
 
 
 class AlphaSchedule:
@@ -143,9 +161,7 @@ class AlphaSchedule:
 
     def __init__(self, cfg: ModelConfig, t_max: Optional[int] = None):
         t_max = cfg.horizon if t_max is None else t_max
-        require_int("t_max", t_max)
-        if t_max < 0:
-            raise ValueError(f"t_max must be >= 0, got {t_max}")
+        _check_t_max(t_max)
         self.cfg = cfg
         self.t_max = t_max
         c = cfg.n / (cfg.n - 1)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -311,6 +312,18 @@ class TestFailClosed:
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
         assert list((tmp_path / "out.csv").iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["out.csv", "out.csv.config.json"])
+    def test_foreign_temp_file_survives(self, tmp_path, capsys, target):
+        # a file already at a temp path is not this run's to remove
+        foreign = tmp_path / f"{target}.{os.getpid()}.tmp"
+        foreign.write_text("not ours\n")
+        code = main(["simulate", "--reps", "10", "--rounds", "3", "--threads", "1",
+                     "--out", "out.csv"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert foreign.read_text() == "not ours\n"
+        assert [p.name for p in tmp_path.iterdir()] == [foreign.name]
 
 
 class TestUsageErrors:

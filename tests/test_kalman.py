@@ -4,10 +4,12 @@ The dense textbook recursions are the oracle for every closed form here.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import stochalign.kalman as kalman_mod
 from stochalign.analysis import alpha_infty, rho_star_const
 from stochalign.kalman import (
     AlphaSchedule,
@@ -106,6 +108,74 @@ class TestDenseFilterSteps:
         assert nxt.round == 1
         np.testing.assert_allclose(nxt.estimate_pre, st.estimate_post + [1.0, 2.0])
         np.testing.assert_allclose(nxt.cov_pre, st.cov_post + 0.5 * np.eye(2))
+
+
+class TestDenseFilterPath:
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_stream_matches_unfused_loop_bit_for_bit(self, n):
+        # the reference loop solves for the gain on its own and then runs
+        # both updates; the stream reuses the measurement update's gain
+        cfg = ModelConfig(n=n, sigma0=1.3, sigma_m=0.7, sigma_d=1.1)
+        system = alignment_system(cfg)
+        state = alignment_initial_state(cfg)
+        zeros = np.zeros(n)
+        expected = []
+        for _ in range(31):
+            expected.append((state.cov_pre.copy(), gain(state, system)))
+            state = time_update(measurement_update(state, system, zeros), system, zeros)
+        streamed = list(dense_filter_path(cfg, 30))
+        assert len(streamed) == len(expected)
+        for (cov, k), (cov_ref, k_ref) in zip(streamed, expected):
+            np.testing.assert_array_equal(cov, cov_ref)
+            np.testing.assert_array_equal(k, k_ref)
+
+    def test_measurement_update_records_its_gain(self):
+        # generic system: 3 states, 2 measurements, so H is not square
+        rng = np.random.default_rng(7)
+        root = rng.normal(size=(3, 3))
+        system = LinearSystem(
+            a=rng.normal(size=(3, 3)), b=np.eye(3), h=rng.normal(size=(2, 3)),
+            q=np.eye(3), r=np.array([[2.0, 0.3], [0.3, 1.5]]),
+        )
+        state = KalmanState(0, rng.normal(size=3), root @ root.T + np.eye(3))
+        post = measurement_update(state, system, rng.normal(size=2))
+        assert post.gain.shape == (3, 2)
+        np.testing.assert_array_equal(post.gain, gain(state, system))
+        assert state.gain is None
+
+    def test_first_round_comes_before_any_time_update(self, monkeypatch):
+        def no_time_update(*args):
+            raise AssertionError("time update ran before the first round was yielded")
+
+        monkeypatch.setattr(kalman_mod, "time_update", no_time_update)
+        cfg = ModelConfig(n=3)
+        cov, k = next(iter(dense_filter_path(cfg, 10**9)))
+        cov_cf, k_cf = closed_form_filter_state(cfg, 0)
+        np.testing.assert_allclose(cov, cov_cf.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(k, k_cf.to_dense(), atol=1e-12)
+
+    def test_rejects_negative_t_max_when_called(self):
+        with pytest.raises(ValueError, match="t_max must be >= 0"):
+            dense_filter_path(ModelConfig(n=2), -1)
+
+    def test_rejects_non_integer_t_max_when_called(self):
+        for t_max in (2.5, True):
+            with pytest.raises(ValueError, match="t_max must be an integer"):
+                dense_filter_path(ModelConfig(n=2), t_max)
+
+    def test_memory_does_not_grow_with_rounds(self):
+        # 201 rounds of (P-, K) at n=64 would hold 201 * 2 * 32 KiB = 12.6 MiB
+        cfg = ModelConfig(n=64)
+        tracemalloc.start()
+        try:
+            rounds = 0
+            for _ in dense_filter_path(cfg, 200):
+                rounds += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rounds == 201
+        assert peak < 2 * 2**20
 
 
 class TestAlphaSchedule:
