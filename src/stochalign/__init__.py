@@ -20,7 +20,7 @@ from .kalman import (AlphaSchedule, KalmanState, LinearSystem,
 from .model import ModelConfig, cost_estimate, stretch_values
 from .policies import Gain, PolicySpec, make_policy
 from .sim import (PairedRunResult, RoundStats, RunPlan, RunResult, SweepPoint,
-                  run, run_paired, steady_state_variance, sweep_rho)
+                  run, run_lanes, run_paired, steady_state_variance, sweep_rho)
 from .structmat import (SingularStructuredMatrixError, StructuredMatrix,
                         apply, identity, inverse, mn, mul)
 

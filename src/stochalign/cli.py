@@ -30,6 +30,8 @@ KALMAN_TOL = 1e-9
 NASH_TOL = 1e-12
 SHIFT_TOL = 1e-12
 STRETCH_EQ_TOL = 1e-9
+MAX_GRID_POINTS = 10_000  # every point is a simulated policy lane
+MIN_GRID_STEP = 1e-12  # grid points are rounded to 12 decimals
 
 # keys accepted in a JSON config file, with their coercions
 CONFIG_KEYS = {
@@ -208,19 +210,18 @@ def cmd_compare(settings: dict, a: str, b: str, rho_a: float, rho_b: float) -> i
     cfg = _model_config(settings)
     spec_a = _policy_spec(a, rho_a)
     spec_b = _policy_spec(b, rho_b)
-    plan = RunPlan(cfg=cfg, policy=spec_a, policy_b=spec_b,
-                   replications=settings["replications"],
+    plan = RunPlan(cfg=cfg, policy=spec_a, replications=settings["replications"],
                    threads=settings["threads"], record_com=True)
 
     shift_rule = None
     if (spec_a.kind, spec_b.kind) == ("wstar", "matc"):
-        schedule = AlphaSchedule(cfg, plan.rounds)
+        schedule = AlphaSchedule(cfg, cfg.horizon)
         shift_rule = lambda y, t: schedule.rho(t) * y.mean(axis=-1)
-    paired = run_paired(plan, shift_rule=shift_rule)
+    paired = run_paired(plan, spec_b, shift_rule=shift_rule)
 
     rows = []
-    for t, (sa, sb) in enumerate(zip(paired.stats_a, paired.stats_b)):
-        shift = paired.shift_mean[t] if t < plan.rounds else math.nan
+    for t, (sa, sb) in enumerate(zip(paired.a, paired.b)):
+        shift = paired.shift_mean[t] if t < cfg.horizon else math.nan
         rows.append([_fmt(t), _fmt(sa.center_of_mass), _fmt(sb.center_of_mass),
                      _fmt(paired.max_stretch_diff[t]), _fmt(shift)])
     _write_outputs(settings, "round,com_a,com_b,max_stretch_diff,move_shift", rows)
@@ -230,8 +231,9 @@ def cmd_compare(settings: dict, a: str, b: str, rho_a: float, rho_b: float) -> i
     if shift_rule is None:
         return 0
     # the two policies must be the same move up to a common per-round shift
-    worst_spread = paired.shift_spread[:plan.rounds].max() if plan.rounds else 0.0
-    worst_rule = paired.shift_rule_dev[:plan.rounds].max() if plan.rounds else 0.0
+    rounds = cfg.horizon
+    worst_spread = paired.shift_spread[:rounds].max() if rounds else 0.0
+    worst_rule = paired.shift_rule_dev[:rounds].max() if rounds else 0.0
     ok = (paired.max_stretch_diff.max() <= STRETCH_EQ_TOL
           and worst_spread <= SHIFT_TOL and worst_rule <= SHIFT_TOL)
     print(f"shift equivalence: stretch diff <= {STRETCH_EQ_TOL}, "
@@ -240,24 +242,43 @@ def cmd_compare(settings: dict, a: str, b: str, rho_a: float, rho_b: float) -> i
     return 0 if ok else 1
 
 
+def _rho_grid(start: float, stop: float, step: float) -> list:
+    """The points round(start + i*step, 12) <= stop + 1e-9 for i = 0, 1, ...
+
+    The point count is found from start, stop and step before the list is
+    built, so a grid that is too fine is rejected without building it.
+    """
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ConfigError(f"grid start, stop and step must be finite, got {start}, {stop}, {step}")
+    if step < MIN_GRID_STEP:
+        raise ConfigError(f"grid_step must be >= {MIN_GRID_STEP}, got {step}")
+
+    def point(i):
+        return round(start + i * step, 12)
+
+    def inside(i):
+        return point(i) <= stop + 1e-9
+
+    # the points increase with i, so the grid is i = 0..last: move an
+    # estimate of last, capped one past the limit, onto the exact value
+    last = math.floor(min(max((stop + 1e-9 - start) / step, -1.0), MAX_GRID_POINTS))
+    while last >= 0 and not inside(last):
+        last -= 1
+    while last < MAX_GRID_POINTS and inside(last + 1):
+        last += 1
+    if last < 0:
+        raise ConfigError("empty rho grid")
+    if last >= MAX_GRID_POINTS:
+        raise ConfigError(f"rho grid has more than {MAX_GRID_POINTS} points")
+    if point(0) < 0.0 or point(last) > 1.0:
+        raise ConfigError(f"rho grid runs from {point(0)} to {point(last)}, outside [0, 1]")
+    return [point(i) for i in range(last + 1)]
+
+
 def cmd_sweep(settings: dict) -> int:
     cfg = _model_config(settings)
-    start, stop, step = settings["grid_start"], settings["grid_stop"], settings["grid_step"]
-    if step <= 0:
-        raise ConfigError(f"grid_step must be > 0, got {step}")
-    grid = []
-    i = 0
-    while True:
-        value = round(start + i * step, 12)
-        if value > stop + 1e-9:
-            break
-        grid.append(value)
-        i += 1
-    if not grid:
-        raise ConfigError("empty rho grid")
-
-    points = sweep_rho(cfg, grid, settings["replications"],
-                       horizon=settings["horizon"], threads=settings["threads"])
+    grid = _rho_grid(settings["grid_start"], settings["grid_stop"], settings["grid_step"])
+    points = sweep_rho(cfg, grid, settings["replications"], threads=settings["threads"])
     rows = []
     for p in points:
         empirical = "divergent" if math.isinf(p.var_closed_form) else _fmt(p.var_empirical)
@@ -275,8 +296,6 @@ def cmd_sweep(settings: dict) -> int:
 
 def cmd_kalman_check(settings: dict, t_max: int) -> int:
     cfg = _model_config(settings)
-    if t_max < 0:
-        raise ConfigError(f"t_max must be >= 0, got {t_max}")
     schedule = AlphaSchedule(cfg, t_max)
     worst = 0.0
     rows = []

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kalman import AlphaSchedule, scalar_filter_step
+from .kalman import AlphaSchedule, _check_t_max, scalar_filter_step
 from .model import ModelConfig
 from .policies import Gain
 
@@ -34,10 +34,9 @@ def best_response(opp_schedule: Sequence[float], cfg: ModelConfig,
 
     opp_schedule[t] is the responsiveness every opponent plays at round t.
     The deviating agent moves (1 - rho_opp/(n-1)) * gain * Y_i, the move
-    that zeroes its predicted stretch.
+    that zeroes its predicted stretch.  t_max is an integer >= 0.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    _check_t_max(t_max)
     opp = np.asarray(opp_schedule, dtype=float)
     if opp.ndim != 1 or len(opp) < t_max + 1:
         raise ValueError(

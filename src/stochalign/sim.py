@@ -6,14 +6,17 @@ simulates L policy lanes at once: the state has shape (L, block, n), and
 the initial, measurement and drift normals are drawn once per block as
 (block, n) arrays and broadcast to every lane.  All lanes therefore see
 identical noise (common random numbers) for the price of one draw.
-`run` is one lane; `run_paired` is two lanes plus the diagnostics of
-their difference; `sweep_rho` runs its grid as lanes, in chunks.
+`run_lanes` returns one RunResult per lane; `run` is its single lane,
+`run_paired` two lanes plus the diagnostics of their difference, and
+`sweep_rho` one `run_lanes` call per chunk of its grid.
 
-A sweep chunk holds max(1, block_size // min(block_size, replications))
+A sweep chunk holds max(1, block_size // max(replications, rounds + 1))
 grid points, so it never simulates more replications at once than one
-block of a single run does.  The bound is there for peak memory: every
-per-round array grows with the number of lanes, and the whole grid in one
-pass would multiply the block's footprint by the grid size.
+block of a single run does, and never holds more lane-rounds of
+statistics than a block holds replications.  The bound is there for peak
+memory: the state grows with lanes times replications, every lane's
+accumulators and RunResult with lanes times rounds, and the whole grid in
+one pass would multiply a run's footprint by the grid size.
 
 Per-block partial statistics are merged in block order, and every lane is
 reduced over its own contiguous slice, so results are bit-identical for
@@ -26,7 +29,7 @@ replication-level spread of those averages.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -45,15 +48,13 @@ TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs on
 class RunPlan:
     """One Monte Carlo job: a scenario, a policy, and replication count.
 
-    horizon defaults to cfg.horizon.  block_size is part of the result's
+    The run lasts cfg.horizon rounds.  block_size is part of the result's
     identity (changing it reorders float reductions); threads is not.
     """
 
     cfg: ModelConfig
     policy: Union[PolicySpec, Gain]
     replications: int
-    policy_b: Union[PolicySpec, Gain, None] = None
-    horizon: Optional[int] = None
     record_com: bool = False
     record_traces: bool = False
     record_moments: bool = False
@@ -67,21 +68,13 @@ class RunPlan:
             require_int(name, value)
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.horizon is not None:
-            require_int("horizon", self.horizon)
-            if self.horizon < 0:
-                raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if self.stat_agent is not None:
             require_int("stat_agent", self.stat_agent)
             if not 0 <= self.stat_agent < self.cfg.n:
                 raise ValueError(f"stat_agent must be in [0, {self.cfg.n}), got {self.stat_agent}")
 
-    @property
-    def rounds(self) -> int:
-        return self.cfg.horizon if self.horizon is None else self.horizon
 
-
-@dataclass
+@dataclass(slots=True)
 class RoundStats:
     """Cross-replication statistics of the stretch at the start of a round."""
 
@@ -115,27 +108,21 @@ class RunResult:
 
 @dataclass
 class PairedRunResult:
-    """CRN-paired traces of two policies under one plan.
+    """CRN-paired results of two policies under one plan.
 
-    diff_* summarize the replication-level difference (policy_b minus
-    policy_a) of the per-round mean absolute stretch.  shift_* summarize
-    the per-agent move difference (policy_a minus policy_b): its common
-    value, its spread across agents, and, when a shift rule is supplied,
-    the worst deviation from the rule's prediction.
+    a and b are the two policies' own results.  max_stretch_diff is the
+    per-round max over replications and agents of their stretch
+    difference.  shift_* summarize the per-agent move difference (a minus
+    b): its common value, its spread across agents, and, when a shift
+    rule is supplied, the worst deviation from the rule's prediction.
     """
 
-    stats_a: List[RoundStats]
-    stats_b: List[RoundStats]
+    a: RunResult
+    b: RunResult
     max_stretch_diff: np.ndarray
-    diff_mean: np.ndarray
-    diff_se: np.ndarray
     shift_mean: np.ndarray
     shift_spread: np.ndarray
     shift_rule_dev: Optional[np.ndarray]
-    com_traces_a: Optional[np.ndarray] = None
-    com_traces_b: Optional[np.ndarray] = None
-    stretch_traces_a: Optional[np.ndarray] = None
-    stretch_traces_b: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -155,14 +142,15 @@ def _compile(plan: RunPlan, policies) -> List[Gain]:
     """Compile every lane's policy to a Gain before any block starts.
 
     Each gain needs one scale (rho) per round of the plan, and a
-    per-agent gain one scale per agent.  make_policy covers the plan,
+    per-agent gain one scale per agent.  make_policy covers the horizon,
     except for a scheduled spec, whose rhos it takes whole.
     """
+    rounds = plan.cfg.horizon
     gains = []
     for policy in policies:
         if isinstance(policy, PolicySpec):
-            covered = len(policy.rhos) if policy.kind == "scheduled" else plan.rounds
-            gain = make_policy(policy, plan.cfg, plan.rounds)
+            covered = len(policy.rhos) if policy.kind == "scheduled" else rounds
+            gain = make_policy(policy, plan.cfg)
         elif isinstance(policy, Gain):
             if policy.scale.shape[1:] not in ((), (plan.cfg.n,)):
                 raise ValueError(f"gain scale of shape {policy.scale.shape} does not fit "
@@ -170,8 +158,8 @@ def _compile(plan: RunPlan, policies) -> List[Gain]:
             gain, covered = policy, len(policy.scale)
         else:
             raise ValueError(f"policy must be a PolicySpec or a Gain, got {policy!r}")
-        if covered < plan.rounds:
-            raise ValueError(f"policy has {covered} rhos but the run has {plan.rounds} rounds")
+        if covered < rounds:
+            raise ValueError(f"policy has {covered} rhos but the run has {rounds} rounds")
         gains.append(gain)
     return gains
 
@@ -185,19 +173,19 @@ class _Accumulator:
     same bits whatever the number of lanes.
     """
 
-    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "pow_sums", "com_sum",
-            "diff_sum", "diff_sum2", "shift_sum")
+    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "pow_sums", "com_sum", "shift_sum")
     MAXES = ("max_zero_sum", "max_diff", "shift_spread", "rule_dev")
 
     def __init__(self, plan: RunPlan, lanes: int, paired: bool, shift_rule=None):
-        shape = (lanes, plan.rounds + 1)
+        rounds = plan.cfg.horizon
+        shape = (lanes, rounds + 1)
         for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
             setattr(self, name, np.zeros(shape))
         self.pow_sums = np.zeros(shape + (4,)) if plan.record_moments else None
         self.com_sum = np.zeros(shape) if plan.record_com else None
-        for name in ("max_diff", "diff_sum", "diff_sum2", "shift_sum", "shift_spread"):
-            setattr(self, name, np.zeros(plan.rounds + 1) if paired else None)
-        self.rule_dev = np.zeros(plan.rounds + 1) if shift_rule is not None else None
+        for name in ("max_diff", "shift_sum", "shift_spread"):
+            setattr(self, name, np.zeros(rounds + 1) if paired else None)
+        self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
         self.shift_rule = shift_rule
         self.stat_agent = plan.stat_agent
 
@@ -222,9 +210,6 @@ class _Accumulator:
         self.sum_abs[:, t] = ab.sum(axis=1)
         if self.max_diff is not None:
             self.max_diff[t] = np.abs(st[0] - st[1]).max()
-            d = ab[1] - ab[0]
-            self.diff_sum[t] = d.sum()
-            self.diff_sum2[t] = (d * d).sum()
         self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
         zero_sum = np.abs(row_sum(st, out=work), out=work)
         self.max_zero_sum[:, t] = zero_sum.max(axis=1)
@@ -303,7 +288,7 @@ def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule,
     lane's moves are added as soon as its policy returns them.
     """
     cfg = plan.cfg
-    rounds = plan.rounds
+    rounds = cfg.horizon
     lanes = len(policies)
     shape = (count, cfg.n)
     gen_init = streams.substream(cfg.seed, index, streams.INIT)
@@ -341,11 +326,12 @@ def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule,
 def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
     """Run every block of the plan for all lanes and merge in block order.
 
-    Returns the merged accumulator and, when the plan records traces, the
-    (stretch, com) traces with a leading lane axis.
+    Returns one RunResult per lane and the merged accumulator, which
+    also holds the paired diagnostics when asked for.
     """
+    cfg = plan.cfg
     if plan.record_traces:
-        cells = (plan.rounds + 1) * plan.replications * plan.cfg.n * len(policies)
+        cells = (cfg.horizon + 1) * plan.replications * cfg.n * len(policies)
         if cells > TRACE_LIMIT:
             raise ValueError(f"trace recording would allocate {cells} cells "
                              f"(limit {TRACE_LIMIT}); reduce replications or horizon")
@@ -363,49 +349,43 @@ def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
     acc = parts[0][0]
     for other, _ in parts[1:]:
         acc.merge(other)
-    if not plan.record_traces:
-        return acc, None
-    return acc, tuple(np.concatenate([part[1][i] for part in parts], axis=2) for i in (0, 1))
+    results = []
+    for lane in range(len(policies)):
+        result = RunResult(rounds=_finalize(acc, lane, plan.replications, cfg.n),
+                           max_abs_stretch_sum=acc.max_zero_sum[lane])
+        if plan.record_traces:
+            result.stretch_traces, result.com_traces = (
+                np.concatenate([part[1][i][lane] for part in parts], axis=1) for i in (0, 1))
+        results.append(result)
+    return results, acc
+
+
+def run_lanes(plan: RunPlan, others: Sequence[Union[PolicySpec, Gain]]) -> List[RunResult]:
+    """Simulate plan.policy and every policy in others on the plan's noise.
+
+    Lane 0 is plan.policy and lane i is others[i-1]; each lane's result
+    is bit-identical to a run of its policy alone.
+    """
+    return _simulate(plan, [plan.policy, *others])[0]
 
 
 def run(plan: RunPlan) -> RunResult:
     """Simulate the plan and return per-round statistics."""
-    acc, traces = _simulate(plan, [plan.policy])
-    result = RunResult(rounds=_finalize(acc, 0, plan.replications, plan.cfg.n),
-                       max_abs_stretch_sum=acc.max_zero_sum[0])
-    if traces is not None:
-        result.stretch_traces, result.com_traces = traces[0][0], traces[1][0]
-    return result
+    return run_lanes(plan, ())[0]
 
 
-def run_paired(plan: RunPlan, shift_rule=None) -> PairedRunResult:
-    """Simulate plan.policy and plan.policy_b under identical noise.
+def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
+               shift_rule=None) -> PairedRunResult:
+    """Simulate plan.policy and policy_b under identical noise.
 
     shift_rule, when given, is a callable (measurements, t) -> predicted
     common move shift per replication; the result reports the worst
     per-round deviation of the observed shift from the prediction.
     """
-    if plan.policy_b is None:
-        raise ValueError("run_paired needs plan.policy_b")
-    acc, traces = _simulate(plan, [plan.policy, plan.policy_b], paired=True,
-                            shift_rule=shift_rule)
-    reps, n = plan.replications, plan.cfg.n
-    diff_mean, diff_se = _mean_and_se(acc.diff_sum, acc.diff_sum2, reps)
-    result = PairedRunResult(
-        stats_a=_finalize(acc, 0, reps, n),
-        stats_b=_finalize(acc, 1, reps, n),
-        max_stretch_diff=acc.max_diff,
-        diff_mean=diff_mean,
-        diff_se=diff_se,
-        shift_mean=acc.shift_sum / reps,
-        shift_spread=acc.shift_spread,
-        shift_rule_dev=acc.rule_dev,
-    )
-    if traces is not None:
-        stretch, com = traces
-        result.stretch_traces_a, result.stretch_traces_b = stretch
-        result.com_traces_a, result.com_traces_b = com
-    return result
+    (a, b), acc = _simulate(plan, [plan.policy, policy_b], paired=True, shift_rule=shift_rule)
+    return PairedRunResult(a=a, b=b, max_stretch_diff=acc.max_diff,
+                           shift_mean=acc.shift_sum / plan.replications,
+                           shift_spread=acc.shift_spread, shift_rule_dev=acc.rule_dev)
 
 
 def steady_state_variance(result: Union[RunResult, Sequence[RoundStats]]) -> float:
@@ -416,8 +396,7 @@ def steady_state_variance(result: Union[RunResult, Sequence[RoundStats]]) -> flo
 
 
 def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
-              horizon: Optional[int] = None, threads: int = 1,
-              block_size: int = DEFAULT_BLOCK_SIZE) -> List[SweepPoint]:
+              threads: int = 1, block_size: int = DEFAULT_BLOCK_SIZE) -> List[SweepPoint]:
     """Steady-state stretch variance under W(rho) for each grid value.
 
     All grid points share the scenario seed, so their noise realizations
@@ -429,21 +408,17 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     specs = [PolicySpec(kind="weighted", rho=float(rho)) for rho in grid]
     if not specs:
         return []
-    plan = RunPlan(cfg=cfg, policy=specs[0], replications=replications, horizon=horizon,
-                   threads=threads, block_size=block_size)
-    # a chunk of lanes holds no more replications than one block
-    chunk = max(1, block_size // min(block_size, replications))
+    plan = RunPlan(cfg=cfg, policy=specs[0], replications=replications, threads=threads,
+                   block_size=block_size)
+    # a chunk holds no more replications, and no more lane-rounds, than
+    # one block holds replications
+    chunk = max(1, block_size // max(replications, cfg.horizon + 1))
     points = []
     for first in range(0, len(specs), chunk):
-        points += _sweep_lanes(plan, specs[first:first + chunk])
+        lanes = specs[first:first + chunk]
+        # no name holds the chunk's results, so they are freed before the next chunk
+        points += [SweepPoint(rho=spec.rho, var_empirical=steady_state_variance(result),
+                              var_closed_form=var_limit(spec.rho, cfg))
+                   for spec, result in zip(lanes, run_lanes(replace(plan, policy=lanes[0]),
+                                                            lanes[1:]))]
     return points
-
-
-def _sweep_lanes(plan: RunPlan, specs: List[PolicySpec]) -> List[SweepPoint]:
-    """One sweep chunk: its grid points run as the lanes of one simulation."""
-    acc, _ = _simulate(plan, specs)
-    reps, cfg = plan.replications, plan.cfg
-    return [SweepPoint(rho=spec.rho,
-                       var_empirical=steady_state_variance(_finalize(acc, lane, reps, cfg.n)),
-                       var_closed_form=var_limit(spec.rho, cfg))
-            for lane, spec in enumerate(specs)]

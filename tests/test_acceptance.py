@@ -17,7 +17,7 @@ from stochalign.game import best_response
 from stochalign.kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from stochalign.model import ModelConfig
 from stochalign.policies import PolicySpec
-from stochalign.sim import RunPlan, run, run_paired, sweep_rho
+from stochalign.sim import RunPlan, run, run_lanes, run_paired, sweep_rho
 from stochalign.structmat import StructuredMatrix, inverse, mul
 
 THREADS = min(4, os.cpu_count() or 1)
@@ -62,7 +62,7 @@ def test_sweep_recovers_optimal_responsiveness():
     for n, reps, horizon in ((2, 8_000, 300), (10, 4_000, 250)):
         cfg = ModelConfig(n=n, sigma0=1.0, sigma_m=1.0, sigma_d=1.0,
                           horizon=horizon, seed=1)
-        points = sweep_rho(cfg, grid, reps, horizon=horizon, threads=THREADS)
+        points = sweep_rho(cfg, grid, reps, threads=THREADS)
         best = min(points, key=lambda p: p.var_empirical)
         star = sa.rho_star_const(cfg)
         ok &= abs(best.rho - star) <= 0.02 + 1e-9
@@ -104,9 +104,9 @@ def test_closed_form_filter_matches_dense_filter():
 def test_scheduled_and_center_seeking_policies_coincide():
     cfg = ModelConfig(n=3, horizon=100, seed=77)
     sched = AlphaSchedule(cfg, 100)
-    plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"),
-                   policy_b=PolicySpec(kind="matc"), replications=100)
-    paired = run_paired(plan, shift_rule=lambda y, t: sched.rho(t) * y.mean(axis=-1))
+    plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=100)
+    paired = run_paired(plan, PolicySpec(kind="matc"),
+                        shift_rule=lambda y, t: sched.rho(t) * y.mean(axis=-1))
     stretch_dev = paired.max_stretch_diff.max()
     spread = paired.shift_spread[:-1].max()
     rule_dev = paired.shift_rule_dev[:-1].max()
@@ -165,19 +165,17 @@ def test_scheduled_policy_dominates_constant_weights():
     cfg = ModelConfig(n=5, sigma0=1.0, sigma_m=1.0, sigma_d=1.0,
                       horizon=200, seed=7)
     reps = 100_000
-
-    def curves(spec):
-        result = run(RunPlan(cfg=cfg, policy=spec, replications=reps,
-                             threads=THREADS))
-        return (np.array([r.mean_abs_stretch for r in result.rounds]),
-                np.array([r.std_error for r in result.rounds]))
-
-    base_abs, _ = curves(PolicySpec(kind="wstar"))
     rivals = [0.25, 0.5, 0.75, 1.0, sa.rho_star_const(cfg)]
+    # one pass: wstar and every rival are lanes on the same noise
+    plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
+                   threads=THREADS)
+    base, *others = run_lanes(plan, [PolicySpec(kind="weighted", rho=rho) for rho in rivals])
+    base_abs = np.array([r.mean_abs_stretch for r in base.rounds])
     worst_margin = math.inf
     ok = True
-    for rho in rivals:
-        other_abs, other_se = curves(PolicySpec(kind="weighted", rho=rho))
+    for result in others:
+        other_abs = np.array([r.mean_abs_stretch for r in result.rounds])
+        other_se = np.array([r.std_error for r in result.rounds])
         margins = other_abs + 3.0 * other_se - base_abs
         worst_margin = min(worst_margin, margins.min())
         ok &= bool(np.all(margins >= 0.0))

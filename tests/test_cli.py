@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from stochalign.analysis import rho_star_const, var_limit
-from stochalign.cli import THREADS_ENV, main
+from stochalign import cli
+from stochalign.cli import MAX_GRID_POINTS, THREADS_ENV, main
 from stochalign.model import ModelConfig
 
 
@@ -178,6 +179,37 @@ class TestSweep:
     def test_rejects_bad_step(self, capsys):
         code = main(["sweep", "--grid-step", "0", "--threads", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--grid-step", "1e-300"], "grid_step must be >= 1e-12"),
+        (["--grid-step", "1e-13"], "grid_step must be >= 1e-12"),
+        (["--grid-step", "1e-7"], f"more than {MAX_GRID_POINTS} points"),
+        (["--grid-stop", "1e300"], f"more than {MAX_GRID_POINTS} points"),
+        (["--grid-start", "-0.1"], "outside [0, 1]"),
+        (["--grid-start", "0.5", "--grid-stop", "1.5", "--grid-step", "0.5"], "outside [0, 1]"),
+        (["--grid-stop", "inf"], "must be finite"),
+        (["--grid-start", "0.5", "--grid-stop", "0.4"], "empty rho grid"),
+    ])
+    def test_rejects_bad_grid_before_any_work(self, tmp_path, capsys, monkeypatch, grid,
+                                              message):
+        # the grid is counted, not built: a step of 1e-300 used to hang
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "sweep_rho", no_sweep)
+        code = main(["sweep", "--reps", "10", "--threads", "1", "--out", "s.csv"] + grid)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_grid_is_accepted(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "sweep_rho", lambda cfg, grid, *a, **k: seen.append(grid) or [])
+        code = main(["sweep", "--grid-start", "0.0001", "--grid-stop", "1.0",
+                     "--grid-step", "0.0001", "--reps", "10", "--threads", "1"])
+        assert code == 0
+        assert len(seen[0]) == MAX_GRID_POINTS
+        assert seen[0][0] == 0.0001 and seen[0][-1] == 1.0
 
 
 class TestKalmanCheck:

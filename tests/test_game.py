@@ -59,6 +59,14 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             best_response([0.5], ModelConfig(n=2), -1)
 
+    @pytest.mark.parametrize("t_max", [True, 2.5])
+    def test_rejects_non_integer_t_max(self, t_max):
+        # True used to run as t_max=1, and 2.5 failed inside numpy
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            best_response(np.full(4, 0.5), ModelConfig(n=2), t_max)
+        with pytest.raises(ValueError, match="t_max must be an integer"):
+            nash_residual(np.full(4, 0.5), ModelConfig(n=2), t_max)
+
     def test_schedule_is_fixed_point(self):
         for n, sm, sd in ((2, 1.0, 1.0), (5, 2.0, 1.0), (10, 1.0, 2.0)):
             cfg = ModelConfig(n=n, sigma_m=sm, sigma_d=sd)
@@ -120,32 +128,25 @@ class TestEmpiricalDominance:
         # the deviator's mean |stretch| under the best-response schedule is
         # no worse (within 3 standard errors) than under any fixed
         # deviation coefficient, against scheduled opponents
-        from stochalign.sim import RunPlan, run
+        from stochalign.sim import RunPlan, run_lanes
 
-        cfg = ModelConfig(n=5, seed=2718)
         horizon = 60
+        cfg = ModelConfig(n=5, horizon=horizon, seed=2718)
         reps = 100_000
         sched = AlphaSchedule(cfg, horizon)
         br = best_response(sched.rhos(horizon), cfg, horizon)
 
-        def mean_abs_curve(coeffs):
-            plan = RunPlan(
-                cfg=cfg,
-                policy=deviant_policy(coeffs, sched),
-                replications=reps,
-                horizon=horizon,
-                stat_agent=0,
-                threads=4,
-            )
-            result = run(plan)
-            return (
-                np.array([r.mean_abs_stretch for r in result.rounds]),
-                np.array([r.std_error for r in result.rounds]),
-            )
-
-        base_abs, _ = mean_abs_curve(br.responsiveness)
-        for fixed in (0.0, 0.25, 0.5, 0.75, 1.0):
-            other_abs, other_se = mean_abs_curve(np.full(horizon + 1, fixed))
+        fixed = (0.0, 0.25, 0.5, 0.75, 1.0)
+        # one pass: the best response and every fixed deviation are lanes
+        # on the same noise
+        plan = RunPlan(cfg=cfg, policy=deviant_policy(br.responsiveness, sched),
+                       replications=reps, stat_agent=0, threads=4)
+        base, *others = run_lanes(
+            plan, [deviant_policy(np.full(horizon + 1, c), sched) for c in fixed])
+        base_abs = np.array([r.mean_abs_stretch for r in base.rounds])
+        for coeff, result in zip(fixed, others):
+            other_abs = np.array([r.mean_abs_stretch for r in result.rounds])
+            other_se = np.array([r.std_error for r in result.rounds])
             assert np.all(base_abs <= other_abs + 3.0 * other_se), (
-                f"fixed coefficient {fixed} beat the best response"
+                f"fixed coefficient {coeff} beat the best response"
             )

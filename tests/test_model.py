@@ -7,6 +7,7 @@ and drift d.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ def rng_for(seed):
 
 def engine_run(cfg, rho, reps, rounds=1, **plan):
     """The engine's traced run of W(rho) for the given number of rounds."""
-    return run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=rho),
-                       replications=reps, horizon=rounds, record_traces=True, **plan))
+    return run(RunPlan(cfg=replace(cfg, horizon=rounds),
+                       policy=PolicySpec(kind="weighted", rho=rho),
+                       replications=reps, record_traces=True, **plan))
 
 
 def engine_traces(cfg, rho, reps, rounds=1):

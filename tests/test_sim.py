@@ -1,9 +1,11 @@
 """Tests for the Monte Carlo engine."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stochalign import streams
+from stochalign import sim, streams
 from stochalign.analysis import var_limit
 from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
@@ -13,6 +15,7 @@ from stochalign.sim import (
     RoundStats,
     RunPlan,
     run,
+    run_lanes,
     run_paired,
     steady_state_variance,
     sweep_rho,
@@ -29,6 +32,17 @@ def small_plan(**overrides):
     return RunPlan(**defaults)
 
 
+def assert_same_result(a, b):
+    """Two RunResults carry the same bits, traces included."""
+    assert a.rounds == b.rounds
+    np.testing.assert_array_equal(a.max_abs_stretch_sum, b.max_abs_stretch_sum)
+    for name in ("stretch_traces", "com_traces"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_array_equal(x, y)
+
+
 class TestRunPlanValidation:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -37,8 +51,6 @@ class TestRunPlanValidation:
             small_plan(threads=0)
         with pytest.raises(ValueError):
             small_plan(block_size=0)
-        with pytest.raises(ValueError):
-            small_plan(horizon=-1)
 
     def test_rejects_bad_stat_agent(self):
         with pytest.raises(ValueError):
@@ -50,8 +62,6 @@ class TestRunPlanValidation:
                 small_plan(stat_agent=value)
 
     def test_rejects_fractional_counts(self):
-        with pytest.raises(ValueError):
-            small_plan(horizon=2.5)
         with pytest.raises(ValueError):
             small_plan(replications=10.0)
 
@@ -80,10 +90,6 @@ class TestRunPlanValidation:
     def test_rejects_plain_callables(self):
         with pytest.raises(ValueError, match="PolicySpec or a Gain"):
             run(small_plan(policy=lambda y, t: 0.5 * y))
-
-    def test_horizon_override(self):
-        assert small_plan().rounds == 10
-        assert small_plan(horizon=25).rounds == 25
 
 
 class TestDeterminism:
@@ -196,24 +202,20 @@ class TestScheduledPolicies:
 
 class TestPairedRuns:
     def test_requires_second_policy(self):
-        with pytest.raises(ValueError):
-            run_paired(small_plan())
+        with pytest.raises(ValueError, match="PolicySpec or a Gain"):
+            run_paired(small_plan(), None)
 
     def test_same_policy_pairs_exactly(self):
-        plan = small_plan(policy_b=PolicySpec(kind="weighted", rho=0.5),
-                          replications=500)
-        paired = run_paired(plan)
+        paired = run_paired(small_plan(replications=500), PolicySpec(kind="weighted", rho=0.5))
         np.testing.assert_array_equal(paired.max_stretch_diff, np.zeros(11))
-        np.testing.assert_array_equal(paired.diff_mean, np.zeros(11))
-        assert paired.stats_a == paired.stats_b
+        assert paired.a.rounds == paired.b.rounds
 
     def test_wstar_and_center_seeking_share_stretch_paths(self):
         cfg = ModelConfig(n=3, horizon=40, seed=21)
-        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"),
-                       policy_b=PolicySpec(kind="matc"), replications=200)
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=200)
         sched = AlphaSchedule(cfg, 40)
-        paired = run_paired(
-            plan, shift_rule=lambda y, t: sched.rho(t) * y.mean(axis=-1))
+        paired = run_paired(plan, PolicySpec(kind="matc"),
+                            shift_rule=lambda y, t: sched.rho(t) * y.mean(axis=-1))
         assert paired.max_stretch_diff.max() <= 1e-9
         # their move difference is a pure common shift that follows the rule
         assert paired.shift_spread.max() <= 1e-12
@@ -221,17 +223,16 @@ class TestPairedRuns:
 
     def test_paired_traces(self):
         cfg = ModelConfig(n=3, horizon=4, seed=2)
-        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"),
-                       policy_b=PolicySpec(kind="matc"), replications=50,
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=50,
                        record_traces=True, record_com=True)
-        paired = run_paired(plan)
-        assert paired.stretch_traces_a.shape == (5, 50, 3)
-        assert paired.com_traces_b.shape == (5, 50)
-        np.testing.assert_allclose(paired.stretch_traces_a,
-                                   paired.stretch_traces_b, atol=1e-9)
+        paired = run_paired(plan, PolicySpec(kind="matc"))
+        assert paired.a.stretch_traces.shape == (5, 50, 3)
+        assert paired.b.com_traces.shape == (5, 50)
+        np.testing.assert_allclose(paired.a.stretch_traces,
+                                   paired.b.stretch_traces, atol=1e-9)
         # center-seeking keeps the measured center fixed up to drift, the
         # plain schedule lets it wander: traces must differ
-        assert not np.allclose(paired.com_traces_a, paired.com_traces_b)
+        assert not np.allclose(paired.a.com_traces, paired.b.com_traces)
 
 
 class TestTraces:
@@ -285,13 +286,44 @@ class TestLanes:
             assert point.var_empirical == steady_state_variance(alone)
 
     def test_paired_lanes_equal_single_runs_bit_for_bit(self):
-        plan = small_plan(policy=PolicySpec(kind="wstar"), policy_b=PolicySpec(kind="matc"),
-                          replications=900, block_size=400, record_com=True)
-        paired = run_paired(plan)
-        assert paired.stats_a == run(plan).rounds
-        assert paired.stats_b == run(small_plan(policy=PolicySpec(kind="matc"),
-                                                replications=900, block_size=400,
-                                                record_com=True)).rounds
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400,
+                          record_com=True)
+        paired = run_paired(plan, PolicySpec(kind="matc"))
+        assert paired.a.rounds == run(plan).rounds
+        assert paired.b.rounds == run(replace(plan, policy=PolicySpec(kind="matc"))).rounds
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_spec_lanes_equal_single_runs_bit_for_bit(self, threads):
+        # 900 replications in blocks of 400: three blocks per lane
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400,
+                          threads=threads, record_com=True, record_moments=True,
+                          record_traces=True)
+        others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3),
+                  PolicySpec(kind="scheduled", rhos=np.linspace(0.1, 0.9, 10))]
+        lanes = run_lanes(plan, others)
+        assert len(lanes) == 4
+        for policy, lane in zip([plan.policy] + others, lanes):
+            assert_same_result(lane, run(replace(plan, policy=policy)))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_deviant_lanes_equal_single_runs_bit_for_bit(self, threads):
+        cfg = ModelConfig(n=4, horizon=12, seed=5)
+        sched = AlphaSchedule(cfg, 12)
+        gains = [deviant_policy(np.full(13, c), sched) for c in (0.0, 0.5, 1.0)]
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=700,
+                       block_size=300, threads=threads, stat_agent=0)
+        lanes = run_lanes(plan, gains)
+        for policy, lane in zip([plan.policy] + gains, lanes):
+            assert_same_result(lane, run(replace(plan, policy=policy)))
+
+    def test_lane_policies_compiled_before_any_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        monkeypatch.setattr(streams, "substream", no_blocks)
+        short = PolicySpec(kind="scheduled", rhos=[0.5] * 4)
+        with pytest.raises(ValueError, match="4 rhos but the run has 10 rounds"):
+            run_lanes(small_plan(threads=2), [PolicySpec(kind="wstar"), short])
 
 
 class TestSweep:
@@ -308,6 +340,21 @@ class TestSweep:
         points = sweep_rho(cfg, [0.3, 0.5, 0.8], 4_000)
         for p in points:
             assert abs(p.var_empirical / p.var_closed_form - 1.0) < 0.1
+
+    def test_chunks_bound_replications_and_lane_rounds(self, monkeypatch):
+        chunks = []
+
+        def counting(plan, others):
+            chunks.append(1 + len(others))
+            return run_lanes(plan, others)
+
+        monkeypatch.setattr(sim, "run_lanes", counting)
+        grid = [0.1, 0.2, 0.3, 0.4, 0.5]
+        # 100 replications in blocks of 250: two lanes per chunk
+        sweep_rho(ModelConfig(n=2, horizon=9, seed=1), grid, 100, block_size=250)
+        # one replication but 100 rounds per lane: two lanes per chunk too
+        sweep_rho(ModelConfig(n=2, horizon=99, seed=1), grid, 1, block_size=250)
+        assert chunks == [2, 2, 1] * 2
 
     def test_passive_point_keeps_growing(self):
         # rho = 0 has no steady state: the tail estimate grows with horizon
