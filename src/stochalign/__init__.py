@@ -9,15 +9,14 @@ limits, the best-response game layer, and a reproducible Monte Carlo engine with
 CSV-producing command line (`stochalign`).
 """
 
-from .analysis import (SteadyStatePrediction, alpha_infty, cost_from_variance,
-                       predict, rho_star_const, var_limit, var_star_large_n,
-                       variance_from_cost)
+from .analysis import (alpha_infty, cost_from_variance, rho_star_const, var_limit,
+                       var_star_large_n)
 from .game import BestResponseSchedule, best_response, deviant_policy, nash_residual
 from .kalman import (AlphaSchedule, KalmanState, LinearSystem,
                      alignment_initial_state, alignment_system,
                      closed_form_filter_state, dense_filter_path, gain,
                      measurement_update, scalar_filter_step, time_update)
-from .model import ModelConfig, cost_estimate, stretch_values
+from .model import ModelConfig, stretch_values
 from .policies import Gain, PolicySpec, make_policy
 from .sim import (PairedRunResult, RoundStats, RunPlan, RunResult, SweepPoint,
                   run, run_lanes, run_paired, steady_state_variance, sweep_rho)

@@ -2,12 +2,11 @@
 
 When every agent moves rho times its own measurement each round, the
 stretch of each agent is an AR(1) process; these helpers give its limiting
-variance, the variance-minimizing constant responsiveness, and conversions
-between variance and the expected-absolute-stretch cost.
+variance, the variance-minimizing constant responsiveness, and the
+expected-absolute-stretch cost of a variance.
 """
 
 import math
-from dataclasses import dataclass
 
 from .model import ModelConfig
 
@@ -58,27 +57,3 @@ def cost_from_variance(variance: float) -> float:
     if math.isinf(variance):
         return math.inf
     return math.sqrt(2.0 * variance / math.pi)
-
-
-def variance_from_cost(cost: float) -> float:
-    """Inverse of cost_from_variance."""
-    if cost < 0:
-        raise ValueError(f"cost must be >= 0, got {cost}")
-    if math.isinf(cost):
-        return math.inf
-    return math.pi * cost ** 2 / 2.0
-
-
-@dataclass(frozen=True)
-class SteadyStatePrediction:
-    """Limiting variance and cost of constant responsiveness rho."""
-
-    rho: float
-    var_limit: float
-    cost_limit: float
-
-
-def predict(rho: float, cfg: ModelConfig) -> SteadyStatePrediction:
-    v = var_limit(rho, cfg)
-    return SteadyStatePrediction(rho=rho, var_limit=v,
-                                 cost_limit=cost_from_variance(v))

@@ -215,8 +215,7 @@ def cmd_compare(settings: dict, a: str, b: str, rho_a: float, rho_b: float) -> i
 
     shift_rule = None
     if (spec_a.kind, spec_b.kind) == ("wstar", "matc"):
-        schedule = AlphaSchedule(cfg, cfg.horizon)
-        shift_rule = lambda y, t: schedule.rho(t) * y.mean(axis=-1)
+        shift_rule = AlphaSchedule(cfg, cfg.horizon).rhos(cfg.horizon)
     paired = run_paired(plan, spec_b, shift_rule=shift_rule)
 
     rows = []

@@ -11,8 +11,10 @@ Two routes to the same covariances are kept deliberately separate:
 
 `kalman_check` style comparisons of the two routes are the main
 correctness guard for everything downstream.  `dense_filter_path` streams
-the dense route: it yields one fresh (P-_t, K_t) pair per round and solves
-for each gain once, so its memory is O(n^2) whatever the number of rounds.
+the dense route on the alignment system, where A = H = I: each round is
+K = P(P+R)^-1 and P <- (I-K)P + Q, one solve and one matrix product.  It
+yields one fresh (P-_t, K_t) pair per round, so its memory is O(n^2)
+whatever the number of rounds.
 """
 
 from dataclasses import dataclass
@@ -125,26 +127,33 @@ def _check_t_max(t_max) -> None:
 def dense_filter_path(cfg: ModelConfig, t_max: int):
     """Prediction covariance and gain per round from the dense filter.
 
-    Runs the generic textbook recursions on the alignment system (the
-    measurement and input values do not affect covariances, so zeros are
-    fed in).  Yields (P-_t, K_t) for t = 0..t_max as fresh dense arrays,
-    one round at a time: each gain is the one the measurement update
-    solved for, and the path holds only the current round's matrices, so
-    its memory is O(n^2) independent of t_max.  t_max is checked when
-    this is called, not when the first round is drawn.
+    Runs the textbook covariance recursion on the alignment system, whose
+    dynamics and measurement matrices are both I (measurements and inputs
+    do not affect covariances, so none are needed):
+
+        K_t = P-_t (P-_t + R)^-1,    P-_{t+1} = (I - K_t) P-_t + Q.
+
+    These are the bits `gain`, `measurement_update` and `time_update`
+    give on this system, except that at sigma0 = 0 zero entries of K_0
+    may carry the other sign.  Yields (P-_t, K_t) for t = 0..t_max as fresh
+    dense arrays, one round at a time, and holds only the current round's
+    matrices, so its memory is O(n^2) independent of t_max.  t_max is
+    checked when this is called, not when the first round is drawn.
     """
     _check_t_max(t_max)
     return _dense_filter_rounds(cfg, t_max)
 
 
 def _dense_filter_rounds(cfg: ModelConfig, t_max: int):
+    # gain/measurement_update/time_update with their products with
+    # A = H = I left out; the solve gets the operands and layout gain gives it
     system = alignment_system(cfg)
-    state = alignment_initial_state(cfg)
-    zeros = np.zeros(cfg.n)
+    p = alignment_initial_state(cfg).cov_pre
+    eye = np.eye(cfg.n)
     for _ in range(t_max + 1):
-        post = measurement_update(state, system, zeros)
-        yield state.cov_pre, post.gain
-        state = time_update(post, system, zeros)
+        k = np.linalg.solve((p + system.r).T, p.T).T
+        yield p, k
+        p = (eye - k) @ p + system.q
 
 
 class AlphaSchedule:

@@ -76,12 +76,3 @@ def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None) -> n
     out /= n - 1
     out -= positions
     return out
-
-
-def cost_estimate(samples) -> float:
-    """Mean absolute value of a batch of stretch samples."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("cost estimate needs at least one sample")
-    return float(np.abs(samples).mean())
-

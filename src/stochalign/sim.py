@@ -114,7 +114,8 @@ class PairedRunResult:
     per-round max over replications and agents of their stretch
     difference.  shift_* summarize the per-agent move difference (a minus
     b): its common value, its spread across agents, and, when a shift
-    rule is supplied, the worst deviation from the rule's prediction.
+    rule is supplied, the worst deviation from the shift it predicts
+    (rho_t times each replication's mean measurement).
     """
 
     a: RunResult
@@ -229,7 +230,8 @@ class _Accumulator:
         self.shift_sum[t] = common.sum()
         self.shift_spread[t] = np.abs(move_diff - common[:, np.newaxis]).max()
         if self.rule_dev is not None:
-            self.rule_dev[t] = np.abs(common - self.shift_rule(y[0], t)).max()
+            predicted = self.shift_rule[t] * (row_sum(y[0]) / y.shape[-1])
+            self.rule_dev[t] = np.abs(common - predicted).max()
 
     def merge(self, other: "_Accumulator"):
         for name in self.SUMS:
@@ -378,10 +380,16 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
                shift_rule=None) -> PairedRunResult:
     """Simulate plan.policy and policy_b under identical noise.
 
-    shift_rule, when given, is a callable (measurements, t) -> predicted
-    common move shift per replication; the result reports the worst
-    per-round deviation of the observed shift from the prediction.
+    shift_rule, when given, holds one scale rho_t per round of the plan:
+    it predicts that the move difference in round t is the common shift
+    rho_t times each replication's mean measurement, and the result
+    reports the worst per-round deviation of the observed shift from it.
     """
+    if shift_rule is not None:
+        shift_rule = np.asarray(shift_rule, dtype=float)
+        if shift_rule.ndim != 1 or len(shift_rule) < plan.cfg.horizon:
+            raise ValueError(f"shift_rule needs one scale per round ({plan.cfg.horizon}), "
+                             f"got shape {shift_rule.shape}")
     (a, b), acc = _simulate(plan, [plan.policy, policy_b], paired=True, shift_rule=shift_rule)
     return PairedRunResult(a=a, b=b, max_stretch_diff=acc.max_diff,
                            shift_mean=acc.shift_sum / plan.replications,

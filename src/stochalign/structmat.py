@@ -22,6 +22,10 @@ def row_sum(v: np.ndarray, out=None) -> np.ndarray:
     right (checked for numpy 2.4), so adding whole columns in that order
     gives the same bits at a fraction of the cost when there are many
     short rows.  Longer rows use numpy's own reduction.
+
+    One exception: a row of 2 to 7 elements that are all -0.0 sums to
+    -0.0 here, while numpy, which starts from +0.0, returns +0.0.  The
+    two compare equal; only their sign bits differ.
     """
     n = v.shape[-1]
     if not 2 <= n <= SEQUENTIAL_SUM_MAX:

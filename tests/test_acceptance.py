@@ -106,7 +106,7 @@ def test_scheduled_and_center_seeking_policies_coincide():
     sched = AlphaSchedule(cfg, 100)
     plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=100)
     paired = run_paired(plan, PolicySpec(kind="matc"),
-                        shift_rule=lambda y, t: sched.rho(t) * y.mean(axis=-1))
+                        shift_rule=sched.rhos(100))
     stretch_dev = paired.max_stretch_diff.max()
     spread = paired.shift_spread[:-1].max()
     rule_dev = paired.shift_rule_dev[:-1].max()

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochalign.model import ModelConfig, cost_estimate, stretch_values
+from stochalign.model import ModelConfig, stretch_values
 from stochalign.policies import PolicySpec
 from stochalign.sim import RunPlan, run
 from stochalign.streams import INIT, substream
@@ -227,24 +227,6 @@ class TestStretchRecursion:
             positions = positions + moves + drift
             s_direct = s_direct + apply(m, moves + drift)
             np.testing.assert_allclose(stretch_values(positions), s_direct, atol=1e-9)
-
-
-class TestCostEstimate:
-    def test_zero(self):
-        assert cost_estimate(np.zeros(5)) == 0.0
-
-    def test_hand_value(self):
-        assert cost_estimate(np.array([-1.0, 1.0])) == 1.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            cost_estimate(np.array([]))
-
-    def test_half_normal_mean(self):
-        # E|X| for X ~ N(0,1) is sqrt(2/pi)
-        rng = rng_for(404)
-        est = cost_estimate(rng.normal(size=1_000_000))
-        assert abs(est / math.sqrt(2.0 / math.pi) - 1.0) < 0.01
 
 
 class TestStreams:

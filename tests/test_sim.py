@@ -205,6 +205,11 @@ class TestPairedRuns:
         with pytest.raises(ValueError, match="PolicySpec or a Gain"):
             run_paired(small_plan(), None)
 
+    def test_rejects_shift_rule_without_a_scale_per_round(self):
+        for rule in (np.full(9, 0.5), np.full((10, 3), 0.5)):
+            with pytest.raises(ValueError, match="one scale per round"):
+                run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
+
     def test_same_policy_pairs_exactly(self):
         paired = run_paired(small_plan(replications=500), PolicySpec(kind="weighted", rho=0.5))
         np.testing.assert_array_equal(paired.max_stretch_diff, np.zeros(11))
@@ -215,7 +220,7 @@ class TestPairedRuns:
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=200)
         sched = AlphaSchedule(cfg, 40)
         paired = run_paired(plan, PolicySpec(kind="matc"),
-                            shift_rule=lambda y, t: sched.rho(t) * y.mean(axis=-1))
+                            shift_rule=sched.rhos(40))
         assert paired.max_stretch_diff.max() <= 1e-9
         # their move difference is a pure common shift that follows the rule
         assert paired.shift_spread.max() <= 1e-12

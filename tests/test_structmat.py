@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stochalign.structmat import (
+    SEQUENTIAL_SUM_MAX,
     SingularStructuredMatrixError,
     StructuredMatrix,
     apply,
@@ -198,3 +199,11 @@ class TestRowSum:
         assert row_sum(v, out=out) is out
         np.testing.assert_array_equal(out, expect)
         np.testing.assert_array_equal(row_sum(v[0, 0]), expect[0, 0])
+
+    def test_rows_of_negative_zeros_keep_their_sign(self):
+        # the documented exception: numpy's sum starts from +0.0
+        for n in range(1, 13):
+            v = np.full((2, n), -0.0)
+            sequential = 2 <= n <= SEQUENTIAL_SUM_MAX
+            np.testing.assert_array_equal(np.signbit(row_sum(v)), [sequential] * 2)
+            np.testing.assert_array_equal(np.signbit(v.sum(axis=-1)), [False] * 2)
