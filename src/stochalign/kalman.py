@@ -41,8 +41,8 @@ class LinearSystem:
 class KalmanState:
     """Filter state at one round.
 
-    The _pre fields are the predicted quantities; the _post fields and the
-    gain that produced them are filled in by the measurement update.
+    The _pre fields are the predicted quantities; the _post fields are
+    filled in by the measurement update.
     """
 
     round: int
@@ -50,7 +50,6 @@ class KalmanState:
     cov_pre: np.ndarray
     estimate_post: Optional[np.ndarray] = None
     cov_post: Optional[np.ndarray] = None
-    gain: Optional[np.ndarray] = None
 
 
 def alignment_system(cfg: ModelConfig) -> LinearSystem:
@@ -102,7 +101,6 @@ def measurement_update(state: KalmanState, system: LinearSystem,
         cov_pre=state.cov_pre,
         estimate_post=estimate_post,
         cov_post=cov_post,
-        gain=k,
     )
 
 

@@ -96,15 +96,6 @@ class RunResult:
     com_traces: Optional[np.ndarray] = None  # (rounds+1, reps) when traced
     stretch_traces: Optional[np.ndarray] = None  # (rounds+1, reps, n) when traced
 
-    def __iter__(self):
-        return iter(self.rounds)
-
-    def __len__(self):
-        return len(self.rounds)
-
-    def __getitem__(self, i):
-        return self.rounds[i]
-
 
 @dataclass
 class PairedRunResult:
@@ -142,26 +133,25 @@ def _blocks(replications: int, block_size: int):
 def _compile(plan: RunPlan, policies) -> List[Gain]:
     """Compile every lane's policy to a Gain before any block starts.
 
-    Each gain needs one scale (rho) per round of the plan, and a
-    per-agent gain one scale per agent.  make_policy covers the horizon,
-    except for a scheduled spec, whose rhos it takes whole.
+    make_policy compiles a spec for the plan's horizon.  A Gain passed in
+    as it is needs one scale per round of the plan, and a per-agent gain
+    one scale per agent.
     """
     rounds = plan.cfg.horizon
     gains = []
     for policy in policies:
         if isinstance(policy, PolicySpec):
-            covered = len(policy.rhos) if policy.kind == "scheduled" else rounds
-            gain = make_policy(policy, plan.cfg)
-        elif isinstance(policy, Gain):
-            if policy.scale.shape[1:] not in ((), (plan.cfg.n,)):
-                raise ValueError(f"gain scale of shape {policy.scale.shape} does not fit "
-                                 f"{plan.cfg.n} agents")
-            gain, covered = policy, len(policy.scale)
-        else:
+            gains.append(make_policy(policy, plan.cfg))
+            continue
+        if not isinstance(policy, Gain):
             raise ValueError(f"policy must be a PolicySpec or a Gain, got {policy!r}")
-        if covered < rounds:
-            raise ValueError(f"policy has {covered} rhos but the run has {rounds} rounds")
-        gains.append(gain)
+        if policy.scale.shape[1:] not in ((), (plan.cfg.n,)):
+            raise ValueError(f"gain scale of shape {policy.scale.shape} does not fit "
+                             f"{plan.cfg.n} agents")
+        if len(policy.scale) < rounds:
+            raise ValueError(f"policy has {len(policy.scale)} rhos but the run has "
+                             f"{rounds} rounds")
+        gains.append(policy)
     return gains
 
 
@@ -396,9 +386,8 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
                            shift_spread=acc.shift_spread, shift_rule_dev=acc.rule_dev)
 
 
-def steady_state_variance(result: Union[RunResult, Sequence[RoundStats]]) -> float:
+def steady_state_variance(rounds: Sequence[RoundStats]) -> float:
     """Average per-round variance over the final 10% of rounds."""
-    rounds = list(result)
     tail = max(1, len(rounds) // 10)
     return float(np.mean([r.var_stretch for r in rounds[-tail:]]))
 
@@ -425,7 +414,7 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     for first in range(0, len(specs), chunk):
         lanes = specs[first:first + chunk]
         # no name holds the chunk's results, so they are freed before the next chunk
-        points += [SweepPoint(rho=spec.rho, var_empirical=steady_state_variance(result),
+        points += [SweepPoint(rho=spec.rho, var_empirical=steady_state_variance(result.rounds),
                               var_closed_form=var_limit(spec.rho, cfg))
                    for spec, result in zip(lanes, run_lanes(replace(plan, policy=lanes[0]),
                                                             lanes[1:]))]

@@ -110,6 +110,27 @@ class TestConfigFile:
         assert "'horizon'" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("sigma_m", True), ("rho", "0.25"), ("out", 7), ("n", True), ("seed", "1"),
+        ("grid_step", None), ("policy", ["wstar"]),
+        pytest.param("sigma0", 10 ** 400, id="sigma0-beyond-float-range"),
+    ])
+    def test_value_of_another_type_rejected(self, tmp_path, capsys, key, value):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        code = main(["simulate", "--config", "cfg.json", "--reps", "10", "--rounds", "3",
+                     "--threads", "1"])
+        assert code == 2
+        assert repr(key) in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_integer_for_float_setting_recorded_as_float(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"sigma0": 1, "rho": 0}))
+        code = main(["simulate", "--config", "cfg.json", "--reps", "10", "--rounds", "3",
+                     "--threads", "1", "--out", "s.csv"])
+        assert code == 0
+        sidecar = (tmp_path / "s.csv.config.json").read_text()
+        assert '"sigma0": 1.0' in sidecar and '"rho": 0.0' in sidecar
+
     def test_malformed_json_rejected(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text("{not json")
         code = main(["simulate", "--config", "cfg.json", "--threads", "1"])
@@ -231,6 +252,15 @@ class TestKalmanCheck:
         _, rows = read_csv(tmp_path / "kc.csv")
         assert float(rows[0][1]) == 0.0  # alpha_0
         assert float(rows[0][2]) == 0.0  # rho*(0)
+
+    def test_singular_dense_filter_fails_the_check(self, tmp_path, capsys):
+        # valid settings, but P + R is singular to LAPACK at round 0
+        code = main(["kalman-check", "--n", "2", "--sigma0", "1e8", "--sigma-m", "1e-3",
+                     "--t-max", "5", "--threads", "1", "--out", "kc.csv"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "dense reference filter failed at round 0" in out and "FAIL" in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBestResponse:

@@ -130,20 +130,6 @@ class TestDenseFilterPath:
             np.testing.assert_array_equal(cov, cov_ref)
             np.testing.assert_array_equal(k, k_ref)
 
-    def test_measurement_update_records_its_gain(self):
-        # generic system: 3 states, 2 measurements, so H is not square
-        rng = np.random.default_rng(7)
-        root = rng.normal(size=(3, 3))
-        system = LinearSystem(
-            a=rng.normal(size=(3, 3)), b=np.eye(3), h=rng.normal(size=(2, 3)),
-            q=np.eye(3), r=np.array([[2.0, 0.3], [0.3, 1.5]]),
-        )
-        state = KalmanState(0, rng.normal(size=3), root @ root.T + np.eye(3))
-        post = measurement_update(state, system, rng.normal(size=2))
-        assert post.gain.shape == (3, 2)
-        np.testing.assert_array_equal(post.gain, gain(state, system))
-        assert state.gain is None
-
     def test_first_round_comes_before_any_time_update(self, monkeypatch):
         # a path that ran ahead of its consumer would solve for more gains
         solves = []

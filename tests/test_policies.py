@@ -48,12 +48,12 @@ class TestWstar:
         np.testing.assert_allclose(out, np.array([0.4, -0.4]), atol=1e-15)
 
     def test_degenerate_start_is_passive(self):
-        cfg = ModelConfig(n=3, sigma0=0.0)
-        out = make_policy(PolicySpec(kind="wstar"), cfg, 1)(np.array([5.0, -1.0, 2.0]), 0)
+        cfg = ModelConfig(n=3, sigma0=0.0, horizon=1)
+        out = make_policy(PolicySpec(kind="wstar"), cfg)(np.array([5.0, -1.0, 2.0]), 0)
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_gain_covers_exactly_the_compiled_rounds(self):
-        gain = make_policy(PolicySpec(kind="wstar"), ModelConfig(n=2), 7)
+        gain = make_policy(PolicySpec(kind="wstar"), ModelConfig(n=2, horizon=7))
         assert gain.scale.shape == (7,)
         with pytest.raises(IndexError):
             gain(np.ones(2), 7)
@@ -73,9 +73,9 @@ class TestMatc:
         # (n-1)/n rho*(t) (Y_i - mean of others), written out per agent
         rng = np.random.default_rng(2)
         for n in (2, 3, 6):
-            cfg = ModelConfig(n=n, sigma_m=1.4, sigma_d=0.8)
+            cfg = ModelConfig(n=n, sigma_m=1.4, sigma_d=0.8, horizon=5)
             sched = AlphaSchedule(cfg, 5)
-            gain = make_policy(PolicySpec(kind="matc"), cfg, 5)
+            gain = make_policy(PolicySpec(kind="matc"), cfg)
             y = rng.normal(size=n)
             for t in (0, 3):
                 coeff = (n - 1) / n * sched.rho(t)
@@ -90,10 +90,10 @@ class TestMatc:
     def test_differs_from_wstar_by_common_shift(self):
         # matc = wstar - rho*(t) mean(Y) on every agent
         rng = np.random.default_rng(3)
-        cfg = ModelConfig(n=4)
+        cfg = ModelConfig(n=4, horizon=10)
         sched = AlphaSchedule(cfg, 10)
-        wstar = make_policy(PolicySpec(kind="wstar"), cfg, 10)
-        matc = make_policy(PolicySpec(kind="matc"), cfg, 10)
+        wstar = make_policy(PolicySpec(kind="wstar"), cfg)
+        matc = make_policy(PolicySpec(kind="matc"), cfg)
         y = rng.normal(size=(7, 4))
         for t in (0, 2, 9):
             diff = wstar(y, t) - matc(y, t)
@@ -124,10 +124,10 @@ class TestShifted:
 
 class TestPolicySpec:
     def test_kinds_catalog(self):
-        assert POLICY_KINDS == ("weighted", "scheduled", "wstar", "matc")
+        assert POLICY_KINDS == ("weighted", "wstar", "matc")
 
     def test_unknown_kind(self):
-        for kind in ("optimal", "shifted"):
+        for kind in ("optimal", "shifted", "scheduled"):
             with pytest.raises(ValueError):
                 PolicySpec(kind=kind)
 
@@ -137,14 +137,10 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             PolicySpec(kind="weighted", rho=1.5)
 
-    def test_scheduled_needs_rhos(self):
-        with pytest.raises(ValueError):
-            PolicySpec(kind="scheduled")
-
-    @pytest.mark.parametrize("rhos", [[2.0, -1.0], [0.5, float("nan")], [float("inf")]])
-    def test_scheduled_rejects_values_outside_unit_interval(self, rhos):
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            PolicySpec(kind="scheduled", rhos=rhos)
+    @pytest.mark.parametrize("kind", ["wstar", "matc"])
+    def test_rho_only_for_weighted(self, kind):
+        with pytest.raises(ValueError, match=f"{kind} policy takes no rho"):
+            PolicySpec(kind=kind, rho=0.3)
 
 
 class TestGain:
@@ -161,6 +157,19 @@ class TestGain:
         with pytest.raises(ValueError, match="gain scale"):
             Gain(scale)
 
+    @pytest.mark.parametrize("scale", [[0.5, float("nan")], [float("inf")], [[0.5, -np.inf]]],
+                             ids=["nan", "inf", "per-agent"])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="gain scale must be finite"):
+            Gain(scale)
+
+    def test_schedule_uses_round_index(self):
+        fn = Gain([0.0, 0.5, 1.0])
+        y = np.array([2.0, -2.0])
+        np.testing.assert_array_equal(fn(y, 0), np.zeros(2))
+        np.testing.assert_array_equal(fn(y, 1), 0.5 * y)
+        np.testing.assert_array_equal(fn(y, 2), y)
+
 
 class TestMakePolicy:
     def test_weighted(self):
@@ -169,20 +178,12 @@ class TestMakePolicy:
         y = np.array([4.0, 0.0, -4.0])
         np.testing.assert_array_equal(fn(y, 7), 0.25 * y)
 
-    def test_scheduled_uses_round_index(self):
-        cfg = ModelConfig(n=2)
-        fn = make_policy(PolicySpec(kind="scheduled", rhos=[0.0, 0.5, 1.0]), cfg)
-        y = np.array([2.0, -2.0])
-        np.testing.assert_array_equal(fn(y, 0), np.zeros(2))
-        np.testing.assert_array_equal(fn(y, 1), 0.5 * y)
-        np.testing.assert_array_equal(fn(y, 2), y)
-
     def test_wstar_matches_function(self):
         # bit for bit the textbook move rho*(t) * y
         for n in (2, 3, 5, 8):
-            cfg = ModelConfig(n=n, sigma0=1.3, sigma_m=0.7, sigma_d=1.9)
+            cfg = ModelConfig(n=n, sigma0=1.3, sigma_m=0.7, sigma_d=1.9, horizon=12)
             sched = AlphaSchedule(cfg, 12)
-            fn = make_policy(PolicySpec(kind="wstar"), cfg, 12)
+            fn = make_policy(PolicySpec(kind="wstar"), cfg)
             y = np.random.default_rng(n).normal(size=(9, n))
             for t in range(12):
                 np.testing.assert_array_equal(fn(y, t), sched.rho(t) * y)
@@ -190,9 +191,9 @@ class TestMakePolicy:
     def test_matc_matches_function(self):
         # bit for bit the textbook move -((n-1)/n rho*(t)) * M_n y
         for n in (2, 3, 5, 8):
-            cfg = ModelConfig(n=n, sigma0=0.4, sigma_m=1.6, sigma_d=0.9)
+            cfg = ModelConfig(n=n, sigma0=0.4, sigma_m=1.6, sigma_d=0.9, horizon=12)
             sched = AlphaSchedule(cfg, 12)
-            fn = make_policy(PolicySpec(kind="matc"), cfg, 12)
+            fn = make_policy(PolicySpec(kind="matc"), cfg)
             y = np.random.default_rng(n).normal(size=(9, n))
             for t in range(12):
                 expect = -((n - 1) / n * sched.rho(t)) * apply(mn(n), y)

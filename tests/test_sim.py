@@ -10,7 +10,7 @@ from stochalign.analysis import var_limit
 from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
-from stochalign.policies import PolicySpec
+from stochalign.policies import Gain, PolicySpec
 from stochalign.sim import (
     RoundStats,
     RunPlan,
@@ -71,7 +71,7 @@ class TestRunPlanValidation:
 
         monkeypatch.setattr(streams, "substream", no_blocks)
         plan = small_plan(cfg=ModelConfig(n=3, horizon=5, seed=7), threads=2,
-                          policy=PolicySpec(kind="scheduled", rhos=[0.5, 0.5]))
+                          policy=Gain([0.5, 0.5]))
         with pytest.raises(ValueError, match="2 rhos but the run has 5 rounds"):
             run(plan)
 
@@ -273,11 +273,6 @@ class TestSteadyState:
 
         assert steady_state_variance([fake(0, 1.0), fake(1, 5.0)]) == 5.0
 
-    def test_accepts_run_result(self):
-        result = run(small_plan())
-        assert steady_state_variance(result) == pytest.approx(
-            steady_state_variance(result.rounds))
-
 
 class TestLanes:
     def test_sweep_points_equal_single_runs_bit_for_bit(self):
@@ -288,7 +283,7 @@ class TestLanes:
         for rho, point in zip(grid, points):
             alone = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=rho),
                                 replications=700, block_size=2_000))
-            assert point.var_empirical == steady_state_variance(alone)
+            assert point.var_empirical == steady_state_variance(alone.rounds)
 
     def test_paired_lanes_equal_single_runs_bit_for_bit(self):
         plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400,
@@ -304,7 +299,7 @@ class TestLanes:
                           threads=threads, record_com=True, record_moments=True,
                           record_traces=True)
         others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3),
-                  PolicySpec(kind="scheduled", rhos=np.linspace(0.1, 0.9, 10))]
+                  Gain(np.linspace(0.1, 0.9, 10))]
         lanes = run_lanes(plan, others)
         assert len(lanes) == 4
         for policy, lane in zip([plan.policy] + others, lanes):
@@ -326,7 +321,7 @@ class TestLanes:
             raise AssertionError("a block started")
 
         monkeypatch.setattr(streams, "substream", no_blocks)
-        short = PolicySpec(kind="scheduled", rhos=[0.5] * 4)
+        short = Gain([0.5] * 4)
         with pytest.raises(ValueError, match="4 rhos but the run has 10 rounds"):
             run_lanes(small_plan(threads=2), [PolicySpec(kind="wstar"), short])
 
