@@ -127,9 +127,15 @@ class TestPolicySpec:
         assert POLICY_KINDS == ("weighted", "wstar", "matc")
 
     def test_unknown_kind(self):
-        for kind in ("optimal", "shifted", "scheduled"):
+        for kind in ("optimal", "shifted"):
             with pytest.raises(ValueError):
                 PolicySpec(kind=kind)
+
+    def test_scheduled_needs_rhos(self):
+        # a per-round schedule is built as Gain(rhos); "scheduled" is no
+        # longer a spec kind, so naming it is rejected as unknown
+        with pytest.raises(ValueError, match="unknown policy kind 'scheduled'"):
+            PolicySpec(kind="scheduled")
 
     def test_weighted_needs_valid_rho(self):
         with pytest.raises(ValueError):
