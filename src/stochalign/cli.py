@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Five subcommands: simulate, compare, sweep, kalman-check, best-response.
+Five subcommands: simulate, compare, sweep, kalman-check, best-response;
+only the first three, which run Monte Carlo, take --rounds and --reps.
 Settings come from built-in defaults, then an optional flat JSON config
 file (--config), then flags; later sources win.  Every run writes its CSV
 plus a <out>.config.json sidecar holding the resolved config keys, the
@@ -8,10 +9,11 @@ thread count and the command, but not the subcommand-only flags.  Every
 setting is checked before any work starts, and the CSV and its sidecar
 are both written or neither is.  Exit codes: 0 success / assertion
 passed, 1 assertion failed (kalman-check also when its dense reference
-filter fails), 2 usage, configuration or I/O error.
+filter fails), 2 usage, configuration, I/O or out-of-memory error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -96,21 +98,22 @@ def _config_value(key: str, value):
         raise ConfigError(f"config key {key!r} has invalid value {value!r}") from exc
 
 
-def _resolve(args: argparse.Namespace, command: str) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """defaults <- config file <- flags, later wins."""
-    settings = dict(DEFAULTS)
-    settings["out"] = f"{command.replace('-', '_')}.csv"
-    if command == "compare":
-        settings["replications"] = 1
+    settings = dict(DEFAULTS, replications=args.default_reps,
+                    out=f"{args.command.replace('-', '_')}.csv")
     if args.config is not None:
         settings.update(_load_config_file(args.config))
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    settings["threads"] = _resolve_threads(getattr(args, "threads", None))
-    settings["command"] = command
-    out_dir = os.path.dirname(os.path.abspath(settings["out"]))
+    settings["threads"] = _resolve_threads(args.threads)
+    settings["command"] = args.command
+    out = settings["out"]
+    if not os.path.basename(out) or os.path.isdir(out):
+        raise ConfigError(f"output path {out!r} does not name a file")
+    out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir):
         raise ConfigError(f"output directory {out_dir} does not exist")
     return settings
@@ -126,22 +129,12 @@ def _resolve_threads(flag: Optional[int]) -> int:
 
 
 def _model_config(settings: dict) -> ModelConfig:
-    return ModelConfig(
-        n=settings["n"],
-        sigma0=settings["sigma0"],
-        sigma_m=settings["sigma_m"],
-        sigma_d=settings["sigma_d"],
-        horizon=settings["horizon"],
-        seed=settings["seed"],
-    )
+    return ModelConfig(**{f.name: settings[f.name] for f in dataclasses.fields(ModelConfig)})
 
 
 def _policy_spec(name: str, rho: float) -> PolicySpec:
-    if name not in POLICY_KINDS:
-        raise ConfigError(f"unknown policy {name!r}; choose from {', '.join(POLICY_KINDS)}")
-    if name == "weighted":
-        return PolicySpec(kind="weighted", rho=rho)
-    return PolicySpec(kind=name)
+    """Only the weighted kind takes rho; PolicySpec rejects an unknown kind."""
+    return PolicySpec(kind=name, rho=rho if name == "weighted" else None)
 
 
 def _write_outputs(settings: dict, header: str, rows) -> None:
@@ -178,7 +171,7 @@ def _write_outputs(settings: dict, header: str, rows) -> None:
                 os.remove(tmp)
 
 
-def cmd_simulate(settings: dict) -> int:
+def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
     spec = _policy_spec(settings["policy"], settings["rho"])
     plan = RunPlan(cfg=cfg, policy=spec, replications=settings["replications"],
@@ -201,10 +194,10 @@ def cmd_simulate(settings: dict) -> int:
     return 0
 
 
-def cmd_compare(settings: dict, a: str, b: str, rho_a: float, rho_b: float) -> int:
+def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
-    spec_a = _policy_spec(a, rho_a)
-    spec_b = _policy_spec(b, rho_b)
+    spec_a = _policy_spec(args.a, args.rho_a)
+    spec_b = _policy_spec(args.b, args.rho_b)
     plan = RunPlan(cfg=cfg, policy=spec_a, replications=settings["replications"],
                    threads=settings["threads"], record_com=True)
 
@@ -220,14 +213,14 @@ def cmd_compare(settings: dict, a: str, b: str, rho_a: float, rho_b: float) -> i
                      _fmt(paired.max_stretch_diff[t]), _fmt(shift)])
     _write_outputs(settings, "round,com_a,com_b,max_stretch_diff,move_shift", rows)
 
-    print(f"paired {a} vs {b}: max stretch difference "
+    print(f"paired {args.a} vs {args.b}: max stretch difference "
           f"{_fmt(paired.max_stretch_diff.max())} -> {settings['out']}")
     if shift_rule is None:
         return 0
-    # the two policies must be the same move up to a common per-round shift
-    rounds = cfg.horizon
-    worst_spread = paired.shift_spread[:rounds].max() if rounds else 0.0
-    worst_rule = paired.shift_rule_dev[:rounds].max() if rounds else 0.0
+    # the two policies must be the same move up to a common per-round shift;
+    # the unrecorded last round holds 0 and every value is >= 0
+    worst_spread = paired.shift_spread.max()
+    worst_rule = paired.shift_rule_dev.max()
     ok = (paired.max_stretch_diff.max() <= STRETCH_EQ_TOL
           and worst_spread <= SHIFT_TOL and worst_rule <= SHIFT_TOL)
     print(f"shift equivalence: stretch diff <= {STRETCH_EQ_TOL}, "
@@ -269,7 +262,7 @@ def _rho_grid(start: float, stop: float, step: float) -> list:
     return [point(i) for i in range(last + 1)]
 
 
-def cmd_sweep(settings: dict) -> int:
+def cmd_sweep(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
     grid = _rho_grid(settings["grid_start"], settings["grid_stop"], settings["grid_step"])
     points = sweep_rho(cfg, grid, settings["replications"], threads=settings["threads"])
@@ -288,8 +281,9 @@ def cmd_sweep(settings: dict) -> int:
     return 0
 
 
-def cmd_kalman_check(settings: dict, t_max: int) -> int:
+def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
+    t_max = args.t_max
     schedule = AlphaSchedule(cfg, t_max)
     worst = 0.0
     rows = []
@@ -318,18 +312,16 @@ def cmd_kalman_check(settings: dict, t_max: int) -> int:
     return 0 if ok else 1
 
 
-def cmd_best_response(settings: dict, opponents: str, t_max: int,
-                      assert_nash: bool) -> int:
+def cmd_best_response(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
+    opponents, t_max = args.opponents, args.t_max
     if opponents == "wstar":
         opp = AlphaSchedule(cfg, t_max).rhos(t_max)
-    elif opponents == "constant":
+    else:
         rho = settings["rho"]
         if not 0.0 <= rho <= 1.0:
             raise ConfigError(f"rho must be in [0, 1], got {rho}")
         opp = np.full(t_max + 1, rho)
-    else:
-        raise ConfigError(f"unknown opponents {opponents!r}; choose wstar or constant")
 
     br = best_response(opp, cfg, t_max)
     residual = np.abs(br.responsiveness - opp)
@@ -340,7 +332,7 @@ def cmd_best_response(settings: dict, opponents: str, t_max: int,
     worst = residual.max()
     print(f"best response vs {opponents} opponents: max residual {_fmt(worst)} "
           f"-> {settings['out']}")
-    if opponents == "wstar" or assert_nash:
+    if opponents == "wstar" or args.assert_nash:
         ok = worst <= NASH_TOL
         print(f"nash fixed point at {NASH_TOL}: {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
@@ -353,32 +345,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and analyze noisy multi-agent alignment on the line.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, reps_default_doc):
+    def command(name, run, help, monte_carlo=False, reps=DEFAULTS["replications"]):
+        """A subcommand with the flags every one reads; only a Monte Carlo
+        subcommand takes --rounds and --reps."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run, default_reps=reps)
         p.add_argument("--config", help="flat JSON config file; flags override it")
         p.add_argument("--n", type=int, help=f"number of agents (default {DEFAULTS['n']})")
         p.add_argument("--sigma0", type=float, help="initial-position noise scale")
         p.add_argument("--sigma-m", dest="sigma_m", type=float,
                        help="measurement noise scale")
         p.add_argument("--sigma-d", dest="sigma_d", type=float, help="drift noise scale")
-        p.add_argument("--rounds", dest="horizon", type=int,
-                       help=f"number of rounds (default {DEFAULTS['horizon']})")
-        p.add_argument("--reps", dest="replications", type=int,
-                       help=f"replications (default {reps_default_doc})")
+        if monte_carlo:
+            p.add_argument("--rounds", dest="horizon", type=int,
+                           help=f"number of rounds (default {DEFAULTS['horizon']})")
+            p.add_argument("--reps", dest="replications", type=int,
+                           help=f"replications (default {reps})")
         p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULTS['seed']})")
         p.add_argument("--threads", type=int,
                        help=f"worker threads (default ${THREADS_ENV} or all cores)")
         p.add_argument("--out", help="output CSV path (default <command>.csv)")
+        return p
 
-    p = sub.add_parser("simulate", help="run one policy and write per-round statistics")
-    add_common(p, DEFAULTS["replications"])
+    p = command("simulate", cmd_simulate, "run one policy and write per-round statistics",
+                monte_carlo=True)
     p.add_argument("--policy", choices=POLICY_KINDS,
                    help=f"policy to run (default {DEFAULTS['policy']})")
     p.add_argument("--rho", type=float,
                    help="responsiveness for --policy weighted (default "
                         f"{DEFAULTS['rho']})")
 
-    p = sub.add_parser("compare", help="run two policies against identical noise")
-    add_common(p, 1)
+    p = command("compare", cmd_compare, "run two policies against identical noise",
+                monte_carlo=True, reps=1)
     p.add_argument("--a", default="wstar", choices=POLICY_KINDS, help="first policy")
     p.add_argument("--b", default="matc", choices=POLICY_KINDS, help="second policy")
     p.add_argument("--rho-a", dest="rho_a", type=float, default=DEFAULTS["rho"],
@@ -386,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-b", dest="rho_b", type=float, default=DEFAULTS["rho"],
                    help="responsiveness when --b weighted")
 
-    p = sub.add_parser("sweep", help="steady-state variance across a rho grid")
-    add_common(p, DEFAULTS["replications"])
+    p = command("sweep", cmd_sweep, "steady-state variance across a rho grid",
+                monte_carlo=True)
     p.add_argument("--grid-start", dest="grid_start", type=float,
                    help=f"first rho (default {DEFAULTS['grid_start']})")
     p.add_argument("--grid-stop", dest="grid_stop", type=float,
@@ -395,15 +393,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-step", dest="grid_step", type=float,
                    help=f"grid step (default {DEFAULTS['grid_step']})")
 
-    p = sub.add_parser("kalman-check",
-                       help="dense filter vs closed form, plus the alpha schedule")
-    add_common(p, "unused")
+    p = command("kalman-check", cmd_kalman_check,
+                "dense filter vs closed form, plus the alpha schedule")
     p.add_argument("--t-max", dest="t_max", type=int, default=100,
                    help="last round to check (default 100)")
 
-    p = sub.add_parser("best-response",
-                       help="optimal deviation against a given opponent schedule")
-    add_common(p, "unused")
+    p = command("best-response", cmd_best_response,
+                "optimal deviation against a given opponent schedule")
     p.add_argument("--opponents", choices=("wstar", "constant"), default="wstar",
                    help="opponent schedule (default wstar)")
     p.add_argument("--rho", type=float,
@@ -418,17 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        settings = _resolve(args, args.command)
-        if args.command == "simulate":
-            return cmd_simulate(settings)
-        if args.command == "compare":
-            return cmd_compare(settings, args.a, args.b, args.rho_a, args.rho_b)
-        if args.command == "sweep":
-            return cmd_sweep(settings)
-        if args.command == "kalman-check":
-            return cmd_kalman_check(settings, args.t_max)
-        return cmd_best_response(settings, args.opponents, args.t_max, args.assert_nash)
-    except (ConfigError, ValueError, OSError) as exc:
+        return args.run(_resolve(args), args)
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .kalman import AlphaSchedule, _check_t_max, scalar_filter_step
-from .model import ModelConfig
+from .model import ModelConfig, require_int
 from .policies import Gain
 
 
@@ -68,11 +68,16 @@ def deviant_policy(coeffs: Sequence[float], schedule: AlphaSchedule,
 
     Used by the empirical dominance checks.  The returned Gain has one
     row of per-agent scales per round that both coeffs and the schedule
-    cover; the engine rejects it for a run with more rounds.
+    cover; the engine rejects it for a run with more rounds.  agent is an
+    integer in [0, n).
     """
+    n = schedule.cfg.n
+    require_int("agent", agent)
+    if not 0 <= agent < n:
+        raise ValueError(f"agent must be in [0, {n}), got {agent}")
     coeffs = np.asarray(coeffs, dtype=float)
     rounds = min(len(coeffs), schedule.t_max + 1)
     rhos = schedule.rhos(schedule.t_max)[:rounds]
-    scale = np.repeat(rhos[:, np.newaxis], schedule.cfg.n, axis=1)
+    scale = np.repeat(rhos[:, np.newaxis], n, axis=1)
     scale[:, agent] = coeffs[:rounds]
     return Gain(scale)

@@ -31,7 +31,7 @@ class ModelConfig:
 
     n, horizon and seed are integers.  sigma0 may be zero (all agents start at
     the origin); the measurement and drift noise scales must be positive.
-    All three are finite.
+    All three are finite, and so are their squares, the variances.
     """
 
     n: int
@@ -47,8 +47,8 @@ class ModelConfig:
         require_int("seed", self.seed)
         for name in ("sigma0", "sigma_m", "sigma_d"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name} must be finite and so must its square, got {value}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.sigma0 < 0:

@@ -178,26 +178,22 @@ class _Accumulator:
             setattr(self, name, np.zeros(rounds + 1) if paired else None)
         self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
         self.shift_rule = shift_rule
-        self.stat_agent = plan.stat_agent
+        # the agents whose stretches the per-round statistics average
+        a = plan.stat_agent
+        self.agents = slice(None) if a is None else slice(a, a + 1)
 
     def record(self, t: int, st: np.ndarray, pos: np.ndarray, work: np.ndarray):
         """Add round t; work is (lanes, count) scratch for per-replication values."""
         lanes, count, n = st.shape
-        col = None if self.stat_agent is None else st[:, :, self.stat_agent]
-        if col is None:
-            flat = st.reshape(lanes * count, n)
-            np.einsum("ij,ij->i", flat, flat, out=work.reshape(-1))
-            work /= n
-        else:
-            np.multiply(col, col, out=work)
+        stat = st[:, :, self.agents]
+        k = stat.shape[-1]
+        flat = stat.reshape(lanes * count, k)
+        np.einsum("ij,ij->i", flat, flat, out=work.reshape(-1))
+        work /= k
         self.sum_sq[:, t] = work.sum(axis=1)
         self.sum_sq2[:, t] = np.multiply(work, work, out=work).sum(axis=1)
-        ab = work
-        if col is None:
-            row_sum(np.abs(st), out=ab)
-            ab /= n
-        else:
-            np.abs(col, out=ab)
+        ab = row_sum(np.abs(stat), out=work)
+        ab /= k
         self.sum_abs[:, t] = ab.sum(axis=1)
         if self.max_diff is not None:
             self.max_diff[t] = np.abs(st[0] - st[1]).max()
@@ -270,14 +266,16 @@ def _shape_moments(pows: np.ndarray, count: int):
     return float(m3 / m2 ** 1.5), float(m4 / (m2 * m2) - 3.0)
 
 
-def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule,
+def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule, traces,
                index: int, count: int):
     """Simulate one block of replications for every policy lane.
 
     The state is (lanes, count, n); each noise draw is (count, n) and is
     broadcast to every lane.  Only the positions and the stretches are
     held for all lanes: the measurements overwrite the stretches, and each
-    lane's moves are added as soon as its policy returns them.
+    lane's moves are added as soon as its policy returns them.  traces,
+    when recorded, are the run's (stretch, com) arrays; the block writes
+    its own replications' slice of them.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
@@ -288,9 +286,7 @@ def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule,
     gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
 
     acc = _Accumulator(plan, lanes, paired, shift_rule)
-    if plan.record_traces:
-        stretch_trace = np.empty((lanes, rounds + 1, count, cfg.n))
-        com_trace = np.empty((lanes, rounds + 1, count))
+    reps = slice(index * plan.block_size, index * plan.block_size + count)
     pos = np.empty((lanes,) + shape)
     pos[...] = gen_init.normal(0.0, cfg.sigma0, shape)
     st = np.empty_like(pos)
@@ -298,9 +294,9 @@ def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule,
     for t in range(rounds + 1):
         stretch_values(pos, out=st)
         acc.record(t, st, pos, work)
-        if plan.record_traces:
-            stretch_trace[:, t] = st
-            com_trace[:, t] = row_sum(pos) / cfg.n
+        if traces is not None:
+            traces[0][:, t, reps] = st
+            traces[1][:, t, reps] = row_sum(pos) / cfg.n
         if t == rounds:
             break
         y = st
@@ -312,7 +308,7 @@ def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule,
         for lane, move in enumerate(moves):
             pos[lane] += move
         pos += gen_drift.normal(0.0, cfg.sigma_d, shape)
-    return acc, (stretch_trace, com_trace) if plan.record_traces else None
+    return acc
 
 
 def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
@@ -322,15 +318,18 @@ def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
     also holds the paired diagnostics when asked for.
     """
     cfg = plan.cfg
+    lanes = len(policies)
+    shape = (lanes, cfg.horizon + 1, plan.replications)
     if plan.record_traces:
-        cells = (cfg.horizon + 1) * plan.replications * cfg.n * len(policies)
+        cells = lanes * (cfg.horizon + 1) * plan.replications * cfg.n
         if cells > TRACE_LIMIT:
             raise ValueError(f"trace recording would allocate {cells} cells "
                              f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
+    traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
 
     def worker(block):
-        return _run_block(plan, fns, paired, shift_rule, *block)
+        return _run_block(plan, fns, paired, shift_rule, traces, *block)
 
     blocks = _blocks(plan.replications, plan.block_size)
     if plan.threads == 1 or len(blocks) == 1:
@@ -338,16 +337,15 @@ def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
     else:
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             parts = list(pool.map(worker, blocks))
-    acc = parts[0][0]
-    for other, _ in parts[1:]:
+    acc = parts[0]
+    for other in parts[1:]:
         acc.merge(other)
     results = []
-    for lane in range(len(policies)):
+    for lane in range(lanes):
         result = RunResult(rounds=_finalize(acc, lane, plan.replications, cfg.n),
                            max_abs_stretch_sum=acc.max_zero_sum[lane])
-        if plan.record_traces:
-            result.stretch_traces, result.com_traces = (
-                np.concatenate([part[1][i][lane] for part in parts], axis=1) for i in (0, 1))
+        if traces is not None:
+            result.stretch_traces, result.com_traces = (trace[lane] for trace in traces)
         results.append(result)
     return results, acc
 

@@ -115,8 +115,9 @@ def inverse(x: StructuredMatrix) -> StructuredMatrix:
     if a == -(n - 1) * b:
         raise SingularStructuredMatrixError(
             f"M(a={a}, b={b}) is singular: a == -(n-1)*b with n={n}")
-    det_factor = (a - b) * (a + (n - 1) * b)
-    return StructuredMatrix(n, (a + (n - 2) * b) / det_factor, -b / det_factor)
+    # one eigenvalue after the other: their product may leave the double range
+    lam, mu = a - b, a + (n - 1) * b
+    return StructuredMatrix(n, (a + (n - 2) * b) / lam / mu, -b / lam / mu)
 
 
 def apply(x: StructuredMatrix, v: np.ndarray) -> np.ndarray:

@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,8 +369,16 @@ class TestFailClosed:
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv.config.json"]
 
-    def test_unwritable_csv_leaves_no_sidecar(self, tmp_path, capsys):
-        (tmp_path / "out.csv").mkdir()
+    def test_unwritable_csv_leaves_no_sidecar(self, tmp_path, capsys, monkeypatch):
+        # the CSV path becomes a directory after the settings were checked,
+        # so the sidecar is moved into place and then removed again
+        engine = cli.run
+
+        def run_then_block_the_csv(plan):
+            (tmp_path / "out.csv").mkdir()
+            return engine(plan)
+
+        monkeypatch.setattr(cli, "run", run_then_block_the_csv)
         code = main(["simulate", "--reps", "10", "--rounds", "3", "--threads", "1",
                      "--out", "out.csv"])
         assert code == 2
@@ -386,6 +397,100 @@ class TestFailClosed:
         assert "error:" in capsys.readouterr().err
         assert foreign.read_text() == "not ours\n"
         assert [p.name for p in tmp_path.iterdir()] == [foreign.name]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--out", "res"],
+        ["simulate", "--out", ""],
+        ["simulate", "--out", "res" + os.sep],
+    ])
+    def test_output_path_must_name_a_file(self, tmp_path, capsys, monkeypatch, argv):
+        # res is a directory; the sidecar paths these would have written
+        # already hold files this run did not write
+        (tmp_path / "res").mkdir()
+        foreign = {"res.config.json": "not ours\n", ".config.json": "nor this\n"}
+        for name, text in foreign.items():
+            (tmp_path / name).write_text(text)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine started")
+
+        monkeypatch.setattr(cli, "run", no_engine)
+        monkeypatch.setattr(cli, "sweep_rho", no_engine)
+        code = main(argv + ["--reps", "10", "--rounds", "3", "--threads", "1"])
+        assert code == 2
+        assert "does not name a file" in capsys.readouterr().err
+        for name, text in foreign.items():
+            assert (tmp_path / name).read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*foreign, "res"])
+        assert list((tmp_path / "res").iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--reps", "10", "--sigma-m", "1e200"],
+        ["kalman-check", "--sigma0", "1e200"],
+        ["best-response", "--sigma-d=-1e200"],
+    ])
+    def test_noise_scale_with_overflowing_square_writes_nothing(self, tmp_path, capsys, argv):
+        code = main(argv + ["--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert "must be finite and so must its square" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # stands in for a dense filter too large to allocate; nothing is allocated
+        def no_memory(cfg, t_max):
+            raise MemoryError("cannot allocate the dense filter")
+
+        monkeypatch.setattr(cli, "dense_filter_path", no_memory)
+        code = main(["kalman-check", "--t-max", "3", "--threads", "1", "--out", "k.csv"])
+        assert code == 2
+        assert "error: cannot allocate the dense filter" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestClosedFormFlags:
+    @pytest.mark.parametrize("command", ["kalman-check", "best-response"])
+    def test_run_size_comes_only_from_defaults_or_a_config_file(self, tmp_path, command):
+        for flag in ("--rounds", "--reps"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "5", "--threads", "1", "--out", "c.csv"])
+            assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+        # the sidecar still records both settings, which these commands do not read
+        (tmp_path / "cfg.json").write_text(json.dumps({"replications": 7, "horizon": 9}))
+        assert main([command, "--config", "cfg.json", "--t-max", "3", "--threads", "1",
+                     "--out", "c.csv"]) == 0
+        sidecar = json.loads((tmp_path / "c.csv.config.json").read_text())
+        assert (sidecar["replications"], sidecar["horizon"]) == (7, 9)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def subcommand_parsers():
+    parser = cli.build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    return sub.choices
+
+
+def test_readme_command_line_section_matches_the_parser():
+    text = README.read_text()
+    # every example command parses once its continuation lines are joined
+    commands = [shlex.split(line)[1:] for line in text.replace("\\\n", " ").splitlines()
+                if line.startswith("stochalign ")]
+    assert {argv[0] for argv in commands} == set(subcommand_parsers())
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    # the flag table lists exactly each subcommand's flags
+    rows = dict(re.findall(r"^\| (`[a-z-]+`|every subcommand) \| (`--.*) \|$",
+                           text, flags=re.MULTILINE))
+    common = set(re.findall(r"`(--[a-z0-9-]+)`", rows.pop("every subcommand")))
+    listed = {name.strip("`"): common | set(re.findall(r"`(--[a-z0-9-]+)`", cell))
+              for name, cell in rows.items()}
+    actual = {name: {flag for action in p._actions for flag in action.option_strings
+                     if flag not in ("-h", "--help")}
+              for name, p in subcommand_parsers().items()}
+    assert listed == actual
 
 
 class TestUsageErrors:

@@ -123,6 +123,19 @@ class TestDeviantPolicy:
         np.testing.assert_array_equal(y, before)
 
 
+    @pytest.mark.parametrize("agent, message", [
+        (-1, r"agent must be in \[0, 3\), got -1"),
+        (3, r"agent must be in \[0, 3\), got 3"),
+        (True, "agent must be an integer"),
+        (1.5, "agent must be an integer"),
+    ])
+    def test_rejects_agent_outside_the_agents(self, agent, message):
+        # True would make every agent deviate and -1 would pick the last one
+        sched = AlphaSchedule(ModelConfig(n=3), 2)
+        with pytest.raises(ValueError, match=message):
+            deviant_policy([0.5, 0.5, 0.5], sched, agent=agent)
+
+
 class TestEmpiricalDominance:
     def test_best_response_beats_fixed_deviations(self):
         # the deviator's mean |stretch| under the best-response schedule is

@@ -78,6 +78,13 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ModelConfig(n=3, **{name: value})
 
+    @pytest.mark.parametrize("name", ["sigma0", "sigma_m", "sigma_d"])
+    @pytest.mark.parametrize("value", [1e200, 1.35e154])
+    def test_rejects_sigmas_whose_square_overflows(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and so must its square"):
+            ModelConfig(n=3, **{name: value})
+        ModelConfig(n=3, **{name: 1.34e154})
+
     def test_degenerate_initial_spread_allowed(self):
         cfg = ModelConfig(n=4, sigma0=0.0)
         st, com = engine_traces(cfg, 0.5, 10, rounds=0)

@@ -4,20 +4,24 @@ Examples are derandomized and capped, so every run checks the same cases
 and the file stays within a few seconds.
 """
 
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from stochalign.analysis import alpha_infty
+from stochalign.cli import main
 from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
 from stochalign.policies import Gain, PolicySpec
 from stochalign.sim import RunPlan, run, run_lanes
-from stochalign.structmat import SEQUENTIAL_SUM_MAX, row_sum
+from stochalign.structmat import (SEQUENTIAL_SUM_MAX, SingularStructuredMatrixError,
+                                  StructuredMatrix, apply, inverse, mul, row_sum)
 
 
 def derandomized(max_examples):
@@ -123,3 +127,142 @@ def test_alphas_move_monotonically_toward_alpha_infty(n, sigma0, sigma_m, sigma_
     dist = side * (alphas - limit)
     assert np.all(dist >= -tol)
     assert np.all(np.diff(dist) <= tol)
+
+
+EPS = np.finfo(float).eps
+entries = st.floats(-100.0, 100.0)
+
+
+@st.composite
+def structured(draw, n=None):
+    n = draw(st.integers(2, 12)) if n is None else n
+    return StructuredMatrix(n, draw(entries), draw(entries))
+
+
+def dense(m):
+    """Independent dense form: off everywhere, diag on the diagonal."""
+    out = np.full((m.n, m.n), m.off)
+    out[np.diag_indices(m.n)] = m.diag
+    return out
+
+
+def dot_bound(x, y):
+    """Rounding bound of both sides of a product x @ y of dense arrays."""
+    return 4 * x.shape[-1] * EPS * (np.abs(x) @ np.abs(y)) + 1e-300
+
+
+@derandomized(200)
+@given(st.data())
+def test_mul_agrees_with_the_dense_product(data):
+    x = data.draw(structured())
+    y = data.draw(structured(x.n))
+    expected = dense(x) @ dense(y)
+    got = mul(x, y)
+    assert got.n == x.n
+    assert np.all(np.abs(dense(got) - expected) <= dot_bound(dense(x), dense(y)))
+
+
+@derandomized(200)
+@given(structured(), st.data())
+def test_apply_agrees_with_the_dense_product(m, data):
+    v = data.draw(arrays(np.float64, array_shapes(max_dims=2, max_side=5).map(
+        lambda shape: shape + (m.n,)), elements=entries))
+    got = apply(m, v)
+    assert got.shape == v.shape
+    expected = v @ dense(m).T
+    # apply computes b * sum(v) + (a - b) * v_i, whose terms may cancel
+    terms = (abs(m.off) * np.abs(v).sum(axis=-1, keepdims=True)
+             + (abs(m.diag) + abs(m.off)) * np.abs(v))
+    assert np.all(np.abs(got - expected) <= 4 * (m.n + 2) * EPS * terms + 1e-300)
+
+
+@derandomized(200)
+@given(structured(), st.integers(-300, 300))
+def test_inverse_agrees_with_the_dense_inverse(m, exponent):
+    m = m * 10.0 ** exponent  # at any scale doubles reach
+    # eigenvalues: a - b, n-1 times, and a + (n-1) b once
+    eig = [abs(m.diag - m.off), abs(m.diag + (m.n - 1) * m.off)]
+    if min(eig) == 0.0:
+        try:
+            inverse(m)
+        except SingularStructuredMatrixError:
+            return
+        raise AssertionError(f"{m} is singular but was inverted")
+    # doubles hold the inverse, and it is not too ill-conditioned to compare
+    assume(1.0 / min(eig) < np.finfo(float).max)
+    cond = max(eig) / min(eig)
+    assume(cond < 1e8)
+    inv = dense(inverse(m))
+    expected = np.linalg.inv(dense(m))
+    assert np.all(np.abs(inv - expected) <= 100 * m.n * EPS * cond * np.abs(expected).max())
+
+
+MONTE_CARLO = ("simulate", "compare", "sweep")
+CLOSED_FORM = ("kalman-check", "best-response")
+
+
+def flag(name, values):
+    return values.map(lambda value: [f"{name}={value}"])
+
+
+@st.composite
+def bad_cli_calls(draw):
+    """A subcommand at a tiny valid size, then one setting it must reject.
+
+    The bad setting comes last, so it overrides its valid counterpart.
+    Sizes stay tiny and --threads is always 1 or 2, so a call that is
+    wrongly accepted does a few microseconds of work and starts no more
+    than two threads.
+    """
+    command = draw(st.sampled_from(MONTE_CARLO + CLOSED_FORM))
+    argv = [command, f"--n={draw(st.integers(2, 4))}", f"--seed={draw(st.integers(0, 9))}",
+            f"--threads={draw(st.integers(1, 2))}"]
+    if command in MONTE_CARLO:
+        argv += [f"--rounds={draw(st.integers(0, 3))}", f"--reps={draw(st.integers(1, 3))}"]
+    else:
+        argv += [f"--t-max={draw(st.integers(0, 3))}"]
+    # a finite scale whose square, the variance, overflows
+    huge = st.floats(1.35e154, 1e308) | st.floats(-1e308, -1.35e154)
+    bad = [
+        flag("--n", st.integers(-3, 1)),
+        flag(draw(st.sampled_from(["--sigma0", "--sigma-m", "--sigma-d"])),
+             st.sampled_from([np.nan, np.inf, -np.inf]) | huge),
+        flag(draw(st.sampled_from(["--sigma-m", "--sigma-d"])), st.floats(-10.0, 0.0)),
+        flag("--sigma0", st.floats(-10.0, -1e-300)),
+        flag("--out", st.sampled_from(["", "sub", "sub" + os.sep,
+                                       os.path.join("missing", "x.csv")])),
+    ]
+    if command in MONTE_CARLO:
+        bad += [flag("--reps", st.integers(-2, 0)), flag("--rounds", st.integers(-2, -1))]
+    else:
+        # flags the closed forms do not take, then a negative last round
+        bad += [flag(draw(st.sampled_from(["--reps", "--rounds"])), st.integers(1, 3)),
+                flag("--t-max", st.integers(-2, -1))]
+    off_unit = st.floats(-10.0, -1e-9) | st.floats(1.0 + 1e-9, 10.0)
+    if command == "simulate":
+        bad.append(flag("--rho", off_unit).map(lambda rho: ["--policy=weighted", *rho]))
+    if command == "best-response":
+        bad.append(flag("--rho", off_unit).map(lambda rho: ["--opponents=constant", *rho]))
+    if command == "sweep":
+        bad += [flag("--grid-step", st.floats(-1.0, 1e-13)),
+                flag("--grid-start", st.floats(-1.0, -1e-6))]
+    return argv + draw(st.one_of(bad))
+
+
+@derandomized(150)
+@given(bad_cli_calls())
+def test_bad_cli_input_exits_2_and_writes_nothing(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "sub"))
+        os.chdir(tmp)
+        try:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag or its value
+                code = exc.code
+        finally:
+            os.chdir(cwd)
+        assert code == 2
+        assert os.listdir(tmp) == ["sub"]
+        assert os.listdir(os.path.join(tmp, "sub")) == []

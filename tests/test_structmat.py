@@ -118,6 +118,13 @@ def test_inverse_of_identity():
     assert (inv.diag, inv.off) == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e170])
+def test_inverse_when_the_eigenvalue_product_leaves_the_double_range(scale):
+    # (a - b)(a + (n-1)b) under- or overflows, the inverse itself does not
+    inv = inverse(StructuredMatrix(3, 2.0 * scale, scale))
+    np.testing.assert_allclose((inv.diag, inv.off), (0.75 / scale, -0.25 / scale), rtol=1e-15)
+
+
 def test_inverse_singular_equal_values():
     with pytest.raises(SingularStructuredMatrixError):
         inverse(StructuredMatrix(4, 1.0, 1.0))
