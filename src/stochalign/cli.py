@@ -346,8 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help, monte_carlo=False, reps=DEFAULTS["replications"]):
-        """A subcommand with the flags every one reads; only a Monte Carlo
-        subcommand takes --rounds and --reps."""
+        """Add a subcommand with the flags every one reads.
+
+        Only a Monte Carlo subcommand takes --rounds and --reps.
+        """
         p = sub.add_parser(name, help=help)
         p.set_defaults(run=run, default_reps=reps)
         p.add_argument("--config", help="flat JSON config file; flags override it")

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -100,9 +101,17 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.max_abs_stretch_sum, b.max_abs_stretch_sum)
 
     def test_thread_count_does_not_change_results(self):
-        base = run(small_plan(replications=2_500, block_size=500, threads=1))
-        threaded = run(small_plan(replications=2_500, block_size=500, threads=4))
-        assert base.rounds == threaded.rounds
+        # more threads than cores, switching often, all writing slices of
+        # the run's one trace array
+        plan = small_plan(replications=2_500, block_size=500, record_traces=True)
+        base = run(plan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(replace(plan, threads=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_result(base, threaded)
 
     def test_seed_changes_results(self):
         a = run(small_plan())
