@@ -31,7 +31,8 @@ class ModelConfig:
 
     n, horizon and seed are integers.  sigma0 may be zero (all agents start at
     the origin); the measurement and drift noise scales must be positive.
-    All three are finite, and so are their squares, the variances.
+    All three are finite, and so are their squares, the variances, even
+    when multiplied by (n/(n-1))^2 as the closed forms do.
     """
 
     n: int
@@ -45,12 +46,16 @@ class ModelConfig:
         require_int("n", self.n)
         require_int("horizon", self.horizon)
         require_int("seed", self.seed)
-        for name in ("sigma0", "sigma_m", "sigma_d"):
-            value = getattr(self, name)
-            if not math.isfinite(value * value):
-                raise ValueError(f"{name} must be finite and so must its square, got {value}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
+        # the closed forms square the scales times c = n/(n-1)
+        c = self.n / (self.n - 1)
+        for name in ("sigma0", "sigma_m", "sigma_d"):
+            value = getattr(self, name)
+            scaled = c * value
+            if not math.isfinite(scaled * scaled):
+                raise ValueError(f"{name} must be finite and so must its square times "
+                                 f"(n/(n-1))^2, got {value}")
         if self.sigma0 < 0:
             raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
         if self.sigma_m <= 0:

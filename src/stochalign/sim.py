@@ -8,15 +8,26 @@ the initial, measurement and drift normals are drawn once per block as
 identical noise (common random numbers) for the price of one draw.
 `run_lanes` returns one RunResult per lane; `run` is its single lane,
 `run_paired` two lanes plus the diagnostics of their difference, and
-`sweep_rho` one `run_lanes` call per chunk of its grid.
+`sweep_rho` runs its grid as lanes in chunks.
 
-A sweep chunk holds max(1, block_size // max(replications, rounds + 1))
-grid points, so it never simulates more replications at once than one
-block of a single run does, and never holds more lane-rounds of
-statistics than a block holds replications.  The bound is there for peak
-memory: the state grows with lanes times replications, every lane's
-accumulators and RunResult with lanes times rounds, and the whole grid in
-one pass would multiply a run's footprint by the grid size.
+A sweep splits its grid into chunks of at most
+max(1, block_size // max(replications, rounds + 1)) grid points, as few
+chunks as that allows and of sizes that differ by at most one.  A chunk
+never simulates more replications at once than one block of a single
+run does, and never holds more lane-rounds of statistics than a block
+holds replications.  The bound is there for peak memory: the state grows
+with lanes times replications, every lane's accumulators with lanes
+times rounds, and the whole grid in one pass would multiply a run's
+footprint by the grid size.  The chunks run one after another, and the
+threads share each chunk's blocks.  A sweep point is read straight from
+its chunk's merged sums of squared stretches, the only statistic a sweep
+accumulates.
+
+When every lane is a Gain without an operator and the run is not
+paired, the lanes' scales are stacked into one array before any block
+starts, and each round's moves are one broadcast multiply of the
+measurements: the same products as the gains' own calls, without a
+Python call per lane.
 
 Per-block partial statistics are merged in block order, and every lane is
 reduced over its own contiguous slice, so results are bit-identical for
@@ -29,7 +40,7 @@ replication-level spread of those averages.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -161,19 +172,23 @@ class _Accumulator:
     Per-lane sums are (lanes, rounds+1) arrays.  A paired accumulator
     also keeps run_paired's diagnostics of lane 1 against lane 0.  Each
     lane is reduced over its own contiguous slice, so its sums carry the
-    same bits whatever the number of lanes.
+    same bits whatever the number of lanes.  A variance-only accumulator
+    (sweep_rho's) keeps sum_sq alone and records nothing else.
     """
 
     SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "pow_sums", "com_sum", "shift_sum")
     MAXES = ("max_zero_sum", "max_diff", "shift_spread", "rule_dev")
 
-    def __init__(self, plan: RunPlan, lanes: int, paired: bool, shift_rule=None):
+    def __init__(self, plan: RunPlan, lanes: int, paired: bool, shift_rule=None,
+                 variance_only: bool = False):
         rounds = plan.cfg.horizon
         shape = (lanes, rounds + 1)
-        for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
-            setattr(self, name, np.zeros(shape))
-        self.pow_sums = np.zeros(shape + (4,)) if plan.record_moments else None
-        self.com_sum = np.zeros(shape) if plan.record_com else None
+        self.sum_sq = np.zeros(shape)
+        full = not variance_only
+        for name in ("sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
+            setattr(self, name, np.zeros(shape) if full else None)
+        self.pow_sums = np.zeros(shape + (4,)) if full and plan.record_moments else None
+        self.com_sum = np.zeros(shape) if full and plan.record_com else None
         for name in ("max_diff", "shift_sum", "shift_spread"):
             setattr(self, name, np.zeros(rounds + 1) if paired else None)
         self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
@@ -191,6 +206,8 @@ class _Accumulator:
         np.einsum("ij,ij->i", flat, flat, out=work.reshape(-1))
         work /= k
         self.sum_sq[:, t] = work.sum(axis=1)
+        if self.sum_sq2 is None:
+            return
         self.sum_sq2[:, t] = np.multiply(work, work, out=work).sum(axis=1)
         ab = row_sum(np.abs(stat), out=work)
         ab /= k
@@ -266,16 +283,31 @@ def _shape_moments(pows: np.ndarray, count: int):
     return float(m3 / m2 ** 1.5), float(m4 / (m2 * m2) - 3.0)
 
 
-def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule, traces,
-               index: int, count: int):
+def _stack(plan: RunPlan, gains: List[Gain]) -> np.ndarray:
+    """Every lane's per-round scales as one (rounds, lanes, 1, width) array.
+
+    width is n when any lane is per-agent and 1 otherwise, so that
+    stack[t] broadcasts against the (lanes, count, n) measurements.
+    """
+    rounds = plan.cfg.horizon
+    width = plan.cfg.n if any(g.scale.ndim == 2 for g in gains) else 1
+    stack = np.empty((rounds, len(gains), 1, width))
+    for lane, g in enumerate(gains):
+        stack[:, lane, 0] = g.scale[:rounds] if g.scale.ndim == 2 else g.scale[:rounds, np.newaxis]
+    return stack
+
+
+def _run_block(plan: RunPlan, policies: List[Gain], stack: Optional[np.ndarray],
+               paired: bool, shift_rule, traces, variance_only: bool, index: int, count: int):
     """Simulate one block of replications for every policy lane.
 
     The state is (lanes, count, n); each noise draw is (count, n) and is
     broadcast to every lane.  Only the positions and the stretches are
-    held for all lanes: the measurements overwrite the stretches, and each
-    lane's moves are added as soon as its policy returns them.  traces,
-    when recorded, are the run's (stretch, com) arrays; the block writes
-    its own replications' slice of them.
+    held for all lanes: the measurements overwrite the stretches, and
+    then either the stacked scales (see _stack) turn them into every
+    lane's moves in place, or each lane's moves are added as soon as its
+    policy returns them.  traces, when recorded, are the run's (stretch,
+    com) arrays; the block writes its own replications' slice of them.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
@@ -285,7 +317,7 @@ def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule, tr
     gen_meas = streams.substream(cfg.seed, index, streams.MEASURE)
     gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
 
-    acc = _Accumulator(plan, lanes, paired, shift_rule)
+    acc = _Accumulator(plan, lanes, paired, shift_rule, variance_only)
     reps = slice(index * plan.block_size, index * plan.block_size + count)
     pos = np.empty((lanes,) + shape)
     pos[...] = gen_init.normal(0.0, cfg.sigma0, shape)
@@ -301,18 +333,46 @@ def _run_block(plan: RunPlan, policies: List[Gain], paired: bool, shift_rule, tr
             break
         y = st
         y += gen_meas.normal(0.0, cfg.sigma_m, shape)
-        moves = (policy(y[lane], t) for lane, policy in enumerate(policies))
-        if paired:
-            moves = list(moves)
-            acc.record_moves(t, y, moves)
-        for lane, move in enumerate(moves):
-            pos[lane] += move
+        if stack is not None:
+            y *= stack[t]
+            pos += y
+        else:
+            moves = (policy(y[lane], t) for lane, policy in enumerate(policies))
+            if paired:
+                moves = list(moves)
+                acc.record_moves(t, y, moves)
+            for lane, move in enumerate(moves):
+                pos[lane] += move
         pos += gen_drift.normal(0.0, cfg.sigma_d, shape)
     return acc
 
 
+def _accumulate(plan: RunPlan, fns, paired: bool = False, shift_rule=None,
+                traces=None, variance_only: bool = False) -> _Accumulator:
+    """Run every block of the plan for the compiled lanes; merge in block order."""
+    stack = None
+    # op lanes, paired runs (which record each lane's moves) and any
+    # callable that is not a Gain keep one call per lane
+    if not paired and all(isinstance(fn, Gain) and fn.op is None for fn in fns):
+        stack = _stack(plan, fns)
+
+    def worker(block):
+        return _run_block(plan, fns, stack, paired, shift_rule, traces, variance_only, *block)
+
+    blocks = _blocks(plan.replications, plan.block_size)
+    if plan.threads == 1 or len(blocks) == 1:
+        parts = [worker(block) for block in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
+            parts = list(pool.map(worker, blocks))
+    acc = parts[0]
+    for other in parts[1:]:
+        acc.merge(other)
+    return acc
+
+
 def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
-    """Run every block of the plan for all lanes and merge in block order.
+    """Simulate every lane of the plan.
 
     Returns one RunResult per lane and the merged accumulator, which
     also holds the paired diagnostics when asked for.
@@ -327,19 +387,7 @@ def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
                              f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
     traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
-
-    def worker(block):
-        return _run_block(plan, fns, paired, shift_rule, traces, *block)
-
-    blocks = _blocks(plan.replications, plan.block_size)
-    if plan.threads == 1 or len(blocks) == 1:
-        parts = [worker(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            parts = list(pool.map(worker, blocks))
-    acc = parts[0]
-    for other in parts[1:]:
-        acc.merge(other)
+    acc = _accumulate(plan, fns, paired, shift_rule, traces)
     results = []
     for lane in range(lanes):
         result = RunResult(rounds=_finalize(acc, lane, plan.replications, cfg.n),
@@ -384,10 +432,15 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
                            shift_spread=acc.shift_spread, shift_rule_dev=acc.rule_dev)
 
 
+def _tail_mean(values) -> float:
+    """Average of the final 10% of a per-round sequence, at least its last entry."""
+    tail = max(1, len(values) // 10)
+    return float(np.mean(values[-tail:]))
+
+
 def steady_state_variance(rounds: Sequence[RoundStats]) -> float:
     """Average per-round variance over the final 10% of rounds."""
-    tail = max(1, len(rounds) // 10)
-    return float(np.mean([r.var_stretch for r in rounds[-tail:]]))
+    return _tail_mean([r.var_stretch for r in rounds])
 
 
 def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
@@ -407,13 +460,17 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
                    block_size=block_size)
     # a chunk holds no more replications, and no more lane-rounds, than
     # one block holds replications
-    chunk = max(1, block_size // max(replications, cfg.horizon + 1))
+    bound = max(1, block_size // max(replications, cfg.horizon + 1))
+    # as few chunks as the bound allows, of sizes that differ by at most one
+    chunks = -(-len(specs) // bound)
+    edges = [i * len(specs) // chunks for i in range(chunks + 1)]
+
     points = []
-    for first in range(0, len(specs), chunk):
-        lanes = specs[first:first + chunk]
-        # no name holds the chunk's results, so they are freed before the next chunk
-        points += [SweepPoint(rho=spec.rho, var_empirical=steady_state_variance(result.rounds),
+    for chunk in range(chunks):
+        lanes = specs[edges[chunk]:edges[chunk + 1]]
+        # the variance a RoundStats would hold, without building one per lane-round
+        var = _accumulate(plan, _compile(plan, lanes), variance_only=True).sum_sq / replications
+        points += [SweepPoint(rho=spec.rho, var_empirical=_tail_mean(var[lane]),
                               var_closed_form=var_limit(spec.rho, cfg))
-                   for spec, result in zip(lanes, run_lanes(replace(plan, policy=lanes[0]),
-                                                            lanes[1:]))]
+                   for lane, spec in enumerate(lanes)]
     return points

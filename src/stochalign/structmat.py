@@ -104,17 +104,20 @@ def mul(x: StructuredMatrix, y: StructuredMatrix) -> StructuredMatrix:
 def inverse(x: StructuredMatrix) -> StructuredMatrix:
     """Exact inverse within the family.
 
-    M(a, b) is singular iff a == b (rank-1 directions collapse) or
-    a == -(n-1) b (the all-ones vector is in the kernel).  Both conditions
-    are checked exactly, not against an epsilon.
+    M(a, b) is singular iff a == -(n-1) b (the all-ones vector is in the
+    kernel) or, for n >= 2, a == b (rank-1 directions collapse).  Both
+    conditions are checked exactly, not against an epsilon.  The 1x1
+    matrix [a] has no off-diagonal entry; its inverse is M(1/a, 0).
     """
     n, a, b = x.n, x.diag, x.off
-    if a == b:
+    if n > 1 and a == b:
         raise SingularStructuredMatrixError(
             f"M(a={a}, b={b}) is singular: a == b")
     if a == -(n - 1) * b:
         raise SingularStructuredMatrixError(
             f"M(a={a}, b={b}) is singular: a == -(n-1)*b with n={n}")
+    if n == 1:
+        return StructuredMatrix(1, 1.0 / a, 0.0)
     # one eigenvalue after the other: their product may leave the double range
     lam, mu = a - b, a + (n - 1) * b
     return StructuredMatrix(n, (a + (n - 2) * b) / lam / mu, -b / lam / mu)

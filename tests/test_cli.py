@@ -428,6 +428,9 @@ class TestFailClosed:
         ["simulate", "--reps", "10", "--sigma-m", "1e200"],
         ["kalman-check", "--sigma0", "1e200"],
         ["best-response", "--sigma-d=-1e200"],
+        # finite squares, but the closed forms square c * sigma, c = n/(n-1)
+        ["sweep", "--sigma-d", "1e154", "--reps", "3", "--rounds", "3"],
+        ["kalman-check", "--sigma0", "1e154", "--t-max", "3"],
     ])
     def test_noise_scale_with_overflowing_square_writes_nothing(self, tmp_path, capsys, argv):
         code = main(argv + ["--threads", "1", "--out", "s.csv"])

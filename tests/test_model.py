@@ -7,6 +7,7 @@ and drift d.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -83,7 +84,17 @@ class TestModelConfig:
     def test_rejects_sigmas_whose_square_overflows(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite and so must its square"):
             ModelConfig(n=3, **{name: value})
-        ModelConfig(n=3, **{name: 1.34e154})
+        # the largest accepted scale at n = 3: (1.5 sigma)^2 is finite
+        ModelConfig(n=3, **{name: 8.9e153})
+
+    @pytest.mark.parametrize("name", ["sigma0", "sigma_m", "sigma_d"])
+    @pytest.mark.parametrize("n", [2, 3, 10, 10**6])
+    def test_rejects_sigmas_whose_square_times_c_squared_overflows(self, name, n):
+        # the closed forms square c sigma, c = n/(n-1)
+        limit = math.sqrt(sys.float_info.max) * (n - 1) / n
+        ModelConfig(n=n, **{name: limit * (1 - 1e-9)})
+        with pytest.raises(ValueError, match=f"{name} must be finite and so must its square"):
+            ModelConfig(n=n, **{name: limit * (1 + 1e-9)})
 
     def test_degenerate_initial_spread_allowed(self):
         cfg = ModelConfig(n=4, sigma0=0.0)

@@ -9,7 +9,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -177,11 +177,17 @@ def test_apply_agrees_with_the_dense_product(m, data):
 
 
 @derandomized(200)
-@given(structured(), st.integers(-300, 300))
+@given(st.integers(1, 12).flatmap(structured), st.integers(-300, 300))
+# [a] is invertible whenever a != 0, also when a == b
+@example(StructuredMatrix(1, 2.0, 2.0), 0)
+@example(StructuredMatrix(1, -3.0, -3.0), -300)
+@example(StructuredMatrix(1, 0.0, 2.0), 0)
 def test_inverse_agrees_with_the_dense_inverse(m, exponent):
     m = m * 10.0 ** exponent  # at any scale doubles reach
-    # eigenvalues: a - b, n-1 times, and a + (n-1) b once
-    eig = [abs(m.diag - m.off), abs(m.diag + (m.n - 1) * m.off)]
+    # eigenvalues: a + (n-1) b once and, for n >= 2, a - b n-1 times
+    eig = [abs(m.diag + (m.n - 1) * m.off)]
+    if m.n > 1:
+        eig.append(abs(m.diag - m.off))
     if min(eig) == 0.0:
         try:
             inverse(m)

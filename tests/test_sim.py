@@ -325,6 +325,34 @@ class TestLanes:
         for policy, lane in zip([plan.policy] + gains, lanes):
             assert_same_result(lane, run(replace(plan, policy=policy)))
 
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_stacked_gains_equal_per_lane_calls_bit_for_bit(self, monkeypatch, n):
+        # three blocks on two threads, every record on
+        cfg = ModelConfig(n=n, horizon=12, seed=3)
+        sched = AlphaSchedule(cfg, 12)
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.4), replications=500,
+                       block_size=200, threads=2, record_com=True, record_moments=True,
+                       record_traces=True)
+        specs = [PolicySpec(kind="wstar"), PolicySpec(kind="weighted", rho=1.0)]
+        # one scale per round, and with a per-agent lane one row of n
+        lane_sets = [specs, specs + [deviant_policy(np.linspace(0.0, 1.2, 13), sched,
+                                                    agent=n - 1)]]
+
+        def no_call(self, y, t):
+            raise AssertionError("a gain was called per lane")
+
+        with monkeypatch.context() as m:
+            m.setattr(Gain, "__call__", no_call)
+            stacked = [run_lanes(plan, others) for others in lane_sets]
+        # a spec compiled to a plain callable, as a tracer wraps it, keeps
+        # every lane of the run on its own call
+        make_policy = sim.make_policy
+        monkeypatch.setattr(sim, "make_policy",
+                            lambda spec, cfg: (lambda y, t, g=make_policy(spec, cfg): g(y, t)))
+        for others, results in zip(lane_sets, stacked):
+            for a, b in zip(results, run_lanes(plan, others), strict=True):
+                assert_same_result(a, b)
+
     def test_lane_policies_compiled_before_any_block(self, monkeypatch):
         def no_blocks(*args):
             raise AssertionError("a block started")
@@ -350,20 +378,38 @@ class TestSweep:
         for p in points:
             assert abs(p.var_empirical / p.var_closed_form - 1.0) < 0.1
 
-    def test_chunks_bound_replications_and_lane_rounds(self, monkeypatch):
+    def test_balanced_chunks_give_the_same_points_on_any_thread_count(self, monkeypatch):
         chunks = []
+        accumulate = sim._accumulate
 
-        def counting(plan, others):
-            chunks.append(1 + len(others))
-            return run_lanes(plan, others)
+        def counting(plan, fns, *args, **kwargs):
+            chunks.append(len(fns))
+            return accumulate(plan, fns, *args, **kwargs)
 
-        monkeypatch.setattr(sim, "run_lanes", counting)
-        grid = [0.1, 0.2, 0.3, 0.4, 0.5]
-        # 100 replications in blocks of 250: two lanes per chunk
-        sweep_rho(ModelConfig(n=2, horizon=9, seed=1), grid, 100, block_size=250)
-        # one replication but 100 rounds per lane: two lanes per chunk too
-        sweep_rho(ModelConfig(n=2, horizon=99, seed=1), grid, 1, block_size=250)
-        assert chunks == [2, 2, 1] * 2
+        monkeypatch.setattr(sim, "_accumulate", counting)
+        grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        # (cfg, replications, lanes per chunk) in blocks of 250: 100
+        # replications, or one replication of 100 rounds, allow two lanes;
+        # 300 replications span two blocks and allow one
+        cases = [(ModelConfig(n=2, horizon=9, seed=1), 100, 2),
+                 (ModelConfig(n=2, horizon=99, seed=1), 1, 2),
+                 (ModelConfig(n=3, horizon=9, seed=1), 300, 1)]
+        interval = sys.getswitchinterval()
+        for cfg, reps, bound in cases:
+            chunks.clear()
+            base = sweep_rho(cfg, grid, reps, block_size=250)
+            sizes = sorted(chunks)
+            assert len(sizes) == -(-len(grid) // bound) >= 3
+            assert sizes[-1] <= bound and sizes[-1] - sizes[0] <= 1
+            chunks.clear()
+            # the two-block case's block threads switch often
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = sweep_rho(cfg, grid, reps, threads=2, block_size=250)
+            finally:
+                sys.setswitchinterval(interval)
+            assert sorted(chunks) == sizes
+            assert threaded == base
 
     def test_passive_point_keeps_growing(self):
         # rho = 0 has no steady state: the tail estimate grows with horizon
