@@ -38,6 +38,8 @@ class Gain:
             raise ValueError(f"gain scale must be (rounds,) or (rounds, n), got {scale.shape}")
         if not np.all(np.isfinite(scale)):
             raise ValueError(f"gain scale must be finite, got {self.scale!r}")
+        if self.op is not None and not isinstance(self.op, StructuredMatrix):
+            raise ValueError(f"gain op must be None or a StructuredMatrix, got {self.op!r}")
         scale.flags.writeable = False
         object.__setattr__(self, "scale", scale)
 

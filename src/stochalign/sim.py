@@ -23,11 +23,11 @@ threads share each chunk's blocks.  A sweep point is read straight from
 its chunk's merged sums of squared stretches, the only statistic a sweep
 accumulates.
 
-When every lane is a Gain without an operator and the run is not
-paired, the lanes' scales are stacked into one array before any block
-starts, and each round's moves are one broadcast multiply of the
-measurements: the same products as the gains' own calls, without a
-Python call per lane.
+Every lane moves by one update per round: the lanes' scales, stacked
+once per run, times the measurements, the same products as the gains'
+own calls.  A lane whose policy is called (a Gain with an operator, or a
+plain callable such as the benchmark tracer's wrapper of make_policy)
+first replaces its measurements with its moves and is stacked at 1.0.
 
 Per-block partial statistics are merged in block order, and every lane is
 reduced over its own contiguous slice, so results are bit-identical for
@@ -145,8 +145,8 @@ def _compile(plan: RunPlan, policies) -> List[Gain]:
     """Compile every lane's policy to a Gain before any block starts.
 
     make_policy compiles a spec for the plan's horizon.  A Gain passed in
-    as it is needs one scale per round of the plan, and a per-agent gain
-    one scale per agent.
+    as it is needs one scale per round of the plan, a per-agent gain one
+    scale per agent, and an operator one row per agent.
     """
     rounds = plan.cfg.horizon
     gains = []
@@ -162,6 +162,9 @@ def _compile(plan: RunPlan, policies) -> List[Gain]:
         if len(policy.scale) < rounds:
             raise ValueError(f"policy has {len(policy.scale)} rhos but the run has "
                              f"{rounds} rounds")
+        if policy.op is not None and policy.op.n != plan.cfg.n:
+            raise ValueError(f"gain operator of dimension {policy.op.n} does not fit "
+                             f"{plan.cfg.n} agents")
         gains.append(policy)
     return gains
 
@@ -226,15 +229,15 @@ class _Accumulator:
         if self.com_sum is not None:
             self.com_sum[:, t] = (row_sum(pos) / n).sum(axis=1)
 
-    def record_moves(self, t: int, y: np.ndarray, moves: np.ndarray):
-        """Paired only: the per-agent move difference of lane 0 minus lane 1."""
+    def record_moves(self, t: int, moves: np.ndarray, mean_y0: Optional[np.ndarray]):
+        """Paired only: lane 0's per-agent moves minus lane 1's; mean_y0 is
+        lane 0's mean measurement per replication when a shift rule is set."""
         move_diff = moves[0] - moves[1]
         common = row_sum(move_diff) / move_diff.shape[-1]
         self.shift_sum[t] = common.sum()
         self.shift_spread[t] = np.abs(move_diff - common[:, np.newaxis]).max()
         if self.rule_dev is not None:
-            predicted = self.shift_rule[t] * (row_sum(y[0]) / y.shape[-1])
-            self.rule_dev[t] = np.abs(common - predicted).max()
+            self.rule_dev[t] = np.abs(common - self.shift_rule[t] * mean_y0).max()
 
     def merge(self, other: "_Accumulator"):
         for name in self.SUMS:
@@ -283,46 +286,47 @@ def _shape_moments(pows: np.ndarray, count: int):
     return float(m3 / m2 ** 1.5), float(m4 / (m2 * m2) - 3.0)
 
 
-def _stack(plan: RunPlan, gains: List[Gain]) -> np.ndarray:
-    """Every lane's per-round scales as one (rounds, lanes, 1, width) array.
-
-    width is n when any lane is per-agent and 1 otherwise, so that
+def _stack(plan: RunPlan, fns):
+    """The lanes' per-round scales as one (rounds, lanes, 1, width) array,
+    and the called lanes: Gains with an operator and callables that are
+    not Gains, which scale their own moves and are stacked at 1.0.  width
+    is n when any other lane is per-agent and 1 otherwise, so that
     stack[t] broadcasts against the (lanes, count, n) measurements.
     """
     rounds = plan.cfg.horizon
-    width = plan.cfg.n if any(g.scale.ndim == 2 for g in gains) else 1
-    stack = np.empty((rounds, len(gains), 1, width))
-    for lane, g in enumerate(gains):
-        stack[:, lane, 0] = g.scale[:rounds] if g.scale.ndim == 2 else g.scale[:rounds, np.newaxis]
-    return stack
+    called = [i for i, fn in enumerate(fns) if not isinstance(fn, Gain) or fn.op is not None]
+    scales = {i: fn.scale[:rounds] for i, fn in enumerate(fns) if i not in called}
+    width = plan.cfg.n if any(s.ndim == 2 for s in scales.values()) else 1
+    stack = np.ones((rounds, len(fns), 1, width))
+    for lane, s in scales.items():
+        stack[:, lane, 0] = s if s.ndim == 2 else s[:, np.newaxis]
+    return stack, called
 
 
-def _run_block(plan: RunPlan, policies: List[Gain], stack: Optional[np.ndarray],
-               paired: bool, shift_rule, traces, variance_only: bool, index: int, count: int):
+def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _Accumulator,
+               traces, index: int, count: int) -> _Accumulator:
     """Simulate one block of replications for every policy lane.
 
     The state is (lanes, count, n); each noise draw is (count, n) and is
     broadcast to every lane.  Only the positions and the stretches are
-    held for all lanes: the measurements overwrite the stretches, and
-    then either the stacked scales (see _stack) turn them into every
-    lane's moves in place, or each lane's moves are added as soon as its
-    policy returns them.  traces, when recorded, are the run's (stretch,
-    com) arrays; the block writes its own replications' slice of them.
+    held for all lanes: the measurements overwrite the stretches, each
+    called lane's moves overwrite its slice, and one multiply by the
+    stacked scales (see _stack) turns every slice into its lane's moves.
+    The block's statistics go into acc.  traces, when recorded, are the
+    run's (stretch, com) arrays; the block writes its replications' slice.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
-    lanes = len(policies)
     shape = (count, cfg.n)
     gen_init = streams.substream(cfg.seed, index, streams.INIT)
     gen_meas = streams.substream(cfg.seed, index, streams.MEASURE)
     gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
 
-    acc = _Accumulator(plan, lanes, paired, shift_rule, variance_only)
     reps = slice(index * plan.block_size, index * plan.block_size + count)
-    pos = np.empty((lanes,) + shape)
+    pos = np.empty((len(fns),) + shape)
     pos[...] = gen_init.normal(0.0, cfg.sigma0, shape)
     st = np.empty_like(pos)
-    work = np.empty((lanes, count))
+    work = np.empty((len(fns), count))
     for t in range(rounds + 1):
         stretch_values(pos, out=st)
         acc.record(t, st, pos, work)
@@ -333,16 +337,13 @@ def _run_block(plan: RunPlan, policies: List[Gain], stack: Optional[np.ndarray],
             break
         y = st
         y += gen_meas.normal(0.0, cfg.sigma_m, shape)
-        if stack is not None:
-            y *= stack[t]
-            pos += y
-        else:
-            moves = (policy(y[lane], t) for lane, policy in enumerate(policies))
-            if paired:
-                moves = list(moves)
-                acc.record_moves(t, y, moves)
-            for lane, move in enumerate(moves):
-                pos[lane] += move
+        mean_y0 = row_sum(y[0]) / cfg.n if acc.shift_rule is not None else None
+        for lane in called:
+            y[lane] = fns[lane](y[lane], t)
+        y *= stack[t]
+        if acc.shift_sum is not None:
+            acc.record_moves(t, y, mean_y0)
+        pos += y
         pos += gen_drift.normal(0.0, cfg.sigma_d, shape)
     return acc
 
@@ -350,14 +351,11 @@ def _run_block(plan: RunPlan, policies: List[Gain], stack: Optional[np.ndarray],
 def _accumulate(plan: RunPlan, fns, paired: bool = False, shift_rule=None,
                 traces=None, variance_only: bool = False) -> _Accumulator:
     """Run every block of the plan for the compiled lanes; merge in block order."""
-    stack = None
-    # op lanes, paired runs (which record each lane's moves) and any
-    # callable that is not a Gain keep one call per lane
-    if not paired and all(isinstance(fn, Gain) and fn.op is None for fn in fns):
-        stack = _stack(plan, fns)
+    stack, called = _stack(plan, fns)
 
     def worker(block):
-        return _run_block(plan, fns, stack, paired, shift_rule, traces, variance_only, *block)
+        acc = _Accumulator(plan, len(fns), paired, shift_rule, variance_only)
+        return _run_block(plan, fns, stack, called, acc, traces, *block)
 
     blocks = _blocks(plan.replications, plan.block_size)
     if plan.threads == 1 or len(blocks) == 1:

@@ -428,14 +428,22 @@ class TestFailClosed:
         ["simulate", "--reps", "10", "--sigma-m", "1e200"],
         ["kalman-check", "--sigma0", "1e200"],
         ["best-response", "--sigma-d=-1e200"],
-        # finite squares, but the closed forms square c * sigma, c = n/(n-1)
         ["sweep", "--sigma-d", "1e154", "--reps", "3", "--rounds", "3"],
         ["kalman-check", "--sigma0", "1e154", "--t-max", "3"],
+        # the closed forms divide by a variance that underflows to 0
+        ["simulate", "--sigma-m", "1e-200", "--reps", "3", "--rounds", "3"],
+        # sums of finite variances overflow
+        ["sweep", "--sigma-m", "8.9e153", "--sigma-d", "8.9e153", "--reps", "3",
+         "--rounds", "3"],
+        ["kalman-check", "--sigma0", "1e100", "--sigma-m", "1e100", "--t-max", "3"],
+        # the engine's fourth-power sums overflow
+        ["simulate", "--sigma-d", "1e80", "--reps", "3", "--rounds", "3"],
     ])
-    def test_noise_scale_with_overflowing_square_writes_nothing(self, tmp_path, capsys, argv):
+    def test_noise_scale_outside_the_range_writes_nothing(self, tmp_path, capsys, argv):
         code = main(argv + ["--threads", "1", "--out", "s.csv"])
         assert code == 2
-        assert "must be finite and so must its square" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "must be finite and" in err and "in [1e-50, 1e+50], got" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_is_exit_2(self, tmp_path, capsys, monkeypatch):

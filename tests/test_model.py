@@ -7,13 +7,13 @@ and drift d.
 """
 
 import math
-import sys
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stochalign.model import ModelConfig, stretch_values
+from stochalign.model import SCALE_MAX, SCALE_MIN, ModelConfig, stretch_values
 from stochalign.policies import PolicySpec
 from stochalign.sim import RunPlan, run
 from stochalign.streams import INIT, substream
@@ -80,21 +80,27 @@ class TestModelConfig:
             ModelConfig(n=3, **{name: value})
 
     @pytest.mark.parametrize("name", ["sigma0", "sigma_m", "sigma_d"])
-    @pytest.mark.parametrize("value", [1e200, 1.35e154])
-    def test_rejects_sigmas_whose_square_overflows(self, name, value):
-        with pytest.raises(ValueError, match=f"{name} must be finite and so must its square"):
+    @pytest.mark.parametrize("value", [1e200, 1.35e154, 8.9e153, 1e50 * (1 + 1e-15),
+                                       1e-50 * (1 - 1e-15), 1e-200, 5e-324])
+    def test_rejects_sigmas_outside_the_scale_range(self, name, value):
+        zero = "0 or " if name == "sigma0" else ""
+        message = f"{name} must be finite and {zero}in [1e-50, 1e+50], got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ModelConfig(n=3, **{name: value})
-        # the largest accepted scale at n = 3: (1.5 sigma)^2 is finite
-        ModelConfig(n=3, **{name: 8.9e153})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelConfig(n=3, **{name: -value})
 
     @pytest.mark.parametrize("name", ["sigma0", "sigma_m", "sigma_d"])
     @pytest.mark.parametrize("n", [2, 3, 10, 10**6])
-    def test_rejects_sigmas_whose_square_times_c_squared_overflows(self, name, n):
-        # the closed forms square c sigma, c = n/(n-1)
-        limit = math.sqrt(sys.float_info.max) * (n - 1) / n
-        ModelConfig(n=n, **{name: limit * (1 - 1e-9)})
-        with pytest.raises(ValueError, match=f"{name} must be finite and so must its square"):
-            ModelConfig(n=n, **{name: limit * (1 + 1e-9)})
+    def test_accepts_sigmas_at_both_ends_of_the_scale_range(self, name, n):
+        # there a product of two variances times c^2, c = n/(n-1), is
+        # finite and nonzero
+        c = n / (n - 1)
+        for value in (SCALE_MIN, SCALE_MAX):
+            cfg = ModelConfig(n=n, **{name: value})
+            assert 0 < (c * value ** 2) ** 2 < math.inf
+            assert getattr(cfg, name) == value
+        assert (SCALE_MIN, SCALE_MAX) == (1e-50, 1e50)
 
     def test_degenerate_initial_spread_allowed(self):
         cfg = ModelConfig(n=4, sigma0=0.0)

@@ -21,6 +21,7 @@ from stochalign.sim import (
     steady_state_variance,
     sweep_rho,
 )
+from stochalign.structmat import mn
 
 
 def small_plan(**overrides):
@@ -325,18 +326,25 @@ class TestLanes:
         for policy, lane in zip([plan.policy] + gains, lanes):
             assert_same_result(lane, run(replace(plan, policy=policy)))
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [2, 5, 9])
-    def test_stacked_gains_equal_per_lane_calls_bit_for_bit(self, monkeypatch, n):
-        # three blocks on two threads, every record on
+    def test_stacked_gains_equal_per_lane_calls_bit_for_bit(self, monkeypatch, n, threads):
+        # three blocks, every record on
         cfg = ModelConfig(n=n, horizon=12, seed=3)
         sched = AlphaSchedule(cfg, 12)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.4), replications=500,
-                       block_size=200, threads=2, record_com=True, record_moments=True,
+                       block_size=200, threads=threads, record_com=True, record_moments=True,
                        record_traces=True)
         specs = [PolicySpec(kind="wstar"), PolicySpec(kind="weighted", rho=1.0)]
         # one scale per round, and with a per-agent lane one row of n
         lane_sets = [specs, specs + [deviant_policy(np.linspace(0.0, 1.2, 13), sched,
                                                     agent=n - 1)]]
+        weighted = replace(plan, policy=PolicySpec(kind="weighted", rho=0.2))
+        # (plan, policy_b, shift_rule): a called matc lane beside a stacked
+        # wstar lane, and two stacked lanes
+        pairs = [(replace(plan, policy=PolicySpec(kind="wstar")), PolicySpec(kind="matc"),
+                  sched.rhos(12)),
+                 (weighted, PolicySpec(kind="weighted", rho=0.7), None)]
 
         def no_call(self, y, t):
             raise AssertionError("a gain was called per lane")
@@ -344,14 +352,23 @@ class TestLanes:
         with monkeypatch.context() as m:
             m.setattr(Gain, "__call__", no_call)
             stacked = [run_lanes(plan, others) for others in lane_sets]
-        # a spec compiled to a plain callable, as a tracer wraps it, keeps
-        # every lane of the run on its own call
-        make_policy = sim.make_policy
-        monkeypatch.setattr(sim, "make_policy",
-                            lambda spec, cfg: (lambda y, t, g=make_policy(spec, cfg): g(y, t)))
+            stacked_pair = run_paired(*pairs[1])
+        paired = [run_paired(*pairs[0]), stacked_pair]
+        # every compiled lane wrapped in a plain callable, as the benchmark
+        # tracer wraps make_policy's gains, is called on its own
+        compile_lanes = sim._compile
+        monkeypatch.setattr(sim, "_compile", lambda plan, policies: [
+            lambda y, t, g=g: g(y, t) for g in compile_lanes(plan, policies)])
         for others, results in zip(lane_sets, stacked):
             for a, b in zip(results, run_lanes(plan, others), strict=True):
                 assert_same_result(a, b)
+        for pair, result in zip(pairs, paired):
+            called = run_paired(*pair)
+            assert_same_result(result.a, called.a)
+            assert_same_result(result.b, called.b)
+            assert (result.shift_rule_dev is None) == (pair[2] is None)
+            for name in ("max_stretch_diff", "shift_mean", "shift_spread", "shift_rule_dev"):
+                np.testing.assert_array_equal(getattr(result, name), getattr(called, name))
 
     def test_lane_policies_compiled_before_any_block(self, monkeypatch):
         def no_blocks(*args):
@@ -361,6 +378,11 @@ class TestLanes:
         short = Gain([0.5] * 4)
         with pytest.raises(ValueError, match="4 rhos but the run has 10 rounds"):
             run_lanes(small_plan(threads=2), [PolicySpec(kind="wstar"), short])
+        # the plan has 3 agents and 10 rounds
+        with pytest.raises(ValueError, match="operator of dimension 4 does not fit 3 agents"):
+            run_lanes(small_plan(threads=2), [Gain(np.ones(10), mn(4))])
+        with pytest.raises(ValueError, match="gain op must be None or a StructuredMatrix"):
+            run(small_plan(policy=Gain(np.ones(10), np.eye(3))))
 
 
 class TestSweep:
