@@ -3,19 +3,18 @@
 n agents each observe a noisy version of their stretch (the gap between
 the average of everyone else and themselves), move some fraction of the
 observation, and drift.  The package provides the stretch map, the
-structured-matrix algebra behind the dynamics, Kalman-filter machinery
-with O(1) closed forms, the standard policies and their closed-form
-limits, the best-response game layer, and a reproducible Monte Carlo engine with a
+structured-matrix algebra behind the dynamics, the pooled Kalman filter
+on the stretch vector (a dense reference path and its O(1) closed
+forms), the standard policies and their closed-form limits, the
+best-response game layer, and a reproducible Monte Carlo engine with a
 CSV-producing command line (`stochalign`).
 """
 
 from .analysis import (alpha_infty, cost_from_variance, rho_star_const, var_limit,
                        var_star_large_n)
 from .game import BestResponseSchedule, best_response, deviant_policy, nash_residual
-from .kalman import (AlphaSchedule, KalmanState, LinearSystem,
-                     alignment_initial_state, alignment_system,
-                     closed_form_filter_state, dense_filter_path, gain,
-                     measurement_update, scalar_filter_step, time_update)
+from .kalman import (AlphaSchedule, closed_form_filter_state, dense_filter_path,
+                     scalar_filter_step)
 from .model import ModelConfig, stretch_values
 from .policies import Gain, PolicySpec, make_policy
 from .sim import (PairedRunResult, RoundStats, RunPlan, RunResult, SweepPoint,

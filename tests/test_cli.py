@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stochalign.analysis import rho_star_const, var_limit
+import stochalign
 from stochalign import cli
 from stochalign.cli import MAX_GRID_POINTS, THREADS_ENV, main
 from stochalign.model import ModelConfig
@@ -152,7 +153,17 @@ class TestCompare:
         assert all(float(r[3]) <= 1e-9 for r in rows)
         assert rows[-1][4] == "nan"
         assert math.isfinite(float(rows[0][4]))
-        assert "pass" in capsys.readouterr().out
+        assert "stretch diff <= 1e-09, shift spread" in capsys.readouterr().out
+
+    def test_tolerances_scale_with_the_noise(self, tmp_path, capsys):
+        # spread and rule deviation are about 1e-16 of the positions' scale
+        code = main(["compare", "--n", "5", "--sigma0", "0", "--sigma-m", "1e50",
+                     "--sigma-d", "1e50", "--reps", "3", "--rounds", "3",
+                     "--threads", "1", "--out", "cmp.csv"])
+        assert code == 0
+        verdict = capsys.readouterr().out.splitlines()[-1]
+        assert verdict.startswith("shift equivalence: stretch diff <= 1e+41,")
+        assert verdict.endswith(": pass")
 
     def test_same_policy_compare_is_exact(self, tmp_path):
         code = main(["compare", "--a", "weighted", "--b", "weighted",
@@ -246,7 +257,18 @@ class TestKalmanCheck:
         assert len(rows) == 61
         assert all(float(r[3]) <= 1e-9 and float(r[4]) <= 1e-9 for r in rows)
         out = capsys.readouterr().out
-        assert "pass" in out and "alpha_infty residual" in out
+        assert "(pass at 1e-09)" in out and "alpha_infty residual" in out
+
+    def test_covariance_tolerance_scales_with_the_noise(self, tmp_path, capsys):
+        # covariances of order 1e100 deviate by about 1e84; gains stay below 1e-16
+        code = main(["kalman-check", "--n", "2", "--sigma0", "0", "--sigma-m", "1e50",
+                     "--sigma-d", "1e50", "--t-max", "3", "--threads", "1",
+                     "--out", "kc.csv"])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "kc.csv")
+        assert max(float(r[3]) for r in rows) > 1e80
+        assert max(float(r[4]) for r in rows) <= 1e-9
+        assert "(pass at 1e+91 for covariances, 1e-09 for gains)" in capsys.readouterr().out
 
     def test_degenerate_start(self, tmp_path):
         code = main(["kalman-check", "--n", "2", "--sigma0", "0", "--t-max", "20",
@@ -446,6 +468,19 @@ class TestFailClosed:
         assert "must be finite and" in err and "in [1e-50, 1e+50], got" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_closed_forms_fail_before_the_engine_starts(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # rho_star_const cancels to a large negative value at this corner
+        def no_engine(*args, **kwargs):
+            raise AssertionError("the engine started")
+
+        monkeypatch.setattr(cli, "run", no_engine)
+        code = main(["simulate", "--n", "5", "--sigma-m", "1e-50", "--sigma-d", "1e50",
+                     "--reps", "3", "--rounds", "3", "--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert "rho must be in [0, 1], got -9.7" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_memory_is_exit_2(self, tmp_path, capsys, monkeypatch):
         # stands in for a dense filter too large to allocate; nothing is allocated
         def no_memory(cfg, t_max):
@@ -502,6 +537,15 @@ def test_readme_command_line_section_matches_the_parser():
                      if flag not in ("-h", "--help")}
               for name, p in subcommand_parsers().items()}
     assert listed == actual
+
+
+def test_readme_library_names_exist():
+    text = README.read_text()
+    (block,) = re.findall(r"^## Library\n+```python\n(.*?)^```$", text,
+                          flags=re.MULTILINE | re.DOTALL)
+    names = set(re.findall(r"\bsa\.(\w+)", block))
+    assert {"ModelConfig", "run", "best_response"} <= names
+    assert sorted(name for name in names if not hasattr(stochalign, name)) == []
 
 
 class TestUsageErrors:

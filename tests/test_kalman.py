@@ -1,9 +1,9 @@
 """Tests for the dense filter, the closed forms, and the scalar filter.
 
-The dense textbook recursions are the oracle for every closed form here.
+`textbook_rounds` below, the general Kalman recursion run on the
+alignment system, is the oracle for the dense path and the closed forms.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,123 +12,107 @@ import pytest
 from stochalign.analysis import alpha_infty, rho_star_const
 from stochalign.kalman import (
     AlphaSchedule,
-    KalmanState,
-    LinearSystem,
-    alignment_initial_state,
-    alignment_system,
     closed_form_filter_state,
     dense_filter_path,
-    gain,
-    measurement_update,
     scalar_filter_step,
-    time_update,
 )
 from stochalign.model import ModelConfig
 from stochalign.structmat import mn
 
 
+def textbook_rounds(cfg, t_max, measure=None, move=None):
+    """The textbook Kalman filter on the alignment system, round by round.
+
+    The state is the stretch vector: x' = A x + B u + w, z = H x + v with
+    A = H = I, B = M, Q = sigma_d^2 M^2, R = sigma_m^2 I, and x-_0 = 0 with
+    P-_0 = sigma0^2 M^2.  The products with A and H are kept, as a general
+    filter runs them.  Round t measures z = measure(t) and moves
+    u = move(t, z) (zeros by default), and yields (P-_t, K_t, P_t, x-_{t+1}).
+    """
+    m = mn(cfg.n).to_dense()
+    a = h = eye = np.eye(cfg.n)
+    q, r = cfg.sigma_d ** 2 * (m @ m), cfg.sigma_m ** 2 * eye
+    p, x = cfg.sigma0 ** 2 * (m @ m), np.zeros(cfg.n)
+    for t in range(t_max + 1):
+        z = np.zeros(cfg.n) if measure is None else measure(t)
+        ph = p @ h.T
+        k = np.linalg.solve((h @ ph + r).T, ph.T).T
+        p_post = (eye - k @ h) @ p
+        u = np.zeros(cfg.n) if move is None else move(t, z)
+        x = a @ (x + k @ (z - h @ x)) + m @ u
+        yield p, k, p_post, x
+        p = a @ p_post @ a.T + q
+
+
 class TestAlignmentSystem:
+    """The inputs the dense path builds: P-_0, Q and R."""
+
     def test_matrices(self):
-        cfg = ModelConfig(n=3, sigma_m=2.0, sigma_d=0.5)
-        sys_ = alignment_system(cfg)
+        # with sigma0 = 0, round 1 predicts Q itself, and K_1 = Q (Q + R)^-1
+        cfg = ModelConfig(n=3, sigma0=0.0, sigma_m=2.0, sigma_d=0.5)
+        (p0, k0), (p1, k1) = dense_filter_path(cfg, 1)
         m = mn(3).to_dense()
-        np.testing.assert_array_equal(sys_.a, np.eye(3))
-        np.testing.assert_array_equal(sys_.b, m)
-        np.testing.assert_array_equal(sys_.h, np.eye(3))
-        np.testing.assert_allclose(sys_.q, 0.25 * (m @ m))
-        np.testing.assert_allclose(sys_.r, 4.0 * np.eye(3))
+        q = 0.25 * (m @ m)
+        np.testing.assert_array_equal(p0, np.zeros((3, 3)))
+        np.testing.assert_array_equal(k0, np.zeros((3, 3)))
+        np.testing.assert_array_equal(p1, q)
+        np.testing.assert_array_equal(k1, np.linalg.solve((q + 4.0 * np.eye(3)).T, q.T).T)
 
     def test_initial_state(self):
         cfg = ModelConfig(n=4, sigma0=2.0)
-        st = alignment_initial_state(cfg)
-        assert st.round == 0
-        np.testing.assert_array_equal(st.estimate_pre, np.zeros(4))
+        p0, _ = next(dense_filter_path(cfg, 0))
         m = mn(4).to_dense()
-        np.testing.assert_allclose(st.cov_pre, 4.0 * (m @ m))
+        np.testing.assert_array_equal(p0, 4.0 * (m @ m))
         # equivalently -c sigma0^2 M, and alpha_0 = c sigma0^2 on the diagonal
-        np.testing.assert_allclose(st.cov_pre, -(4.0 / 3.0) * 4.0 * m, atol=1e-12)
+        np.testing.assert_allclose(p0, -(4.0 / 3.0) * 4.0 * m, atol=1e-12)
 
 
 class TestDenseFilterSteps:
-    def setup_method(self):
-        self.sys = LinearSystem(
-            a=np.eye(2),
-            b=np.zeros((2, 2)),
-            h=np.eye(2),
-            q=np.zeros((2, 2)),
-            r=np.eye(2),
-        )
+    """Single rounds of the dense path against hand values."""
 
     def test_zero_prior_uncertainty_means_zero_gain(self):
-        st = KalmanState(0, np.zeros(2), np.zeros((2, 2)))
-        np.testing.assert_array_equal(gain(st, self.sys), np.zeros((2, 2)))
+        _, k0 = next(dense_filter_path(ModelConfig(n=2, sigma0=0.0), 0))
+        np.testing.assert_array_equal(k0, np.zeros((2, 2)))
 
     def test_huge_measurement_noise_means_tiny_gain(self):
-        sys_ = LinearSystem(
-            a=np.eye(2), b=np.zeros((2, 2)), h=np.eye(2),
-            q=np.zeros((2, 2)), r=1e12 * np.eye(2),
-        )
-        st = KalmanState(0, np.zeros(2), np.eye(2))
-        assert np.abs(gain(st, sys_)).max() < 1e-10
+        _, k0 = next(dense_filter_path(ModelConfig(n=2, sigma_m=1e6), 0))
+        assert np.abs(k0).max() < 1e-10
 
     def test_scalar_gain_hand_value(self):
-        # p=3, r=1: k = 3/4
-        sys_ = LinearSystem(
-            a=np.eye(1), b=np.zeros((1, 1)), h=np.eye(1),
-            q=np.zeros((1, 1)), r=np.eye(1),
-        )
-        st = KalmanState(0, np.zeros(1), 3.0 * np.eye(1))
-        np.testing.assert_allclose(gain(st, sys_), [[0.75]])
-
-    def test_confirming_measurement_leaves_estimate(self):
-        st = KalmanState(0, np.array([1.0, -2.0]), np.eye(2))
-        upd = measurement_update(st, self.sys, np.array([1.0, -2.0]))
-        np.testing.assert_allclose(upd.estimate_post, st.estimate_pre, atol=1e-14)
+        # n=2, unit noise: P-_0 = M^2 has eigenvalue 4 off the consensus
+        # direction, so K_0 there is 4/(4+1) and K_0 = 0.4 [[1, -1], [-1, 1]]
+        _, k0 = next(dense_filter_path(ModelConfig(n=2), 0))
+        np.testing.assert_allclose(k0, [[0.4, -0.4], [-0.4, 0.4]], atol=1e-15)
 
     def test_update_shrinks_covariance(self):
-        st = KalmanState(0, np.zeros(2), 2.0 * np.eye(2))
-        upd = measurement_update(st, self.sys, np.array([1.0, 1.0]))
-        # p_post = p (1 - p/(p+r)) = 2 * (1 - 2/3) = 2/3
-        np.testing.assert_allclose(upd.cov_post, (2.0 / 3.0) * np.eye(2), atol=1e-14)
-
-    def test_time_update_requires_posterior(self):
-        st = KalmanState(0, np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError):
-            time_update(st, self.sys, np.zeros(2))
+        # the measurement update keeps r/(p+r) = 1/5 of P-_0, then Q is added
+        cfg = ModelConfig(n=2)
+        (p0, _), (p1, _) = dense_filter_path(cfg, 1)
+        m = mn(2).to_dense()
+        np.testing.assert_allclose(p1 - m @ m, 0.2 * p0, atol=1e-14)
 
     def test_time_update_adds_process_noise(self):
-        sys_ = LinearSystem(
-            a=np.eye(2), b=np.eye(2), h=np.eye(2),
-            q=0.5 * np.eye(2), r=np.eye(2),
-        )
-        st = measurement_update(KalmanState(0, np.zeros(2), np.eye(2)), sys_,
-                                np.zeros(2))
-        nxt = time_update(st, sys_, np.array([1.0, 2.0]))
-        assert nxt.round == 1
-        np.testing.assert_allclose(nxt.estimate_pre, st.estimate_post + [1.0, 2.0])
-        np.testing.assert_allclose(nxt.cov_pre, st.cov_post + 0.5 * np.eye(2))
+        # with uninformative measurements each round adds Q = sigma_d^2 M^2
+        cfg = ModelConfig(n=3, sigma_m=1e50, sigma_d=0.5)
+        m = mn(3).to_dense()
+        for t, (p, _) in enumerate(dense_filter_path(cfg, 5)):
+            np.testing.assert_allclose(p, (1.0 + 0.25 * t) * (m @ m), atol=1e-14)
 
 
 class TestDenseFilterPath:
     @pytest.mark.parametrize("n", [2, 3, 10, 64, 256])
     def test_stream_matches_unfused_loop_bit_for_bit(self, n):
-        # the reference loop runs the generic textbook updates, products
-        # with A = H = I included; n = 64 and 256 reach the blocked and
-        # threaded BLAS kernels, so they run fewer rounds
+        # the oracle keeps the products with A = H = I; n = 64 and 256
+        # reach the blocked and threaded BLAS kernels, so they run fewer rounds
         t_max = 30 if n <= 10 else 5
-        cfg = ModelConfig(n=n, sigma0=1.3, sigma_m=0.7, sigma_d=1.1)
-        system = alignment_system(cfg)
-        state = alignment_initial_state(cfg)
-        zeros = np.zeros(n)
-        expected = []
-        for _ in range(t_max + 1):
-            expected.append((state.cov_pre.copy(), gain(state, system)))
-            state = time_update(measurement_update(state, system, zeros), system, zeros)
-        streamed = list(dense_filter_path(cfg, t_max))
-        assert len(streamed) == len(expected)
-        for (cov, k), (cov_ref, k_ref) in zip(streamed, expected):
-            np.testing.assert_array_equal(cov, cov_ref)
-            np.testing.assert_array_equal(k, k_ref)
+        for sigma0, sigma_m, sigma_d in ((1.3, 0.7, 1.1), (0.0, 2.0, 0.5)):
+            cfg = ModelConfig(n=n, sigma0=sigma0, sigma_m=sigma_m, sigma_d=sigma_d)
+            expected = [(p, k) for p, k, _, _ in textbook_rounds(cfg, t_max)]
+            streamed = list(dense_filter_path(cfg, t_max))
+            assert len(streamed) == len(expected)
+            for (cov, k), (cov_ref, k_ref) in zip(streamed, expected):
+                np.testing.assert_array_equal(cov, cov_ref)
+                np.testing.assert_array_equal(k, k_ref)
 
     def test_first_round_comes_before_any_time_update(self, monkeypatch):
         # a path that ran ahead of its consumer would solve for more gains
@@ -267,47 +251,33 @@ class TestClosedFormAgainstDense:
     def test_posterior_covariance_formula(self):
         # P_t = -((n-1)/n) sigma_m^2 alpha_t / (alpha_t + ((n-1)/n) sigma_m^2) M
         cfg = ModelConfig(n=4, sigma_m=1.5, sigma_d=0.8)
-        sys_ = alignment_system(cfg)
-        state = alignment_initial_state(cfg)
         sched = AlphaSchedule(cfg, 20)
         m = mn(cfg.n).to_dense()
-        zeros = np.zeros(cfg.n)
-        for t in range(20):
-            state = measurement_update(state, sys_, zeros)
+        w = (cfg.n - 1) / cfg.n * cfg.sigma_m**2
+        for t, (_, _, p_post, _) in enumerate(textbook_rounds(cfg, 19)):
             a = sched.alpha(t)
-            w = (cfg.n - 1) / cfg.n * cfg.sigma_m**2
-            expect = -(w * a / (a + w)) * m
-            np.testing.assert_allclose(state.cov_post, expect, atol=1e-10)
-            state = time_update(state, sys_, zeros)
+            np.testing.assert_allclose(p_post, -(w * a / (a + w)) * m, atol=1e-10)
 
     def test_prediction_covariance_increment(self):
         # P-_{t+1} = P_t + sigma_d^2 M^2
         cfg = ModelConfig(n=3)
-        sys_ = alignment_system(cfg)
-        state = alignment_initial_state(cfg)
-        zeros = np.zeros(cfg.n)
         m = mn(3).to_dense()
-        for _ in range(10):
-            state = measurement_update(state, sys_, zeros)
-            nxt = time_update(state, sys_, zeros)
+        rounds = list(textbook_rounds(cfg, 10))
+        for (_, _, p_post, _), (p_next, _, _, _) in zip(rounds, rounds[1:]):
             np.testing.assert_allclose(
-                nxt.cov_pre, state.cov_post + cfg.sigma_d**2 * (m @ m), atol=1e-12
+                p_next, p_post + cfg.sigma_d**2 * (m @ m), atol=1e-12
             )
-            state = nxt
 
     def test_scheduled_moves_keep_prediction_at_zero(self):
         # feeding u = rho*(t) z back into the dynamics cancels the posterior
         # estimate exactly, so the predicted stretch estimate stays 0
         cfg = ModelConfig(n=5, sigma_m=1.2, sigma_d=0.9)
-        sys_ = alignment_system(cfg)
         sched = AlphaSchedule(cfg, 50)
-        state = alignment_initial_state(cfg)
         rng = np.random.default_rng(321)
-        for t in range(50):
-            z = rng.normal(size=cfg.n)
-            state = measurement_update(state, sys_, z)
-            state = time_update(state, sys_, sched.rho(t) * z)
-            assert np.abs(state.estimate_pre).max() < 1e-12
+        rounds = textbook_rounds(cfg, 49, measure=lambda t: rng.normal(size=cfg.n),
+                                 move=lambda t, z: sched.rho(t) * z)
+        for _, _, _, x_next in rounds:
+            assert np.abs(x_next).max() < 1e-12
 
 
 class TestScalarFilter:

@@ -9,12 +9,13 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from stochalign.analysis import alpha_infty
-from stochalign.cli import main
+from stochalign.cli import MAX_GRID_POINTS, MIN_GRID_STEP, ConfigError, _rho_grid, main
 from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
@@ -278,3 +279,40 @@ def test_bad_cli_input_exits_2_and_writes_nothing(argv):
         assert code == 2
         assert os.listdir(tmp) == ["sub"]
         assert os.listdir(os.path.join(tmp, "sub")) == []
+
+
+grid_ends = st.floats(0.0, 1.0) | st.floats(-0.5, 1.5) | st.floats(-1e6, 1e6)
+grid_steps = st.one_of(st.floats(MIN_GRID_STEP, 1e-4), st.floats(1e-4, 0.1),
+                       st.floats(0.1, 2.0), st.floats(0.0, 1e-11))
+
+
+@derandomized(150)
+@given(grid_ends, grid_ends, grid_steps)
+@example(0.02, 1.0, 0.02)
+@example(0.0001, 1.0, 0.0001)  # exactly MAX_GRID_POINTS points
+@example(0.0, 1.0, 1e-7)
+@example(0.5, 0.4, 0.02)
+@example(-0.1, 1.0, 0.02)
+def test_rho_grid_is_the_prefix_of_points_within_stop(start, stop, step):
+    if step < MIN_GRID_STEP:
+        with pytest.raises(ConfigError, match="grid_step must be >="):
+            _rho_grid(start, stop, step)
+        return
+    # the points increase with i, so one past the cap tells a grid too long
+    expected = []
+    while len(expected) <= MAX_GRID_POINTS:
+        point = round(start + len(expected) * step, 12)
+        if point > stop + 1e-9:
+            break
+        expected.append(point)
+    if not expected:
+        message = "empty rho grid"
+    elif len(expected) > MAX_GRID_POINTS:
+        message = f"more than {MAX_GRID_POINTS} points"
+    elif expected[0] < 0.0 or expected[-1] > 1.0:
+        message = r"outside \[0, 1\]"
+    else:
+        assert _rho_grid(start, stop, step) == expected
+        return
+    with pytest.raises(ConfigError, match=message):
+        _rho_grid(start, stop, step)
