@@ -122,7 +122,10 @@ def _resolve(args: argparse.Namespace) -> dict:
 def _resolve_threads(flag: Optional[int]) -> int:
     if flag is None:
         env = os.environ.get(THREADS_ENV)
-        flag = int(env) if env else (os.cpu_count() or 1)
+        try:
+            flag = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
     if flag < 1:
         raise ConfigError(f"threads must be >= 1, got {flag}")
     return flag
@@ -278,11 +281,13 @@ def cmd_sweep(settings: dict, args: argparse.Namespace) -> int:
     _write_outputs(settings, "rho,var_empirical,var_closed_form", rows)
 
     finite = [p for p in points if not math.isinf(p.var_closed_form)]
-    if finite:
-        best = min(finite, key=lambda p: p.var_empirical)
-        print(f"empirical argmin rho = {_fmt(best.rho)} "
-              f"(variance {_fmt(best.var_empirical)}); "
-              f"closed-form optimum rho* = {_fmt(rho_star)}")
+    if not finite:
+        print(f"no grid point has a finite long-run variance -> {settings['out']}")
+        return 0
+    best = min(finite, key=lambda p: p.var_empirical)
+    print(f"empirical argmin rho = {_fmt(best.rho)} "
+          f"(variance {_fmt(best.var_empirical)}); "
+          f"closed-form optimum rho* = {_fmt(rho_star)}")
     return 0
 
 

@@ -199,6 +199,7 @@ class _Accumulator:
         # the agents whose stretches the per-round statistics average
         a = plan.stat_agent
         self.agents = slice(None) if a is None else slice(a, a + 1)
+        self.width = plan.cfg.n if a is None else 1
 
     def record(self, t: int, st: np.ndarray, pos: np.ndarray, work: np.ndarray):
         """Add round t; work is (lanes, count) scratch for per-replication values."""
@@ -221,7 +222,7 @@ class _Accumulator:
         zero_sum = np.abs(row_sum(st, out=work), out=work)
         self.max_zero_sum[:, t] = zero_sum.max(axis=1)
         if self.pow_sums is not None:
-            flat = st.reshape(lanes, count * n)
+            flat = stat.reshape(lanes, count * k)
             st2 = flat * flat
             self.pow_sums[:, t] = np.column_stack(
                 (flat.sum(axis=1), st2.sum(axis=1), (st2 * flat).sum(axis=1),
@@ -258,16 +259,16 @@ def _mean_and_se(total: np.ndarray, total_sq: np.ndarray, count: int):
     return mean, np.sqrt(var / count)
 
 
-def _finalize(acc: _Accumulator, lane: int, count: int, n: int) -> List[RoundStats]:
+def _finalize(acc: _Accumulator, lane: int, count: int) -> List[RoundStats]:
     var, var_se = _mean_and_se(acc.sum_sq[lane], acc.sum_sq2[lane], count)
     mabs, mabs_se = _mean_and_se(acc.sum_abs[lane], acc.sum_abs2[lane], count)
     rounds = []
     for t in range(len(var)):
         skew = kurt = com = None
         if acc.pow_sums is not None:
-            skew, kurt = _shape_moments(acc.pow_sums[lane, t], count * n)
+            skew, kurt = _shape_moments(acc.pow_sums[lane, t], count * acc.width)
         if acc.com_sum is not None:
-            com = acc.com_sum[lane, t] / count
+            com = float(acc.com_sum[lane, t] / count)
         rounds.append(RoundStats(
             round=t, var_stretch=float(var[t]), mean_abs_stretch=float(mabs[t]),
             std_error=float(mabs_se[t]), var_std_error=float(var_se[t]),
@@ -388,7 +389,7 @@ def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
     acc = _accumulate(plan, fns, paired, shift_rule, traces)
     results = []
     for lane in range(lanes):
-        result = RunResult(rounds=_finalize(acc, lane, plan.replications, cfg.n),
+        result = RunResult(rounds=_finalize(acc, lane, plan.replications),
                            max_abs_stretch_sum=acc.max_zero_sum[lane])
         if traces is not None:
             result.stretch_traces, result.com_traces = (trace[lane] for trace in traces)

@@ -1,9 +1,9 @@
 """Symmetric "constant diagonal + constant off-diagonal" matrices.
 
 M(a, b) denotes the n x n matrix with a on the diagonal and b everywhere
-else.  The family is closed under multiplication and (when nonsingular)
-inversion, so products, inverses and matrix-vector applications never
-materialize an n x n array; everything is O(1) or O(n).
+else.  The package needs three things of it: the stretch operator mn(n),
+scaling by a number, and apply, one O(n) matrix-vector pass that never
+materializes the n x n array.  row_sum is that pass's bit-exact row sum.
 """
 
 from dataclasses import dataclass
@@ -36,10 +36,6 @@ def row_sum(v: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-class SingularStructuredMatrixError(ValueError):
-    """Raised when an M(a, b) matrix fails an exact invertibility condition."""
-
-
 @dataclass(frozen=True)
 class StructuredMatrix:
     """M(a, b): diagonal entries a, off-diagonal entries b, dimension n."""
@@ -59,23 +55,11 @@ class StructuredMatrix:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return StructuredMatrix(self.n, -self.diag, -self.off)
-
-    def __matmul__(self, other):
-        if isinstance(other, StructuredMatrix):
-            return mul(self, other)
-        return apply(self, other)
-
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense array.  For checks and reports only."""
         out = np.full((self.n, self.n), self.off, dtype=float)
         np.fill_diagonal(out, self.diag)
         return out
-
-
-def identity(n: int) -> StructuredMatrix:
-    return StructuredMatrix(n, 1.0, 0.0)
 
 
 def mn(n: int) -> StructuredMatrix:
@@ -86,41 +70,6 @@ def mn(n: int) -> StructuredMatrix:
     if n < 2:
         raise ValueError(f"stretch operator needs n >= 2, got {n}")
     return StructuredMatrix(n, -1.0, 1.0 / (n - 1))
-
-
-def mul(x: StructuredMatrix, y: StructuredMatrix) -> StructuredMatrix:
-    """Product of two M(a, b) matrices of the same dimension (commutative)."""
-    if x.n != y.n:
-        raise ValueError(f"dimension mismatch: {x.n} != {y.n}")
-    n, a, b = x.n, x.diag, x.off
-    a2, b2 = y.diag, y.off
-    return StructuredMatrix(
-        n,
-        a * a2 + (n - 1) * b * b2,
-        a * b2 + a2 * b + (n - 2) * b * b2,
-    )
-
-
-def inverse(x: StructuredMatrix) -> StructuredMatrix:
-    """Exact inverse within the family.
-
-    M(a, b) is singular iff a == -(n-1) b (the all-ones vector is in the
-    kernel) or, for n >= 2, a == b (rank-1 directions collapse).  Both
-    conditions are checked exactly, not against an epsilon.  The 1x1
-    matrix [a] has no off-diagonal entry; its inverse is M(1/a, 0).
-    """
-    n, a, b = x.n, x.diag, x.off
-    if n > 1 and a == b:
-        raise SingularStructuredMatrixError(
-            f"M(a={a}, b={b}) is singular: a == b")
-    if a == -(n - 1) * b:
-        raise SingularStructuredMatrixError(
-            f"M(a={a}, b={b}) is singular: a == -(n-1)*b with n={n}")
-    if n == 1:
-        return StructuredMatrix(1, 1.0 / a, 0.0)
-    # one eigenvalue after the other: their product may leave the double range
-    lam, mu = a - b, a + (n - 1) * b
-    return StructuredMatrix(n, (a + (n - 2) * b) / lam / mu, -b / lam / mu)
 
 
 def apply(x: StructuredMatrix, v: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from stochalign.kalman import AlphaSchedule, closed_form_filter_state, dense_fil
 from stochalign.model import ModelConfig
 from stochalign.policies import PolicySpec
 from stochalign.sim import RunPlan, run, run_lanes, run_paired, sweep_rho
-from stochalign.structmat import StructuredMatrix, inverse, mul
 
 THREADS = min(4, os.cpu_count() or 1)
 
@@ -199,27 +198,6 @@ def test_model_invariants(tmp_path, monkeypatch, capsys):
     zero_sum = result.max_abs_stretch_sum.max()
     ok &= zero_sum <= 1e-10
     details.append(f"stretch zero-sum {zero_sum:.1e} (tol 1e-10)")
-
-    # structured products and inverses vs dense linear algebra
-    rng = np.random.default_rng(99)
-    worst_mul = worst_inv = 0.0
-    checked = 0
-    while checked < 500:
-        n = int(rng.integers(2, 12))
-        a1, b1, a2, b2 = rng.uniform(-3.0, 3.0, size=4)
-        d1 = np.full((n, n), b1)
-        np.fill_diagonal(d1, a1)
-        d2 = np.full((n, n), b2)
-        np.fill_diagonal(d2, a2)
-        prod = mul(StructuredMatrix(n, a1, b1), StructuredMatrix(n, a2, b2))
-        worst_mul = max(worst_mul, np.abs(prod.to_dense() - d1 @ d2).max())
-        if abs(a1 - b1) > 1e-6 and abs(a1 + (n - 1) * b1) > 1e-6:
-            inv = inverse(StructuredMatrix(n, a1, b1))
-            worst_inv = max(worst_inv,
-                            np.abs(d1 @ inv.to_dense() - np.eye(n)).max())
-        checked += 1
-    ok &= worst_mul <= 1e-12 and worst_inv <= 1e-10
-    details.append(f"matrix algebra devs {worst_mul:.1e}/{worst_inv:.1e}")
 
     # the stretch distribution stays Gaussian (1e6 pooled samples)
     cfg = ModelConfig(n=4, horizon=30, seed=404)

@@ -202,6 +202,16 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "argmin" in out and "rho*" in out
 
+    def test_says_so_when_no_grid_point_converges(self, tmp_path, capsys):
+        code = main(["sweep", "--n", "2", "--reps", "3", "--rounds", "3",
+                     "--grid-start", "0", "--grid-stop", "0", "--threads", "1",
+                     "--out", "sweep.csv"])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "sweep.csv")
+        assert rows == [["0", "divergent", "inf"]]
+        assert capsys.readouterr().out == (
+            "no grid point has a finite long-run variance -> sweep.csv\n")
+
     def test_fractional_step_grid_is_clean(self, tmp_path):
         main(["sweep", "--grid-start", "0.02", "--grid-stop", "0.1",
               "--grid-step", "0.02", "--n", "2", "--rounds", "20",
@@ -347,6 +357,16 @@ class TestThreadsResolution:
     def test_rejects_nonpositive(self, capsys):
         code = main(["simulate", "--threads", "0", "--reps", "10"])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "  "])
+    def test_rejects_env_value_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys,
+                                                      value):
+        monkeypatch.setenv(THREADS_ENV, value)
+        code = main(["simulate", "--n", "2", "--rounds", "3", "--reps", "3",
+                     "--out", "sim.csv"])
+        assert code == 2
+        assert f"{THREADS_ENV} must be an integer, got {value!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_thread_count_invariant_csv(self, tmp_path):
         args = ["simulate", "--n", "3", "--rounds", "10", "--reps", "600",

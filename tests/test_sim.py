@@ -181,9 +181,24 @@ class TestStatistics:
         result = run(small_plan())
         assert result.rounds[0].skewness is None
 
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_moments_follow_stat_agent(self, k):
+        cfg = ModelConfig(n=4, horizon=3, seed=17)
+        result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
+                             replications=2_000, stat_agent=k, record_moments=True,
+                             record_traces=True))
+        for t, stats in enumerate(result.rounds):
+            x = result.stretch_traces[t][:, k]
+            d = x - x.mean()
+            m2 = np.mean(d**2)
+            np.testing.assert_allclose(stats.skewness, np.mean(d**3) / m2**1.5,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stats.excess_kurtosis, np.mean(d**4) / m2**2 - 3.0,
+                                       rtol=0, atol=1e-12)
+
     def test_center_of_mass_recorded(self):
         result = run(small_plan(record_com=True, replications=200))
-        assert all(r.center_of_mass is not None for r in result.rounds)
+        assert all(type(r.center_of_mass) is float for r in result.rounds)
 
 
 class TestScheduledPolicies:
