@@ -29,12 +29,15 @@ def var_limit(rho: float, cfg: ModelConfig) -> float:
 def rho_star_const(cfg: ModelConfig) -> float:
     """The constant responsiveness minimizing var_limit.
 
-    Tends to (sqrt(5)-1)/2 as n grows when sigma_m == sigma_d.
+    Computed as alpha / (c * alpha + sigma_m^2) with alpha = alpha_infty(cfg),
+    the limit of the Kalman gain rho*(t) = alpha_t / (c * alpha_t + sigma_m^2):
+    a ratio of sums of positive terms, so it stays accurate at any noise
+    ratio, where the closed root (sqrt(...) - c * sigma_d^2) / (2 sigma_m^2)
+    cancels.  Tends to (sqrt(5)-1)/2 as n grows when sigma_m == sigma_d.
     """
     c = cfg.n / (cfg.n - 1)
-    sm2 = cfg.sigma_m ** 2
-    sd = cfg.sigma_d
-    return (sd * math.sqrt(4.0 * sm2 + (c * sd) ** 2) - c * sd ** 2) / (2.0 * sm2)
+    a = alpha_infty(cfg)
+    return a / (c * a + cfg.sigma_m ** 2)
 
 
 def var_star_large_n(sigma_m: float, sigma_d: float) -> float:

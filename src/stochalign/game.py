@@ -32,7 +32,7 @@ def best_response(opp_schedule: Sequence[float], cfg: ModelConfig,
                   t_max: int) -> BestResponseSchedule:
     """Optimal deviation coefficients for rounds 0..t_max.
 
-    opp_schedule[t] is the responsiveness every opponent plays at round t.
+    opp_schedule[t] is the finite responsiveness every opponent plays at round t.
     The deviating agent moves (1 - rho_opp/(n-1)) * gain * Y_i, the move
     that zeroes its predicted stretch.  t_max is an integer >= 0.
     """
@@ -41,6 +41,8 @@ def best_response(opp_schedule: Sequence[float], cfg: ModelConfig,
     if opp.ndim != 1 or len(opp) < t_max + 1:
         raise ValueError(
             f"opponent schedule must cover rounds 0..{t_max}, got length {opp.shape}")
+    if not np.all(np.isfinite(opp[:t_max + 1])):
+        raise ValueError(f"opponent schedule must be finite over rounds 0..{t_max}, got {opp!r}")
     coeff = np.empty(t_max + 1)
     p_pre = np.empty(t_max + 1)
     p = cfg.n * cfg.sigma0 ** 2 / (cfg.n - 1)

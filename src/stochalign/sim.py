@@ -68,7 +68,6 @@ class RunPlan:
     replications: int
     record_com: bool = False
     record_traces: bool = False
-    record_moments: bool = False
     stat_agent: Optional[int] = None
     threads: int = 1
     block_size: int = DEFAULT_BLOCK_SIZE
@@ -94,8 +93,6 @@ class RoundStats:
     mean_abs_stretch: float
     std_error: float
     var_std_error: float
-    skewness: Optional[float] = None
-    excess_kurtosis: Optional[float] = None
     center_of_mass: Optional[float] = None
 
 
@@ -179,7 +176,7 @@ class _Accumulator:
     (sweep_rho's) keeps sum_sq alone and records nothing else.
     """
 
-    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "pow_sums", "com_sum", "shift_sum")
+    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "com_sum", "shift_sum")
     MAXES = ("max_zero_sum", "max_diff", "shift_spread", "rule_dev")
 
     def __init__(self, plan: RunPlan, lanes: int, paired: bool, shift_rule=None,
@@ -190,7 +187,6 @@ class _Accumulator:
         full = not variance_only
         for name in ("sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
             setattr(self, name, np.zeros(shape) if full else None)
-        self.pow_sums = np.zeros(shape + (4,)) if full and plan.record_moments else None
         self.com_sum = np.zeros(shape) if full and plan.record_com else None
         for name in ("max_diff", "shift_sum", "shift_spread"):
             setattr(self, name, np.zeros(rounds + 1) if paired else None)
@@ -199,7 +195,6 @@ class _Accumulator:
         # the agents whose stretches the per-round statistics average
         a = plan.stat_agent
         self.agents = slice(None) if a is None else slice(a, a + 1)
-        self.width = plan.cfg.n if a is None else 1
 
     def record(self, t: int, st: np.ndarray, pos: np.ndarray, work: np.ndarray):
         """Add round t; work is (lanes, count) scratch for per-replication values."""
@@ -221,12 +216,6 @@ class _Accumulator:
         self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
         zero_sum = np.abs(row_sum(st, out=work), out=work)
         self.max_zero_sum[:, t] = zero_sum.max(axis=1)
-        if self.pow_sums is not None:
-            flat = stat.reshape(lanes, count * k)
-            st2 = flat * flat
-            self.pow_sums[:, t] = np.column_stack(
-                (flat.sum(axis=1), st2.sum(axis=1), (st2 * flat).sum(axis=1),
-                 (st2 * st2).sum(axis=1)))
         if self.com_sum is not None:
             self.com_sum[:, t] = (row_sum(pos) / n).sum(axis=1)
 
@@ -264,27 +253,12 @@ def _finalize(acc: _Accumulator, lane: int, count: int) -> List[RoundStats]:
     mabs, mabs_se = _mean_and_se(acc.sum_abs[lane], acc.sum_abs2[lane], count)
     rounds = []
     for t in range(len(var)):
-        skew = kurt = com = None
-        if acc.pow_sums is not None:
-            skew, kurt = _shape_moments(acc.pow_sums[lane, t], count * acc.width)
-        if acc.com_sum is not None:
-            com = float(acc.com_sum[lane, t] / count)
+        com = None if acc.com_sum is None else float(acc.com_sum[lane, t] / count)
         rounds.append(RoundStats(
             round=t, var_stretch=float(var[t]), mean_abs_stretch=float(mabs[t]),
             std_error=float(mabs_se[t]), var_std_error=float(var_se[t]),
-            skewness=skew, excess_kurtosis=kurt, center_of_mass=com))
+            center_of_mass=com))
     return rounds
-
-
-def _shape_moments(pows: np.ndarray, count: int):
-    """Skewness and excess kurtosis from pooled power sums."""
-    p1, p2, p3, p4 = pows / count
-    m2 = p2 - p1 * p1
-    if m2 <= 0:
-        return 0.0, 0.0
-    m3 = p3 - 3 * p1 * p2 + 2 * p1 ** 3
-    m4 = p4 - 4 * p1 * p3 + 6 * p1 * p1 * p2 - 3 * p1 ** 4
-    return float(m3 / m2 ** 1.5), float(m4 / (m2 * m2) - 3.0)
 
 
 def _stack(plan: RunPlan, fns):
@@ -415,7 +389,7 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
                shift_rule=None) -> PairedRunResult:
     """Simulate plan.policy and policy_b under identical noise.
 
-    shift_rule, when given, holds one scale rho_t per round of the plan:
+    shift_rule, when given, holds one finite scale rho_t per round of the plan:
     it predicts that the move difference in round t is the common shift
     rho_t times each replication's mean measurement, and the result
     reports the worst per-round deviation of the observed shift from it.
@@ -425,6 +399,8 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
         if shift_rule.ndim != 1 or len(shift_rule) < plan.cfg.horizon:
             raise ValueError(f"shift_rule needs one scale per round ({plan.cfg.horizon}), "
                              f"got shape {shift_rule.shape}")
+        if not np.all(np.isfinite(shift_rule[:plan.cfg.horizon])):
+            raise ValueError(f"shift_rule must be finite over the run's rounds, got {shift_rule!r}")
     (a, b), acc = _simulate(plan, [plan.policy, policy_b], paired=True, shift_rule=shift_rule)
     return PairedRunResult(a=a, b=b, max_stretch_diff=acc.max_diff,
                            shift_mean=acc.shift_sum / plan.replications,

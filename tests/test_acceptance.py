@@ -199,15 +199,19 @@ def test_model_invariants(tmp_path, monkeypatch, capsys):
     ok &= zero_sum <= 1e-10
     details.append(f"stretch zero-sum {zero_sum:.1e} (tol 1e-10)")
 
-    # the stretch distribution stays Gaussian (1e6 pooled samples)
+    # the stretch distribution stays Gaussian (1e6 pooled round-30 stretches)
     cfg = ModelConfig(n=4, horizon=30, seed=404)
     result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
-                         replications=250_000, record_moments=True,
+                         replications=250_000, record_traces=True,
                          threads=THREADS))
-    last = result.rounds[-1]
-    ok &= abs(last.skewness) <= 0.02 and abs(last.excess_kurtosis) <= 0.05
-    details.append(f"skew {last.skewness:+.3f} (tol 0.02), "
-                   f"excess kurtosis {last.excess_kurtosis:+.3f} (tol 0.05)")
+    last = result.stretch_traces[-1].ravel()
+    d = last - last.mean()
+    m2 = np.mean(d * d)
+    skew, kurt = np.mean(d**3) / m2**1.5, np.mean(d**4) / m2**2 - 3.0
+    del result, last, d  # 0.3 GB of traces
+    ok &= abs(skew) <= 0.02 and abs(kurt) <= 0.05
+    details.append(f"skew {skew:+.3f} (tol 0.02), "
+                   f"excess kurtosis {kurt:+.3f} (tol 0.05)")
 
     # same seed -> byte-identical CSV output
     monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Tests for the closed-form steady-state analysis."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -65,7 +66,18 @@ class TestRhoStarConst:
     def test_unit_noise_two_agents(self):
         # n=2, sigma_m=sigma_d=1: rho* = sqrt(2) - 1
         got = rho_star_const(ModelConfig(n=2))
-        assert got == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            assert got == float(Decimal(2).sqrt() - 1)  # correctly rounded
+
+    def test_unit_noise_five_agents_keeps_its_bits(self):
+        # the value behind the pinned dominance.csv
+        assert rho_star_const(ModelConfig(n=5)) == 0.5542476415070754
+
+    def test_drift_far_above_measurement_noise(self):
+        # the closed root cancelled to 0.0 here; the limit is 1/c = (n-1)/n
+        got = rho_star_const(ModelConfig(n=3, sigma_m=1.0, sigma_d=1e8))
+        assert got == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     def test_large_n_golden_ratio(self):
         got = rho_star_const(ModelConfig(n=1_000_000))

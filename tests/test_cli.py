@@ -41,6 +41,16 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "predicted limiting variance" in out
 
+    @pytest.mark.filterwarnings("error")
+    def test_runs_at_the_extreme_noise_ratio(self, tmp_path, capsys):
+        # rho_star_const cancelled to -9.7e183 here and the command exited 2
+        code = main(["simulate", "--n", "5", "--sigma-m", "1e-50", "--sigma-d", "1e50",
+                     "--reps", "3", "--rounds", "3", "--threads", "1", "--out", "s.csv"])
+        assert code == 0
+        assert "(limiting responsiveness 0.79999999999999993)" in capsys.readouterr().out
+        _, rows = read_csv(tmp_path / "s.csv")
+        assert len(rows) == 4
+
     def test_sidecar_holds_resolved_settings(self, tmp_path):
         main(["simulate", "--n", "4", "--rounds", "5", "--reps", "100",
               "--seed", "2", "--threads", "1", "--out", "sim.csv"])
@@ -201,6 +211,14 @@ class TestSweep:
         assert float(rows[2][2]) == pytest.approx(var_limit(0.2, cfg), rel=1e-15)
         out = capsys.readouterr().out
         assert "argmin" in out and "rho*" in out
+
+    @pytest.mark.filterwarnings("error")
+    def test_prints_rho_star_at_the_extreme_noise_ratio(self, tmp_path, capsys):
+        # the closed root of rho* cancelled here and printed a negative value
+        code = main(["sweep", "--n", "5", "--sigma-m", "1e-50", "--sigma-d", "1e50",
+                     "--reps", "3", "--rounds", "3", "--threads", "1", "--out", "sweep.csv"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith("closed-form optimum rho* = 0.79999999999999993\n")
 
     def test_says_so_when_no_grid_point_converges(self, tmp_path, capsys):
         code = main(["sweep", "--n", "2", "--reps", "3", "--rounds", "3",
@@ -490,15 +508,19 @@ class TestFailClosed:
 
     def test_closed_forms_fail_before_the_engine_starts(self, tmp_path, capsys,
                                                          monkeypatch):
-        # rho_star_const cancels to a large negative value at this corner
+        # wstar's printed limit needs rho_star_const, which fails here
         def no_engine(*args, **kwargs):
             raise AssertionError("the engine started")
 
+        def no_closed_form(cfg):
+            raise ValueError("no closed form")
+
         monkeypatch.setattr(cli, "run", no_engine)
-        code = main(["simulate", "--n", "5", "--sigma-m", "1e-50", "--sigma-d", "1e50",
-                     "--reps", "3", "--rounds", "3", "--threads", "1", "--out", "s.csv"])
+        monkeypatch.setattr(cli, "rho_star_const", no_closed_form)
+        code = main(["simulate", "--reps", "3", "--rounds", "3", "--threads", "1",
+                     "--out", "s.csv"])
         assert code == 2
-        assert "rho must be in [0, 1], got -9.7" in capsys.readouterr().err
+        assert "error: no closed form" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_memory_is_exit_2(self, tmp_path, capsys, monkeypatch):

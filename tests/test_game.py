@@ -55,6 +55,17 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             best_response([0.5, 0.5], ModelConfig(n=2), 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_schedule(self, bad):
+        schedule = np.full(4, 0.5)
+        schedule[3] = bad
+        with pytest.raises(ValueError, match="opponent schedule must be finite"):
+            best_response(schedule, ModelConfig(n=3), 3)
+        with pytest.raises(ValueError, match="opponent schedule must be finite"):
+            nash_residual(schedule, ModelConfig(n=3), 3)
+        # entries past t_max are never read
+        assert best_response(schedule, ModelConfig(n=3), 2).responsiveness.shape == (3,)
+
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             best_response([0.5], ModelConfig(n=2), -1)

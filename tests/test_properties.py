@@ -7,6 +7,7 @@ and the file stays within a few seconds.
 import os
 import tempfile
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from stochalign.analysis import alpha_infty
+from stochalign.analysis import alpha_infty, rho_star_const, var_limit
 from stochalign.cli import MAX_GRID_POINTS, MIN_GRID_STEP, ConfigError, _rho_grid, main
 from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
@@ -67,7 +68,6 @@ def lane_setups(draw):
                    threads=draw(st.sampled_from([1, 2])),
                    stat_agent=draw(st.sampled_from([None, 0])),
                    record_com=draw(st.booleans()),
-                   record_moments=draw(st.booleans()),
                    record_traces=draw(st.booleans()))
     return plan, draw(st.lists(policies(), max_size=4))
 
@@ -135,6 +135,43 @@ def test_alphas_move_monotonically_toward_alpha_infty(n, sigma0, sigma_m, sigma_
 
 EPS = np.finfo(float).eps
 entries = st.floats(-100.0, 100.0)
+
+
+def exact_rho_star(n, sigma_m, sigma_d):
+    """rho* from its closed root, (sd sqrt(4 sm^2 + c^2 sd^2) - c sd^2) / (2 sm^2),
+    in 320-digit decimals: the root loses up to 200 of them to cancellation
+    at noise ratios of 1e100."""
+    with localcontext() as ctx:
+        ctx.prec = 320
+        c = Decimal(n) / Decimal(n - 1)
+        sm, sd = Decimal(sigma_m), Decimal(sigma_d)
+        root = sd * (4 * sm * sm + c * c * sd * sd).sqrt()
+        return (root - c * sd * sd) / (2 * sm * sm)
+
+
+# noise scales spread evenly in log10 over the accepted range [1e-50, 1e50]
+log_scales = st.floats(-50.0, 50.0).map(lambda e: min(max(10.0 ** e, 1e-50), 1e50))
+
+
+@derandomized(300)
+@given(n=st.integers(2, 10**6), sigma_m=log_scales, sigma_d=log_scales)
+@example(n=5, sigma_m=1e-50, sigma_d=1e50)
+@example(n=5, sigma_m=1e50, sigma_d=1e-50)
+@example(n=3, sigma_m=1.0, sigma_d=1e8)
+@example(n=2, sigma_m=1.0, sigma_d=1.0)
+def test_rho_star_const_is_accurate_at_any_noise_ratio(n, sigma_m, sigma_d):
+    cfg = ModelConfig(n=n, sigma_m=sigma_m, sigma_d=sigma_d)
+    got = rho_star_const(cfg)
+    exact = exact_rho_star(n, sigma_m, sigma_d)
+    assert abs(Decimal(got) - exact) <= 4 * Decimal(EPS) * exact
+    assert 0.0 < got < 1.0  # inside var_limit's domain
+    c = n / (n - 1)
+    # the variance at rho* is alpha_infty; var_limit's denominator
+    # 1 - (1 - c rho)^2 loses about 1 / (c rho) ulps, so it is compared
+    # only where that leaves it some bits
+    tol = 8 * EPS * (1.0 + 1.0 / (c * got))
+    if tol < 1e-3:
+        assert var_limit(got, cfg) == pytest.approx(alpha_infty(cfg), rel=tol)
 
 
 @st.composite

@@ -34,6 +34,13 @@ def small_plan(**overrides):
     return RunPlan(**defaults)
 
 
+def shape_moments(x):
+    """Skewness and excess kurtosis of the samples in x, pooled."""
+    d = x.ravel() - x.mean()
+    m2 = np.mean(d * d)
+    return np.mean(d**3) / m2**1.5, np.mean(d**4) / m2**2 - 3.0
+
+
 def assert_same_result(a, b):
     """Two RunResults carry the same bits, traces included."""
     assert a.rounds == b.rounds
@@ -172,29 +179,10 @@ class TestStatistics:
     def test_gaussian_shape_of_initial_stretch(self):
         cfg = ModelConfig(n=4, horizon=0, seed=5)
         result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
-                             replications=50_000, record_moments=True))
-        r0 = result.rounds[0]
-        assert abs(r0.skewness) < 0.05
-        assert abs(r0.excess_kurtosis) < 0.1
-
-    def test_moments_disabled_by_default(self):
-        result = run(small_plan())
-        assert result.rounds[0].skewness is None
-
-    @pytest.mark.parametrize("k", [0, 2])
-    def test_moments_follow_stat_agent(self, k):
-        cfg = ModelConfig(n=4, horizon=3, seed=17)
-        result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
-                             replications=2_000, stat_agent=k, record_moments=True,
-                             record_traces=True))
-        for t, stats in enumerate(result.rounds):
-            x = result.stretch_traces[t][:, k]
-            d = x - x.mean()
-            m2 = np.mean(d**2)
-            np.testing.assert_allclose(stats.skewness, np.mean(d**3) / m2**1.5,
-                                       rtol=0, atol=1e-12)
-            np.testing.assert_allclose(stats.excess_kurtosis, np.mean(d**4) / m2**2 - 3.0,
-                                       rtol=0, atol=1e-12)
+                             replications=50_000, record_traces=True))
+        skew, kurt = shape_moments(result.stretch_traces[0])
+        assert abs(skew) < 0.05
+        assert abs(kurt) < 0.1
 
     def test_center_of_mass_recorded(self):
         result = run(small_plan(record_com=True, replications=200))
@@ -233,6 +221,21 @@ class TestPairedRuns:
     def test_rejects_shift_rule_without_a_scale_per_round(self):
         for rule in (np.full(9, 0.5), np.full((10, 3), 0.5)):
             with pytest.raises(ValueError, match="one scale per round"):
+                run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
+
+    def test_rejects_non_finite_shift_rule_before_any_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        # the plan has 10 rounds; an entry past them is never read
+        rule = np.append(np.full(10, 0.5), np.nan)
+        paired = run_paired(small_plan(replications=20), PolicySpec(kind="matc"),
+                            shift_rule=rule)
+        assert np.all(np.isfinite(paired.shift_rule_dev))
+        monkeypatch.setattr(streams, "substream", no_blocks)
+        for bad in (np.nan, np.inf):
+            rule[9] = bad
+            with pytest.raises(ValueError, match="shift_rule must be finite"):
                 run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
 
     def test_same_policy_pairs_exactly(self):
@@ -321,8 +324,7 @@ class TestLanes:
     def test_spec_lanes_equal_single_runs_bit_for_bit(self, threads):
         # 900 replications in blocks of 400: three blocks per lane
         plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400,
-                          threads=threads, record_com=True, record_moments=True,
-                          record_traces=True)
+                          threads=threads, record_com=True, record_traces=True)
         others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3),
                   Gain(np.linspace(0.1, 0.9, 10))]
         lanes = run_lanes(plan, others)
@@ -348,8 +350,7 @@ class TestLanes:
         cfg = ModelConfig(n=n, horizon=12, seed=3)
         sched = AlphaSchedule(cfg, 12)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.4), replications=500,
-                       block_size=200, threads=threads, record_com=True, record_moments=True,
-                       record_traces=True)
+                       block_size=200, threads=threads, record_com=True, record_traces=True)
         specs = [PolicySpec(kind="wstar"), PolicySpec(kind="weighted", rho=1.0)]
         # one scale per round, and with a per-agent lane one row of n
         lane_sets = [specs, specs + [deviant_policy(np.linspace(0.0, 1.2, 13), sched,
