@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .streams import normalize_seed
-from .structmat import row_sum
+from .structmat import along_rows, row_sum
 
 
 def require_int(name: str, value) -> None:
@@ -63,17 +63,24 @@ class ModelConfig:
         object.__setattr__(self, "seed", normalize_seed(self.seed))
 
 
-def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None, *,
+                   total: Optional[np.ndarray] = None) -> np.ndarray:
     """Stretches along the last axis: mean of the others minus self.
 
-    out, when given, receives the result (it must not overlap positions).
+    out, when given, receives the result; it must not overlap positions.
+    total, when given, is row_sum(positions), which a caller that also
+    needs it (the engine's centre of mass) computes once.
     """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[-1]
     if n < 2:
         raise ValueError(f"need at least 2 agents, got {n}")
-    s = row_sum(positions)[..., np.newaxis]
-    out = np.subtract(s, positions, out=out)
-    out /= n - 1
+    if out is not None and np.may_share_memory(out, positions):
+        raise ValueError("out must not overlap positions")
+    if total is None:
+        total = row_sum(positions)
+    out = along_rows(np.subtract, total, positions, out)
+    if n > 2:
+        out /= n - 1
     out -= positions
     return out

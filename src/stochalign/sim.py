@@ -49,7 +49,7 @@ from . import streams
 from .analysis import var_limit
 from .model import ModelConfig, require_int, stretch_values
 from .policies import Gain, PolicySpec, make_policy
-from .structmat import row_sum
+from .structmat import along_rows, row_sum, row_sum_sq
 
 DEFAULT_BLOCK_SIZE = 20_000
 TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs only
@@ -196,13 +196,14 @@ class _Accumulator:
         a = plan.stat_agent
         self.agents = slice(None) if a is None else slice(a, a + 1)
 
-    def record(self, t: int, st: np.ndarray, pos: np.ndarray, work: np.ndarray):
-        """Add round t; work is (lanes, count) scratch for per-replication values."""
-        lanes, count, n = st.shape
+    def record(self, t: int, st: np.ndarray, total: np.ndarray, work: np.ndarray):
+        """Add round t.  total holds each replication's sum of positions and
+        is scratch once read; work is (lanes, count) scratch."""
+        if self.com_sum is not None:
+            self.com_sum[:, t] = (total / st.shape[-1]).sum(axis=1)
         stat = st[:, :, self.agents]
         k = stat.shape[-1]
-        flat = stat.reshape(lanes * count, k)
-        np.einsum("ij,ij->i", flat, flat, out=work.reshape(-1))
+        row_sum_sq(stat, work, tmp=total)
         work /= k
         self.sum_sq[:, t] = work.sum(axis=1)
         if self.sum_sq2 is None:
@@ -212,12 +213,11 @@ class _Accumulator:
         ab /= k
         self.sum_abs[:, t] = ab.sum(axis=1)
         if self.max_diff is not None:
-            self.max_diff[t] = np.abs(st[0] - st[1]).max()
+            diff = st[0] - st[1]
+            self.max_diff[t] = np.abs(diff, out=diff).max()
         self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
         zero_sum = np.abs(row_sum(st, out=work), out=work)
         self.max_zero_sum[:, t] = zero_sum.max(axis=1)
-        if self.com_sum is not None:
-            self.com_sum[:, t] = (row_sum(pos) / n).sum(axis=1)
 
     def record_moves(self, t: int, moves: np.ndarray, mean_y0: Optional[np.ndarray]):
         """Paired only: lane 0's per-agent moves minus lane 1's; mean_y0 is
@@ -225,7 +225,9 @@ class _Accumulator:
         move_diff = moves[0] - moves[1]
         common = row_sum(move_diff) / move_diff.shape[-1]
         self.shift_sum[t] = common.sum()
-        self.shift_spread[t] = np.abs(move_diff - common[:, np.newaxis]).max()
+        # |common - d| is |d - common| bit for bit
+        spread = along_rows(np.subtract, common, move_diff, out=move_diff)
+        self.shift_spread[t] = np.abs(spread, out=spread).max()
         if self.rule_dev is not None:
             self.rule_dev[t] = np.abs(common - self.shift_rule[t] * mean_y0).max()
 
@@ -289,6 +291,8 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     stacked scales (see _stack) turns every slice into its lane's moves.
     The block's statistics go into acc.  traces, when recorded, are the
     run's (stretch, com) arrays; the block writes its replications' slice.
+    Each round's row sums of the positions feed the stretches, the centre
+    of mass and its trace, and then serve acc as scratch.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
@@ -301,13 +305,15 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     pos = np.empty((len(fns),) + shape)
     pos[...] = gen_init.normal(0.0, cfg.sigma0, shape)
     st = np.empty_like(pos)
-    work = np.empty((len(fns), count))
+    total = np.empty((len(fns), count))
+    work = np.empty_like(total)
     for t in range(rounds + 1):
-        stretch_values(pos, out=st)
-        acc.record(t, st, pos, work)
+        row_sum(pos, out=total)
+        stretch_values(pos, out=st, total=total)
         if traces is not None:
             traces[0][:, t, reps] = st
-            traces[1][:, t, reps] = row_sum(pos) / cfg.n
+            traces[1][:, t, reps] = total / cfg.n
+        acc.record(t, st, total, work)
         if t == rounds:
             break
         y = st

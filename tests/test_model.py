@@ -230,6 +230,15 @@ class TestStep:
         stretch_values(positions, out=np.empty_like(positions))
         np.testing.assert_array_equal(positions, before)
 
+    def test_rejects_out_overlapping_positions(self):
+        # written in place, [[0, 1, 5]] would come out as zeros
+        positions = np.array([[0.0, 1.0, 5.0]])
+        for out in (positions, positions[:, ::-1], positions.reshape(3)[None]):
+            with pytest.raises(ValueError, match="overlap"):
+                stretch_values(positions, out=out)
+        np.testing.assert_array_equal(positions, [[0.0, 1.0, 5.0]])
+        np.testing.assert_array_equal(stretch_values(positions), [[3.0, 1.5, -4.5]])
+
 
 class TestStretchRecursion:
     def test_matches_direct_recursion(self):
