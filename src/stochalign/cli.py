@@ -3,11 +3,13 @@
 Five subcommands: simulate, compare, sweep, kalman-check, best-response;
 only the first three, which run Monte Carlo, take --rounds and --reps.
 Settings come from built-in defaults, then an optional flat JSON config
-file (--config), then flags; later sources win.  Every run writes its CSV
-plus a <out>.config.json sidecar holding the resolved config keys, the
-thread count and the command, but not the subcommand-only flags.  Every
-setting is checked before any work starts, and the CSV and its sidecar
-are both written or neither is.  Exit codes: 0 success / assertion
+file (--config), then flags; later sources win.  compare's --a/--rho-a
+are the policy/rho settings.  Every run writes its CSV plus a
+<out>.config.json sidecar holding the resolved config keys, the thread
+count and the command, but not the subcommand-only flags (compare's
+--b/--rho-b, --t-max, --opponents and --assert-nash).  Every setting is
+checked before any work starts, and the CSV and its sidecar are both
+written or neither is.  Exit codes: 0 success / assertion
 passed, 1 assertion failed (kalman-check also when its dense reference
 filter fails), 2 usage, configuration, I/O or out-of-memory error.
 """
@@ -207,10 +209,10 @@ def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
 
 def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
-    spec_a = _policy_spec(args.a, args.rho_a)
+    spec_a = _policy_spec(settings["policy"], settings["rho"])
     spec_b = _policy_spec(args.b, args.rho_b)
     plan = RunPlan(cfg=cfg, policy=spec_a, replications=settings["replications"],
-                   threads=settings["threads"], record_com=True)
+                   threads=settings["threads"])
 
     shift_rule = None
     if (spec_a.kind, spec_b.kind) == ("wstar", "matc"):
@@ -224,7 +226,7 @@ def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
                      _fmt(paired.max_stretch_diff[t]), _fmt(shift)])
     _write_outputs(settings, "round,com_a,com_b,max_stretch_diff,move_shift", rows)
 
-    print(f"paired {args.a} vs {args.b}: max stretch difference "
+    print(f"paired {spec_a.kind} vs {spec_b.kind}: max stretch difference "
           f"{_fmt(paired.max_stretch_diff.max())} -> {settings['out']}")
     if shift_rule is None:
         return 0
@@ -393,10 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("compare", cmd_compare, "run two policies against identical noise",
                 monte_carlo=True, reps=1)
-    p.add_argument("--a", default="wstar", choices=POLICY_KINDS, help="first policy")
+    # the first policy is the policy/rho settings, which a config file can set
+    p.add_argument("--a", dest="policy", choices=POLICY_KINDS,
+                   help=f"first policy (default {DEFAULTS['policy']})")
     p.add_argument("--b", default="matc", choices=POLICY_KINDS, help="second policy")
-    p.add_argument("--rho-a", dest="rho_a", type=float, default=DEFAULTS["rho"],
-                   help="responsiveness when --a weighted")
+    p.add_argument("--rho-a", dest="rho", type=float,
+                   help=f"responsiveness when --a weighted (default {DEFAULTS['rho']})")
     p.add_argument("--rho-b", dest="rho_b", type=float, default=DEFAULTS["rho"],
                    help="responsiveness when --b weighted")
 

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kalman import AlphaSchedule, _check_t_max, scalar_filter_step
-from .model import ModelConfig, require_int
+from .kalman import AlphaSchedule, scalar_filter_step
+from .model import ModelConfig, require_int, require_schedule
 from .policies import Gain
 
 
@@ -36,13 +36,8 @@ def best_response(opp_schedule: Sequence[float], cfg: ModelConfig,
     The deviating agent moves (1 - rho_opp/(n-1)) * gain * Y_i, the move
     that zeroes its predicted stretch.  t_max is an integer >= 0.
     """
-    _check_t_max(t_max)
-    opp = np.asarray(opp_schedule, dtype=float)
-    if opp.ndim != 1 or len(opp) < t_max + 1:
-        raise ValueError(
-            f"opponent schedule must cover rounds 0..{t_max}, got length {opp.shape}")
-    if not np.all(np.isfinite(opp[:t_max + 1])):
-        raise ValueError(f"opponent schedule must be finite over rounds 0..{t_max}, got {opp!r}")
+    require_int("t_max", t_max, lo=0)
+    opp = require_schedule("opponent schedule", opp_schedule, t_max + 1)
     coeff = np.empty(t_max + 1)
     p_pre = np.empty(t_max + 1)
     p = cfg.n * cfg.sigma0 ** 2 / (cfg.n - 1)
@@ -74,9 +69,7 @@ def deviant_policy(coeffs: Sequence[float], schedule: AlphaSchedule,
     integer in [0, n).
     """
     n = schedule.cfg.n
-    require_int("agent", agent)
-    if not 0 <= agent < n:
-        raise ValueError(f"agent must be in [0, {n}), got {agent}")
+    require_int("agent", agent, lo=0, hi=n)
     coeffs = np.asarray(coeffs, dtype=float)
     rounds = min(len(coeffs), schedule.t_max + 1)
     rhos = schedule.rhos(schedule.t_max)[:rounds]

@@ -9,18 +9,10 @@ round by round.  `scalar_filter_step` is the deviating agent's filter,
 which the game layer uses.
 """
 
-from typing import Optional
-
 import numpy as np
 
 from .model import ModelConfig, require_int
 from .structmat import StructuredMatrix, mn
-
-
-def _check_t_max(t_max) -> None:
-    require_int("t_max", t_max)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
 
 
 def dense_filter_path(cfg: ModelConfig, t_max: int):
@@ -40,7 +32,7 @@ def dense_filter_path(cfg: ModelConfig, t_max: int):
     round's matrices, so its memory is O(n^2) independent of t_max.  t_max
     is checked when this is called, not when the first round is drawn.
     """
-    _check_t_max(t_max)
+    require_int("t_max", t_max, lo=0)
     return _dense_filter_rounds(cfg, t_max)
 
 
@@ -66,13 +58,12 @@ class AlphaSchedule:
         alpha_{t+1} = sigma_m^2 alpha_t / (c alpha_t + sigma_m^2) + c sigma_d^2,
         rho*(t)     = alpha_t / (c alpha_t + sigma_m^2),         c = n/(n-1).
 
-    Both are computed once, for rounds 0..t_max (default: the config
-    horizon); a round outside that range is rejected.
+    Both are computed once, for rounds 0..t_max; a round outside that
+    range is rejected.
     """
 
-    def __init__(self, cfg: ModelConfig, t_max: Optional[int] = None):
-        t_max = cfg.horizon if t_max is None else t_max
-        _check_t_max(t_max)
+    def __init__(self, cfg: ModelConfig, t_max: int):
+        require_int("t_max", t_max, lo=0)
         self.cfg = cfg
         self.t_max = t_max
         c = cfg.n / (cfg.n - 1)
@@ -103,15 +94,12 @@ class AlphaSchedule:
         return self._rhos[:self._check(t_max) + 1].copy()
 
 
-def closed_form_filter_state(cfg: ModelConfig, t: int,
-                             schedule: Optional[AlphaSchedule] = None):
+def closed_form_filter_state(cfg: ModelConfig, t: int, schedule: AlphaSchedule):
     """Structured (prediction covariance, gain) at round t.
 
     P-_t = -alpha_t M and K_t = -rho*(t) M, where M is the stretch
     operator; both stay in the constant-diagonal family forever.
     """
-    if schedule is None:
-        schedule = AlphaSchedule(cfg, t)
     m = mn(cfg.n)
     cov_pre: StructuredMatrix = -schedule.alpha(t) * m
     gain_t: StructuredMatrix = -schedule.rho(t) * m

@@ -18,10 +18,27 @@ from .streams import normalize_seed
 from .structmat import along_rows, row_sum
 
 
-def require_int(name: str, value) -> None:
-    """Reject anything but an integer (bools included) for a count setting."""
+def require_int(name: str, value, lo: Optional[int] = None, hi: Optional[int] = None) -> None:
+    """Reject anything but an integer (bools included) for a count setting,
+    and, when lo is given, one below lo or, with hi too, one outside [lo, hi)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if hi is not None and not lo <= value < hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}), got {value}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value}")
+
+
+def require_schedule(name: str, values, rounds: int) -> np.ndarray:
+    """values as a 1-D float array of at least rounds entries, finite over
+    the first rounds; entries past them are never read."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or len(values) < rounds:
+        raise ValueError(f"{name} needs one scale per round ({rounds}), "
+                         f"got shape {values.shape}")
+    if not np.all(np.isfinite(values[:rounds])):
+        raise ValueError(f"{name} must be finite over its {rounds} rounds, got {values!r}")
+    return values
 
 
 SCALE_MIN, SCALE_MAX = 1e-50, 1e50  # the accepted magnitudes of a noise scale
@@ -44,11 +61,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_int("n", self.n)
-        require_int("horizon", self.horizon)
+        require_int("n", self.n, lo=2)
+        require_int("horizon", self.horizon, lo=0)
         require_int("seed", self.seed)
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
         # in this range a product of two variances times c^2 = (n/(n-1))^2,
         # and the engine's fourth-power sums of stretches, stay finite and
         # nonzero; a NaN fails every comparison
@@ -58,8 +73,6 @@ class ModelConfig:
             if not (SCALE_MIN <= value <= SCALE_MAX or (zero and value == 0)):
                 raise ValueError(f"{name} must be finite and {'0 or ' if zero else ''}in "
                                  f"[{SCALE_MIN:g}, {SCALE_MAX:g}], got {value}")
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         object.__setattr__(self, "seed", normalize_seed(self.seed))
 
 

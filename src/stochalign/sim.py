@@ -47,7 +47,7 @@ import numpy as np
 
 from . import streams
 from .analysis import var_limit
-from .model import ModelConfig, require_int, stretch_values
+from .model import ModelConfig, require_int, require_schedule, stretch_values
 from .policies import Gain, PolicySpec, make_policy
 from .structmat import along_rows, row_sum, row_sum_sq
 
@@ -66,7 +66,6 @@ class RunPlan:
     cfg: ModelConfig
     policy: Union[PolicySpec, Gain]
     replications: int
-    record_com: bool = False
     record_traces: bool = False
     stat_agent: Optional[int] = None
     threads: int = 1
@@ -74,26 +73,22 @@ class RunPlan:
 
     def __post_init__(self):
         for name in ("replications", "threads", "block_size"):
-            value = getattr(self, name)
-            require_int(name, value)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            require_int(name, getattr(self, name), lo=1)
         if self.stat_agent is not None:
-            require_int("stat_agent", self.stat_agent)
-            if not 0 <= self.stat_agent < self.cfg.n:
-                raise ValueError(f"stat_agent must be in [0, {self.cfg.n}), got {self.stat_agent}")
+            require_int("stat_agent", self.stat_agent, lo=0, hi=self.cfg.n)
 
 
 @dataclass(slots=True)
 class RoundStats:
-    """Cross-replication statistics of the stretch at the start of a round."""
+    """Cross-replication statistics of the stretch, and the mean centre of
+    mass, at the start of a round."""
 
     round: int
     var_stretch: float
     mean_abs_stretch: float
     std_error: float
     var_std_error: float
-    center_of_mass: Optional[float] = None
+    center_of_mass: float
 
 
 @dataclass
@@ -172,8 +167,9 @@ class _Accumulator:
     Per-lane sums are (lanes, rounds+1) arrays.  A paired accumulator
     also keeps run_paired's diagnostics of lane 1 against lane 0.  Each
     lane is reduced over its own contiguous slice, so its sums carry the
-    same bits whatever the number of lanes.  A variance-only accumulator
-    (sweep_rho's) keeps sum_sq alone and records nothing else.
+    same bits whatever the number of lanes.  A full accumulator keeps
+    every lane's centre of mass; a variance-only one (sweep_rho's) keeps
+    sum_sq alone and records nothing else.
     """
 
     SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "com_sum", "shift_sum")
@@ -185,9 +181,8 @@ class _Accumulator:
         shape = (lanes, rounds + 1)
         self.sum_sq = np.zeros(shape)
         full = not variance_only
-        for name in ("sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
+        for name in ("sum_sq2", "sum_abs", "sum_abs2", "com_sum", "max_zero_sum"):
             setattr(self, name, np.zeros(shape) if full else None)
-        self.com_sum = np.zeros(shape) if full and plan.record_com else None
         for name in ("max_diff", "shift_sum", "shift_spread"):
             setattr(self, name, np.zeros(rounds + 1) if paired else None)
         self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
@@ -200,7 +195,7 @@ class _Accumulator:
         """Add round t.  total holds each replication's sum of positions and
         is scratch once read; work is (lanes, count) scratch."""
         if self.com_sum is not None:
-            self.com_sum[:, t] = (total / st.shape[-1]).sum(axis=1)
+            self.com_sum[:, t] = np.divide(total, st.shape[-1], out=work).sum(axis=1)
         stat = st[:, :, self.agents]
         k = stat.shape[-1]
         row_sum_sq(stat, work, tmp=total)
@@ -255,11 +250,10 @@ def _finalize(acc: _Accumulator, lane: int, count: int) -> List[RoundStats]:
     mabs, mabs_se = _mean_and_se(acc.sum_abs[lane], acc.sum_abs2[lane], count)
     rounds = []
     for t in range(len(var)):
-        com = None if acc.com_sum is None else float(acc.com_sum[lane, t] / count)
         rounds.append(RoundStats(
             round=t, var_stretch=float(var[t]), mean_abs_stretch=float(mabs[t]),
             std_error=float(mabs_se[t]), var_std_error=float(var_se[t]),
-            center_of_mass=com))
+            center_of_mass=float(acc.com_sum[lane, t] / count)))
     return rounds
 
 
@@ -401,12 +395,7 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
     reports the worst per-round deviation of the observed shift from it.
     """
     if shift_rule is not None:
-        shift_rule = np.asarray(shift_rule, dtype=float)
-        if shift_rule.ndim != 1 or len(shift_rule) < plan.cfg.horizon:
-            raise ValueError(f"shift_rule needs one scale per round ({plan.cfg.horizon}), "
-                             f"got shape {shift_rule.shape}")
-        if not np.all(np.isfinite(shift_rule[:plan.cfg.horizon])):
-            raise ValueError(f"shift_rule must be finite over the run's rounds, got {shift_rule!r}")
+        shift_rule = require_schedule("shift_rule", shift_rule, plan.cfg.horizon)
     (a, b), acc = _simulate(plan, [plan.policy, policy_b], paired=True, shift_rule=shift_rule)
     return PairedRunResult(a=a, b=b, max_stretch_diff=acc.max_diff,
                            shift_mean=acc.shift_sum / plan.replications,
@@ -415,6 +404,8 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
 
 def _tail_mean(values) -> float:
     """Average of the final 10% of a per-round sequence, at least its last entry."""
+    if not len(values):
+        raise ValueError("need at least one round to average")
     tail = max(1, len(values) // 10)
     return float(np.mean(values[-tail:]))
 

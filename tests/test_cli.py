@@ -186,6 +186,24 @@ class TestCompare:
             assert r[1] == r[2]
             assert float(r[3]) == 0.0
 
+    def test_first_policy_is_the_policy_and_rho_settings(self, tmp_path):
+        # --a/--rho-a and a config file set the same settings, so both runs
+        # write the same bytes, the sidecar records the policy that ran, and
+        # it runs as the same second policy does, exactly
+        (tmp_path / "c.json").write_text(json.dumps({"policy": "weighted", "rho": 0.3}))
+        common = ["--b", "weighted", "--rho-b", "0.3", "--n", "3", "--rounds", "10",
+                  "--reps", "10", "--seed", "6", "--threads", "1", "--out", "cmp.csv"]
+        outputs = []
+        for source in (["--config", "c.json"], ["--a", "weighted", "--rho-a", "0.3"]):
+            assert main(["compare", *source, *common]) == 0
+            outputs.append([(tmp_path / name).read_bytes()
+                            for name in ("cmp.csv", "cmp.csv.config.json")])
+        assert outputs[0] == outputs[1]
+        sidecar = json.loads(outputs[0][1])
+        assert (sidecar["policy"], sidecar["rho"]) == ("weighted", 0.3)
+        _, rows = read_csv(tmp_path / "cmp.csv")
+        assert all(r[1] == r[2] and float(r[3]) == 0.0 for r in rows)
+
     def test_different_weights_share_noise_but_differ(self, tmp_path):
         main(["compare", "--a", "weighted", "--b", "weighted",
               "--rho-a", "0.3", "--rho-b", "0.8", "--n", "3", "--rounds", "10",

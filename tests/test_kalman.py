@@ -129,7 +129,7 @@ class TestDenseFilterPath:
         assert not solves
         cov, k = next(path)
         assert len(solves) == 1
-        cov_cf, k_cf = closed_form_filter_state(cfg, 0)
+        cov_cf, k_cf = closed_form_filter_state(cfg, 0, AlphaSchedule(cfg, 0))
         np.testing.assert_allclose(cov, cov_cf.to_dense(), atol=1e-12)
         np.testing.assert_allclose(k, k_cf.to_dense(), atol=1e-12)
 
@@ -244,7 +244,7 @@ class TestClosedFormAgainstDense:
     def test_gain_structure_values(self):
         # K_0 = -rho*(0) M: diagonal rho*(0), off-diagonal -rho*(0)/(n-1)
         cfg = ModelConfig(n=2)
-        _, k0 = closed_form_filter_state(cfg, 0)
+        _, k0 = closed_form_filter_state(cfg, 0, AlphaSchedule(cfg, 0))
         assert k0.diag == pytest.approx(0.4, abs=1e-15)
         assert k0.off == pytest.approx(-0.4, abs=1e-15)
 

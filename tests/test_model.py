@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochalign.model import SCALE_MAX, SCALE_MIN, ModelConfig, stretch_values
+from stochalign.model import (SCALE_MAX, SCALE_MIN, ModelConfig, require_int,
+                              require_schedule, stretch_values)
 from stochalign.policies import PolicySpec
 from stochalign.sim import RunPlan, run
 from stochalign.streams import INIT, substream
@@ -107,6 +108,40 @@ class TestModelConfig:
         st, com = engine_traces(cfg, 0.5, 10, rounds=0)
         np.testing.assert_array_equal(st[0], np.zeros((10, 4)))
         np.testing.assert_array_equal(com[0], np.zeros(10))
+
+
+class TestChecks:
+    @pytest.mark.parametrize("value, lo, hi, message", [
+        (1.0, None, None, "k must be an integer, got 1.0"),
+        (True, 0, None, "k must be an integer, got True"),
+        (1, 2, None, "k must be >= 2, got 1"),
+        (-1, 0, 3, "k must be in [0, 3), got -1"),
+        (3, 0, 3, "k must be in [0, 3), got 3"),
+    ])
+    def test_require_int_rejects(self, value, lo, hi, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            require_int("k", value, lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("value, lo, hi", [
+        (-5, None, None), (2, 2, None), (np.int64(2), 2, None), (0, 0, 3), (2, 0, 3)])
+    def test_require_int_accepts(self, value, lo, hi):
+        require_int("k", value, lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.full(2, 0.5), "s needs one scale per round (3), got shape (2,)"),
+        (np.full((3, 1), 0.5), "s needs one scale per round (3), got shape (3, 1)"),
+        ([0.5, math.nan, 0.5], "s must be finite over its 3 rounds"),
+        ([0.5, 0.5, -math.inf], "s must be finite over its 3 rounds"),
+    ])
+    def test_require_schedule_rejects(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            require_schedule("s", values, 3)
+
+    def test_require_schedule_returns_a_float_array(self):
+        # an entry past the rounds is never read
+        got = require_schedule("s", [1, 2, 3, math.nan], 3)
+        assert got.dtype == np.float64 and got.shape == (4,)
+        np.testing.assert_array_equal(got[:3], [1.0, 2.0, 3.0])
 
 
 class TestInitWorld:

@@ -67,7 +67,6 @@ def lane_setups(draw):
                    block_size=draw(st.integers(1, 40)),
                    threads=draw(st.sampled_from([1, 2])),
                    stat_agent=draw(st.sampled_from([None, 0])),
-                   record_com=draw(st.booleans()),
                    record_traces=draw(st.booleans()))
     return plan, draw(st.lists(policies(), max_size=4))
 

@@ -185,8 +185,17 @@ class TestStatistics:
         assert abs(kurt) < 0.1
 
     def test_center_of_mass_recorded(self):
-        result = run(small_plan(record_com=True, replications=200))
-        assert all(type(r.center_of_mass) is float for r in result.rounds)
+        # every run records the centre of mass, both paired lanes too, as
+        # the mean of its trace; three blocks on one and on two threads
+        for threads in (1, 2):
+            plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500,
+                              block_size=200, threads=threads, record_traces=True)
+            paired = run_paired(plan, PolicySpec(kind="matc"))
+            for result in (run(plan), paired.a, paired.b):
+                for t, r in enumerate(result.rounds):
+                    assert type(r.center_of_mass) is float
+                    assert r.center_of_mass == pytest.approx(result.com_traces[t].mean(),
+                                                             rel=0, abs=1e-12)
 
 
 class TestScheduledPolicies:
@@ -257,7 +266,7 @@ class TestPairedRuns:
     def test_paired_traces(self):
         cfg = ModelConfig(n=3, horizon=4, seed=2)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=50,
-                       record_traces=True, record_com=True)
+                       record_traces=True)
         paired = run_paired(plan, PolicySpec(kind="matc"))
         assert paired.a.stretch_traces.shape == (5, 50, 3)
         assert paired.b.com_traces.shape == (5, 50)
@@ -288,7 +297,7 @@ class TestSteadyState:
     def test_tail_average(self):
         def fake(t, v):
             return RoundStats(round=t, var_stretch=v, mean_abs_stretch=0.0,
-                              std_error=0.0, var_std_error=0.0)
+                              std_error=0.0, var_std_error=0.0, center_of_mass=0.0)
 
         rounds = [fake(t, 1.0) for t in range(18)] + [fake(18, 2.0), fake(19, 4.0)]
         # 20 rounds -> tail is the last 2
@@ -297,9 +306,15 @@ class TestSteadyState:
     def test_short_result_uses_last_round(self):
         def fake(t, v):
             return RoundStats(round=t, var_stretch=v, mean_abs_stretch=0.0,
-                              std_error=0.0, var_std_error=0.0)
+                              std_error=0.0, var_std_error=0.0, center_of_mass=0.0)
 
         assert steady_state_variance([fake(0, 1.0), fake(1, 5.0)]) == 5.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_no_rounds(self):
+        # numpy's mean of an empty slice gave nan with a RuntimeWarning
+        with pytest.raises(ValueError, match="at least one round"):
+            steady_state_variance([])
 
 
 class TestLanes:
@@ -314,8 +329,7 @@ class TestLanes:
             assert point.var_empirical == steady_state_variance(alone.rounds)
 
     def test_paired_lanes_equal_single_runs_bit_for_bit(self):
-        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400,
-                          record_com=True)
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400)
         paired = run_paired(plan, PolicySpec(kind="matc"))
         assert paired.a.rounds == run(plan).rounds
         assert paired.b.rounds == run(replace(plan, policy=PolicySpec(kind="matc"))).rounds
@@ -324,7 +338,7 @@ class TestLanes:
     def test_spec_lanes_equal_single_runs_bit_for_bit(self, threads):
         # 900 replications in blocks of 400: three blocks per lane
         plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400,
-                          threads=threads, record_com=True, record_traces=True)
+                          threads=threads, record_traces=True)
         others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3),
                   Gain(np.linspace(0.1, 0.9, 10))]
         lanes = run_lanes(plan, others)
@@ -350,7 +364,7 @@ class TestLanes:
         cfg = ModelConfig(n=n, horizon=12, seed=3)
         sched = AlphaSchedule(cfg, 12)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.4), replications=500,
-                       block_size=200, threads=threads, record_com=True, record_traces=True)
+                       block_size=200, threads=threads, record_traces=True)
         specs = [PolicySpec(kind="wstar"), PolicySpec(kind="weighted", rho=1.0)]
         # one scale per round, and with a per-agent lane one row of n
         lane_sets = [specs, specs + [deviant_policy(np.linspace(0.0, 1.2, 13), sched,
