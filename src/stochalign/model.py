@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .streams import normalize_seed
-from .structmat import along_rows, row_sum
 
 
 def require_int(name: str, value, lo: Optional[int] = None, hi: Optional[int] = None) -> None:
@@ -81,7 +80,7 @@ def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None, *,
     """Stretches along the last axis: mean of the others minus self.
 
     out, when given, receives the result; it must not overlap positions.
-    total, when given, is row_sum(positions), which a caller that also
+    total, when given, is positions.sum(axis=-1), which a caller that also
     needs it (the engine's centre of mass) computes once.
     """
     positions = np.asarray(positions, dtype=float)
@@ -91,8 +90,8 @@ def stretch_values(positions: np.ndarray, out: Optional[np.ndarray] = None, *,
     if out is not None and np.may_share_memory(out, positions):
         raise ValueError("out must not overlap positions")
     if total is None:
-        total = row_sum(positions)
-    out = along_rows(np.subtract, total, positions, out)
+        total = positions.sum(axis=-1)
+    out = np.subtract(total[..., np.newaxis], positions, out=out)
     if n > 2:
         out /= n - 1
     out -= positions

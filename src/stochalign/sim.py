@@ -2,9 +2,11 @@
 
 Replications are split into fixed-size blocks; each block derives its own
 noise streams from (seed, block index, noise kind).  One block loop
-simulates L policy lanes at once: the state has shape (L, block, n), and
-the initial, measurement and drift normals are drawn once per block as
-(block, n) arrays and broadcast to every lane.  All lanes therefore see
+simulates L policy lanes at once: the state is agent-major, (L, n,
+block), so each agent is one contiguous row of replications and every
+reduction over agents is a sum of whole rows.  The initial, measurement
+and drift normals are drawn once per block as (block, n) arrays and
+added through their transpose to every lane.  All lanes therefore see
 identical noise (common random numbers) for the price of one draw.
 `run_lanes` returns one RunResult per lane; `run` is its single lane,
 `run_paired` two lanes plus the diagnostics of their difference, and
@@ -49,7 +51,6 @@ from . import streams
 from .analysis import var_limit
 from .model import ModelConfig, require_int, require_schedule, stretch_values
 from .policies import Gain, PolicySpec, make_policy
-from .structmat import along_rows, row_sum, row_sum_sq
 
 DEFAULT_BLOCK_SIZE = 20_000
 TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs only
@@ -192,36 +193,44 @@ class _Accumulator:
         self.agents = slice(None) if a is None else slice(a, a + 1)
 
     def record(self, t: int, st: np.ndarray, total: np.ndarray, work: np.ndarray):
-        """Add round t.  total holds each replication's sum of positions and
-        is scratch once read; work is (lanes, count) scratch."""
+        """Add round t of the (lanes, n, count) stretches st.  total holds
+        each replication's sum of positions and is scratch once read; work
+        is (lanes, count) scratch.
+
+        Sums over agents add whole agent rows in order.  The sum of squares
+        adds the even agents' squares and the odd agents' squares apart and
+        then the two, which for up to 7 agents is the order of
+        np.einsum("ij,ij->i") over agent-last rows.
+        """
         if self.com_sum is not None:
-            self.com_sum[:, t] = np.divide(total, st.shape[-1], out=work).sum(axis=1)
-        stat = st[:, :, self.agents]
-        k = stat.shape[-1]
-        row_sum_sq(stat, work, tmp=total)
+            self.com_sum[:, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
+        stat = st[:, self.agents]
+        k = stat.shape[1]
+        even, odd = stat[:, 0::2], stat[:, 1::2]
+        np.einsum("lac,lac->lc", even, even, out=work)
+        work += np.einsum("lac,lac->lc", odd, odd, out=total)
         work /= k
         self.sum_sq[:, t] = work.sum(axis=1)
         if self.sum_sq2 is None:
             return
         self.sum_sq2[:, t] = np.multiply(work, work, out=work).sum(axis=1)
-        ab = row_sum(np.abs(stat), out=work)
+        ab = np.abs(stat).sum(axis=1, out=work)
         ab /= k
         self.sum_abs[:, t] = ab.sum(axis=1)
         if self.max_diff is not None:
             diff = st[0] - st[1]
             self.max_diff[t] = np.abs(diff, out=diff).max()
         self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
-        zero_sum = np.abs(row_sum(st, out=work), out=work)
+        zero_sum = np.abs(st.sum(axis=1, out=work), out=work)
         self.max_zero_sum[:, t] = zero_sum.max(axis=1)
 
     def record_moves(self, t: int, moves: np.ndarray, mean_y0: Optional[np.ndarray]):
         """Paired only: lane 0's per-agent moves minus lane 1's; mean_y0 is
         lane 0's mean measurement per replication when a shift rule is set."""
         move_diff = moves[0] - moves[1]
-        common = row_sum(move_diff) / move_diff.shape[-1]
+        common = move_diff.sum(axis=0) / len(move_diff)
         self.shift_sum[t] = common.sum()
-        # |common - d| is |d - common| bit for bit
-        spread = along_rows(np.subtract, common, move_diff, out=move_diff)
+        spread = np.subtract(common, move_diff, out=move_diff)
         self.shift_spread[t] = np.abs(spread, out=spread).max()
         if self.rule_dev is not None:
             self.rule_dev[t] = np.abs(common - self.shift_rule[t] * mean_y0).max()
@@ -258,19 +267,19 @@ def _finalize(acc: _Accumulator, lane: int, count: int) -> List[RoundStats]:
 
 
 def _stack(plan: RunPlan, fns):
-    """The lanes' per-round scales as one (rounds, lanes, 1, width) array,
+    """The lanes' per-round scales as one (rounds, lanes, width, 1) array,
     and the called lanes: Gains with an operator and callables that are
     not Gains, which scale their own moves and are stacked at 1.0.  width
     is n when any other lane is per-agent and 1 otherwise, so that
-    stack[t] broadcasts against the (lanes, count, n) measurements.
+    stack[t] broadcasts against the (lanes, n, count) measurements.
     """
     rounds = plan.cfg.horizon
     called = [i for i, fn in enumerate(fns) if not isinstance(fn, Gain) or fn.op is not None]
     scales = {i: fn.scale[:rounds] for i, fn in enumerate(fns) if i not in called}
     width = plan.cfg.n if any(s.ndim == 2 for s in scales.values()) else 1
-    stack = np.ones((rounds, len(fns), 1, width))
+    stack = np.ones((rounds, len(fns), width, 1))
     for lane, s in scales.items():
-        stack[:, lane, 0] = s if s.ndim == 2 else s[:, np.newaxis]
+        stack[:, lane, :, 0] = s if s.ndim == 2 else s[:, np.newaxis]
     return stack, called
 
 
@@ -278,15 +287,17 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
                traces, index: int, count: int) -> _Accumulator:
     """Simulate one block of replications for every policy lane.
 
-    The state is (lanes, count, n); each noise draw is (count, n) and is
-    broadcast to every lane.  Only the positions and the stretches are
-    held for all lanes: the measurements overwrite the stretches, each
-    called lane's moves overwrite its slice, and one multiply by the
-    stacked scales (see _stack) turns every slice into its lane's moves.
-    The block's statistics go into acc.  traces, when recorded, are the
-    run's (stretch, com) arrays; the block writes its replications' slice.
-    Each round's row sums of the positions feed the stretches, the centre
-    of mass and its trace, and then serve acc as scratch.
+    The state is (lanes, n, count); each noise draw is (count, n) and is
+    added through its transpose to every lane.  Only the positions and the
+    stretches are held for all lanes: the measurements overwrite the
+    stretches, each called lane's moves overwrite its slice, and one
+    multiply by the stacked scales (see _stack) turns every slice into its
+    lane's moves.  Called lanes, stretch_values and the traces see the
+    agent-last (count, n) views of the state.  The block's statistics go
+    into acc.  traces, when recorded, are the run's (stretch, com) arrays;
+    the block writes its replications' slice.  Each round's sums of the
+    positions over agents feed the stretches, the centre of mass and its
+    trace, and then serve acc as scratch.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
@@ -296,30 +307,32 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
 
     reps = slice(index * plan.block_size, index * plan.block_size + count)
-    pos = np.empty((len(fns),) + shape)
-    pos[...] = gen_init.normal(0.0, cfg.sigma0, shape)
+    pos = np.empty((len(fns), cfg.n, count))
+    pos[...] = gen_init.normal(0.0, cfg.sigma0, shape).T
     st = np.empty_like(pos)
+    # the agent-last views that stretch_values and the traces take
+    pos_t, st_t = pos.transpose(0, 2, 1), st.transpose(0, 2, 1)
     total = np.empty((len(fns), count))
     work = np.empty_like(total)
     for t in range(rounds + 1):
-        row_sum(pos, out=total)
-        stretch_values(pos, out=st, total=total)
+        pos.sum(axis=1, out=total)
+        stretch_values(pos_t, out=st_t, total=total)
         if traces is not None:
-            traces[0][:, t, reps] = st
+            traces[0][:, t, reps] = st_t
             traces[1][:, t, reps] = total / cfg.n
         acc.record(t, st, total, work)
         if t == rounds:
             break
         y = st
-        y += gen_meas.normal(0.0, cfg.sigma_m, shape)
-        mean_y0 = row_sum(y[0]) / cfg.n if acc.shift_rule is not None else None
+        y += gen_meas.normal(0.0, cfg.sigma_m, shape).T
+        mean_y0 = y[0].sum(axis=0) / cfg.n if acc.shift_rule is not None else None
         for lane in called:
-            y[lane] = fns[lane](y[lane], t)
+            y[lane] = fns[lane](y[lane].T, t).T
         y *= stack[t]
         if acc.shift_sum is not None:
             acc.record_moves(t, y, mean_y0)
         pos += y
-        pos += gen_drift.normal(0.0, cfg.sigma_d, shape)
+        pos += gen_drift.normal(0.0, cfg.sigma_d, shape).T
     return acc
 
 

@@ -22,7 +22,7 @@ from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
 from stochalign.policies import Gain, PolicySpec
 from stochalign.sim import RunPlan, run, run_lanes
-from stochalign.structmat import SEQUENTIAL_SUM_MAX, StructuredMatrix, apply, row_sum
+from stochalign.structmat import StructuredMatrix, apply
 
 
 def derandomized(max_examples):
@@ -86,33 +86,6 @@ def test_every_lane_equals_its_own_run_bit_for_bit(setup):
             assert (x is None) == (y is None) == (not plan.record_traces)
             if x is not None:
                 np.testing.assert_array_equal(x, y)
-
-
-# -0.0 and +0.0 drawn often enough to fill whole rows, beside any other double
-sum_elements = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(width=64))
-
-
-@derandomized(200)
-@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=12),
-              elements=sum_elements),
-       st.booleans())
-def test_row_sum_equals_numpy_sum_bit_for_bit(v, into_out):
-    # a sum of finite doubles may overflow to inf, or meet inf - inf, in
-    # both sums alike
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = v.sum(axis=-1)
-        out = np.empty_like(expected) if into_out else None
-        got = row_sum(v, out=out)
-    if into_out:
-        assert got is out
-    np.testing.assert_array_equal(got, expected)  # NaN matches NaN
-    # the documented exception: an all -0.0 row of 2..7 elements keeps its sign
-    n = v.shape[-1]
-    kept = (np.all((v == 0.0) & np.signbit(v), axis=-1)
-            & (2 <= n <= SEQUENTIAL_SUM_MAX))
-    compared = ~kept & ~np.isnan(expected)
-    np.testing.assert_array_equal(np.signbit(got)[compared], np.signbit(expected)[compared])
-    np.testing.assert_array_equal(np.signbit(got)[kept], True)
 
 
 @derandomized(200)

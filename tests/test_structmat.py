@@ -7,7 +7,7 @@ independently in this file.
 import numpy as np
 import pytest
 
-from stochalign.structmat import SEQUENTIAL_SUM_MAX, StructuredMatrix, apply, mn, row_sum
+from stochalign.structmat import StructuredMatrix, apply, mn
 
 
 def dense_of(n, a, b):
@@ -78,24 +78,3 @@ def test_operator_sugar():
     scaled = m * -1.0
     assert (scaled.diag, scaled.off) == (-2.0, -1.0)
 
-
-class TestRowSum:
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_same_bits_as_numpy_sum(self, n):
-        # wide dynamic range, so any change of summation order shows
-        rng = np.random.default_rng(n)
-        v = rng.normal(size=(3, 501, n)) * np.exp(5.0 * rng.normal(size=(3, 501, n)))
-        expect = v.sum(axis=-1)
-        np.testing.assert_array_equal(row_sum(v), expect)
-        out = np.empty((3, 501))
-        assert row_sum(v, out=out) is out
-        np.testing.assert_array_equal(out, expect)
-        np.testing.assert_array_equal(row_sum(v[0, 0]), expect[0, 0])
-
-    def test_rows_of_negative_zeros_keep_their_sign(self):
-        # the documented exception: numpy's sum starts from +0.0
-        for n in range(1, 13):
-            v = np.full((2, n), -0.0)
-            sequential = 2 <= n <= SEQUENTIAL_SUM_MAX
-            np.testing.assert_array_equal(np.signbit(row_sum(v)), [sequential] * 2)
-            np.testing.assert_array_equal(np.signbit(v.sum(axis=-1)), [False] * 2)
