@@ -220,9 +220,9 @@ def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
     paired = run_paired(plan, spec_b, shift_rule=shift_rule)
 
     rows = []
-    for t, (sa, sb) in enumerate(zip(paired.a.rounds, paired.b.rounds)):
+    for t, (com_a, com_b) in enumerate(paired.center_of_mass.T):
         shift = paired.shift_mean[t] if t < cfg.horizon else math.nan
-        rows.append([_fmt(t), _fmt(sa.center_of_mass), _fmt(sb.center_of_mass),
+        rows.append([_fmt(t), _fmt(com_a), _fmt(com_b),
                      _fmt(paired.max_stretch_diff[t]), _fmt(shift)])
     _write_outputs(settings, "round,com_a,com_b,max_stretch_diff,move_shift", rows)
 

@@ -9,8 +9,9 @@ and drift normals are drawn once per block as (block, n) arrays and
 added through their transpose to every lane.  All lanes therefore see
 identical noise (common random numbers) for the price of one draw.
 `run_lanes` returns one RunResult per lane; `run` is its single lane,
-`run_paired` two lanes plus the diagnostics of their difference, and
-`sweep_rho` runs its grid as lanes in chunks.
+`run_paired` two lanes that record only what pairing adds (each lane's
+centre of mass, the traces and the diagnostics of their difference),
+and `sweep_rho` runs its grid as lanes in chunks.
 
 A sweep splits its grid into chunks of at most
 max(1, block_size // max(replications, rounds + 1)) grid points, as few
@@ -103,22 +104,27 @@ class RunResult:
 
 @dataclass
 class PairedRunResult:
-    """CRN-paired results of two policies under one plan.
+    """What pairing two policies, a and b, on common noise adds.
 
-    a and b are the two policies' own results.  max_stretch_diff is the
-    per-round max over replications and agents of their stretch
-    difference.  shift_* summarize the per-agent move difference (a minus
-    b): its common value, its spread across agents, and, when a shift
-    rule is supplied, the worst deviation from the shift it predicts
-    (rho_t times each replication's mean measurement).
+    center_of_mass is (2, rounds+1): each lane's per-round mean centre of
+    mass, row 0 for a and row 1 for b.  max_stretch_diff is the per-round
+    max over replications and agents of their stretch difference.
+    shift_* summarize the per-agent move difference (a minus b): its
+    common value, its spread across agents, and, when a shift rule is
+    supplied, the worst deviation from the shift it predicts (rho_t times
+    each replication's mean measurement).  The traces, when recorded, are
+    indexed by lane first.  A paired run computes no other per-lane
+    statistic: run_lanes(plan, [policy_b]) gives both lanes' RunResults
+    on the same noise, bit-identical to the paired lanes.
     """
 
-    a: RunResult
-    b: RunResult
+    center_of_mass: np.ndarray
     max_stretch_diff: np.ndarray
     shift_mean: np.ndarray
     shift_spread: np.ndarray
     shift_rule_dev: Optional[np.ndarray]
+    com_traces: Optional[np.ndarray] = None  # (2, rounds+1, reps) when traced
+    stretch_traces: Optional[np.ndarray] = None  # (2, rounds+1, reps, n) when traced
 
 
 @dataclass(frozen=True)
@@ -165,27 +171,27 @@ def _compile(plan: RunPlan, policies) -> List[Gain]:
 class _Accumulator:
     """One block's sums of every lane's per-round statistics.
 
-    Per-lane sums are (lanes, rounds+1) arrays.  A paired accumulator
-    also keeps run_paired's diagnostics of lane 1 against lane 0.  Each
-    lane is reduced over its own contiguous slice, so its sums carry the
-    same bits whatever the number of lanes.  A full accumulator keeps
-    every lane's centre of mass; a variance-only one (sweep_rho's) keeps
-    sum_sq alone and records nothing else.
+    Per-lane sums are (lanes, rounds+1) arrays.  kind picks what is kept:
+    "lanes" (run_lanes') keeps every lane's RoundStats sums, centre of
+    mass and zero-sum check; "paired" (run_paired's) keeps each lane's
+    centre of mass and the diagnostics of lane 1 against lane 0;
+    "variance" (sweep_rho's) keeps sum_sq alone.  Each lane is reduced
+    over its own contiguous slice, so its sums carry the same bits
+    whatever the number of lanes and whatever else is kept.
     """
 
     SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "com_sum", "shift_sum")
     MAXES = ("max_zero_sum", "max_diff", "shift_spread", "rule_dev")
 
-    def __init__(self, plan: RunPlan, lanes: int, paired: bool, shift_rule=None,
-                 variance_only: bool = False):
+    def __init__(self, plan: RunPlan, lanes: int, kind: str, shift_rule=None):
         rounds = plan.cfg.horizon
         shape = (lanes, rounds + 1)
-        self.sum_sq = np.zeros(shape)
-        full = not variance_only
-        for name in ("sum_sq2", "sum_abs", "sum_abs2", "com_sum", "max_zero_sum"):
-            setattr(self, name, np.zeros(shape) if full else None)
+        self.sum_sq = np.zeros(shape) if kind != "paired" else None
+        for name in ("sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
+            setattr(self, name, np.zeros(shape) if kind == "lanes" else None)
+        self.com_sum = np.zeros(shape) if kind != "variance" else None
         for name in ("max_diff", "shift_sum", "shift_spread"):
-            setattr(self, name, np.zeros(rounds + 1) if paired else None)
+            setattr(self, name, np.zeros(rounds + 1) if kind == "paired" else None)
         self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
         self.shift_rule = shift_rule
         # the agents whose stretches the per-round statistics average
@@ -195,7 +201,8 @@ class _Accumulator:
     def record(self, t: int, st: np.ndarray, total: np.ndarray, work: np.ndarray):
         """Add round t of the (lanes, n, count) stretches st.  total holds
         each replication's sum of positions and is scratch once read; work
-        is (lanes, count) scratch.
+        is (lanes, count) scratch.  A paired accumulator stops after the
+        centre of mass and the stretch difference.
 
         Sums over agents add whole agent rows in order.  The sum of squares
         adds the even agents' squares and the odd agents' squares apart and
@@ -204,6 +211,10 @@ class _Accumulator:
         """
         if self.com_sum is not None:
             self.com_sum[:, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
+        if self.max_diff is not None:
+            diff = st[0] - st[1]
+            self.max_diff[t] = np.abs(diff, out=diff).max()
+            return
         stat = st[:, self.agents]
         k = stat.shape[1]
         even, odd = stat[:, 0::2], stat[:, 1::2]
@@ -217,9 +228,6 @@ class _Accumulator:
         ab = np.abs(stat).sum(axis=1, out=work)
         ab /= k
         self.sum_abs[:, t] = ab.sum(axis=1)
-        if self.max_diff is not None:
-            diff = st[0] - st[1]
-            self.max_diff[t] = np.abs(diff, out=diff).max()
         self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
         zero_sum = np.abs(st.sum(axis=1, out=work), out=work)
         self.max_zero_sum[:, t] = zero_sum.max(axis=1)
@@ -336,13 +344,13 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     return acc
 
 
-def _accumulate(plan: RunPlan, fns, paired: bool = False, shift_rule=None,
-                traces=None, variance_only: bool = False) -> _Accumulator:
+def _accumulate(plan: RunPlan, fns, kind: str = "lanes", shift_rule=None,
+                traces=None) -> _Accumulator:
     """Run every block of the plan for the compiled lanes; merge in block order."""
     stack, called = _stack(plan, fns)
 
     def worker(block):
-        acc = _Accumulator(plan, len(fns), paired, shift_rule, variance_only)
+        acc = _Accumulator(plan, len(fns), kind, shift_rule)
         return _run_block(plan, fns, stack, called, acc, traces, *block)
 
     blocks = _blocks(plan.replications, plan.block_size)
@@ -357,31 +365,23 @@ def _accumulate(plan: RunPlan, fns, paired: bool = False, shift_rule=None,
     return acc
 
 
-def _simulate(plan: RunPlan, policies, paired: bool = False, shift_rule=None):
+def _simulate(plan: RunPlan, policies, kind: str = "lanes", shift_rule=None):
     """Simulate every lane of the plan.
 
-    Returns one RunResult per lane and the merged accumulator, which
-    also holds the paired diagnostics when asked for.
+    Returns the merged accumulator and, when recorded, the run's
+    (stretch, com) traces, each indexed by lane first.
     """
     cfg = plan.cfg
-    lanes = len(policies)
-    shape = (lanes, cfg.horizon + 1, plan.replications)
+    shape = (len(policies), cfg.horizon + 1, plan.replications)
     if plan.record_traces:
-        cells = lanes * (cfg.horizon + 1) * plan.replications * cfg.n
+        # per lane, round and replication: n stretch cells and one centre of mass
+        cells = len(policies) * (cfg.horizon + 1) * plan.replications * (cfg.n + 1)
         if cells > TRACE_LIMIT:
             raise ValueError(f"trace recording would allocate {cells} cells "
                              f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
     traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
-    acc = _accumulate(plan, fns, paired, shift_rule, traces)
-    results = []
-    for lane in range(lanes):
-        result = RunResult(rounds=_finalize(acc, lane, plan.replications),
-                           max_abs_stretch_sum=acc.max_zero_sum[lane])
-        if traces is not None:
-            result.stretch_traces, result.com_traces = (trace[lane] for trace in traces)
-        results.append(result)
-    return results, acc
+    return _accumulate(plan, fns, kind, shift_rule, traces), traces
 
 
 def run_lanes(plan: RunPlan, others: Sequence[Union[PolicySpec, Gain]]) -> List[RunResult]:
@@ -390,7 +390,15 @@ def run_lanes(plan: RunPlan, others: Sequence[Union[PolicySpec, Gain]]) -> List[
     Lane 0 is plan.policy and lane i is others[i-1]; each lane's result
     is bit-identical to a run of its policy alone.
     """
-    return _simulate(plan, [plan.policy, *others])[0]
+    acc, traces = _simulate(plan, [plan.policy, *others])
+    results = []
+    for lane in range(1 + len(others)):
+        result = RunResult(rounds=_finalize(acc, lane, plan.replications),
+                           max_abs_stretch_sum=acc.max_zero_sum[lane])
+        if traces is not None:
+            result.stretch_traces, result.com_traces = (trace[lane] for trace in traces)
+        results.append(result)
+    return results
 
 
 def run(plan: RunPlan) -> RunResult:
@@ -402,17 +410,28 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
                shift_rule=None) -> PairedRunResult:
     """Simulate plan.policy and policy_b under identical noise.
 
+    Records only what pairing adds (see PairedRunResult); the two lanes'
+    per-round statistics come from run_lanes(plan, [policy_b]).  A plan
+    with stat_agent set is rejected, since stat_agent picks the agents of
+    those statistics.
+
     shift_rule, when given, holds one finite scale rho_t per round of the plan:
     it predicts that the move difference in round t is the common shift
     rho_t times each replication's mean measurement, and the result
     reports the worst per-round deviation of the observed shift from it.
     """
+    if plan.stat_agent is not None:
+        raise ValueError("stat_agent must be None: run_paired computes no per-lane "
+                         "statistics (run_lanes does)")
     if shift_rule is not None:
         shift_rule = require_schedule("shift_rule", shift_rule, plan.cfg.horizon)
-    (a, b), acc = _simulate(plan, [plan.policy, policy_b], paired=True, shift_rule=shift_rule)
-    return PairedRunResult(a=a, b=b, max_stretch_diff=acc.max_diff,
+    acc, traces = _simulate(plan, [plan.policy, policy_b], "paired", shift_rule)
+    stretch_traces, com_traces = traces if traces is not None else (None, None)
+    return PairedRunResult(center_of_mass=acc.com_sum / plan.replications,
+                           max_stretch_diff=acc.max_diff,
                            shift_mean=acc.shift_sum / plan.replications,
-                           shift_spread=acc.shift_spread, shift_rule_dev=acc.rule_dev)
+                           shift_spread=acc.shift_spread, shift_rule_dev=acc.rule_dev,
+                           com_traces=com_traces, stretch_traces=stretch_traces)
 
 
 def _tail_mean(values) -> float:
@@ -454,7 +473,7 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     for chunk in range(chunks):
         lanes = specs[edges[chunk]:edges[chunk + 1]]
         # the variance a RoundStats would hold, without building one per lane-round
-        var = _accumulate(plan, _compile(plan, lanes), variance_only=True).sum_sq / replications
+        var = _accumulate(plan, _compile(plan, lanes), "variance").sum_sq / replications
         points += [SweepPoint(rho=spec.rho, var_empirical=_tail_mean(var[lane]),
                               var_closed_form=var_limit(spec.rho, cfg))
                    for lane, spec in enumerate(lanes)]

@@ -41,6 +41,16 @@ def shape_moments(x):
     return np.mean(d**3) / m2**1.5, np.mean(d**4) / m2**2 - 3.0
 
 
+def assert_same_paired(a, b):
+    """Two PairedRunResults carry the same bits, traces included."""
+    for name in ("center_of_mass", "max_stretch_diff", "shift_mean", "shift_spread",
+                 "shift_rule_dev", "com_traces", "stretch_traces"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            np.testing.assert_array_equal(x, y)
+
+
 def assert_same_result(a, b):
     """Two RunResults carry the same bits, traces included."""
     assert a.rounds == b.rounds
@@ -190,12 +200,15 @@ class TestStatistics:
         for threads in (1, 2):
             plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500,
                               block_size=200, threads=threads, record_traces=True)
+            result = run(plan)
+            for t, r in enumerate(result.rounds):
+                assert type(r.center_of_mass) is float
+                assert r.center_of_mass == pytest.approx(result.com_traces[t].mean(),
+                                                         rel=0, abs=1e-12)
             paired = run_paired(plan, PolicySpec(kind="matc"))
-            for result in (run(plan), paired.a, paired.b):
-                for t, r in enumerate(result.rounds):
-                    assert type(r.center_of_mass) is float
-                    assert r.center_of_mass == pytest.approx(result.com_traces[t].mean(),
-                                                             rel=0, abs=1e-12)
+            assert paired.center_of_mass.shape == (2, 11)
+            np.testing.assert_allclose(paired.center_of_mass,
+                                       paired.com_traces.mean(axis=-1), rtol=0, atol=1e-12)
 
 
 class TestScheduledPolicies:
@@ -247,10 +260,68 @@ class TestPairedRuns:
             with pytest.raises(ValueError, match="shift_rule must be finite"):
                 run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
 
+    def test_rejects_stat_agent_before_any_block(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        # stat_agent picks the agents of per-lane statistics, which a
+        # paired run does not compute
+        monkeypatch.setattr(streams, "substream", no_blocks)
+        for agent in (0, 2):
+            with pytest.raises(ValueError, match="stat_agent must be None"):
+                run_paired(small_plan(stat_agent=agent, threads=2), PolicySpec(kind="matc"))
+
+    def test_paired_accumulator_keeps_only_what_pairing_adds(self, monkeypatch):
+        made = []
+
+        class Recording(sim._Accumulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(sim, "_Accumulator", Recording)
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500, block_size=200)
+        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
+        run_paired(plan, PolicySpec(kind="matc"), shift_rule=rule)
+        # one accumulator per block; none holds a per-lane sum but the
+        # centre of mass, so none computes one
+        assert len(made) == 3
+        for acc in made:
+            for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
+                assert getattr(acc, name) is None, name
+            assert acc.com_sum.shape == (2, 11)
+            for name in ("max_diff", "shift_sum", "shift_spread", "rule_dev"):
+                assert getattr(acc, name).shape == (11,), name
+        # a run's accumulators keep every per-lane sum and no diagnostic
+        made.clear()
+        run_lanes(plan, [PolicySpec(kind="matc")])
+        assert len(made) == 3
+        for acc in made:
+            for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum", "com_sum"):
+                assert getattr(acc, name).shape == (2, 11), name
+            for name in ("max_diff", "shift_sum", "shift_spread", "rule_dev"):
+                assert getattr(acc, name) is None, name
+
+    def test_thread_count_does_not_change_paired_results(self):
+        # more threads than cores, switching often, all writing slices of
+        # the run's trace arrays
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=2_500,
+                          block_size=500, record_traces=True)
+        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
+        base = run_paired(plan, PolicySpec(kind="matc"), shift_rule=rule)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_paired(replace(plan, threads=4), PolicySpec(kind="matc"),
+                                  shift_rule=rule)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_paired(base, threaded)
+
     def test_same_policy_pairs_exactly(self):
         paired = run_paired(small_plan(replications=500), PolicySpec(kind="weighted", rho=0.5))
         np.testing.assert_array_equal(paired.max_stretch_diff, np.zeros(11))
-        assert paired.a.rounds == paired.b.rounds
+        np.testing.assert_array_equal(paired.center_of_mass[0], paired.center_of_mass[1])
 
     def test_wstar_and_center_seeking_share_stretch_paths(self):
         cfg = ModelConfig(n=3, horizon=40, seed=21)
@@ -268,13 +339,13 @@ class TestPairedRuns:
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=50,
                        record_traces=True)
         paired = run_paired(plan, PolicySpec(kind="matc"))
-        assert paired.a.stretch_traces.shape == (5, 50, 3)
-        assert paired.b.com_traces.shape == (5, 50)
-        np.testing.assert_allclose(paired.a.stretch_traces,
-                                   paired.b.stretch_traces, atol=1e-9)
+        assert paired.stretch_traces.shape == (2, 5, 50, 3)
+        assert paired.com_traces.shape == (2, 5, 50)
+        np.testing.assert_allclose(paired.stretch_traces[0],
+                                   paired.stretch_traces[1], atol=1e-9)
         # center-seeking keeps the measured center fixed up to drift, the
         # plain schedule lets it wander: traces must differ
-        assert not np.allclose(paired.a.com_traces, paired.b.com_traces)
+        assert not np.allclose(paired.com_traces[0], paired.com_traces[1])
 
 
 class TestTraces:
@@ -291,6 +362,27 @@ class TestTraces:
     def test_size_limit(self):
         with pytest.raises(ValueError):
             run(small_plan(replications=10_000_000, record_traces=True))
+
+    def test_size_limit_counts_both_traces(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        # 11 rounds of 50 replications of 3 agents: per lane 1650 stretch
+        # cells and 550 centre-of-mass cells
+        plan = small_plan(replications=50, record_traces=True)
+        substream = streams.substream
+        calls = [(2_200, lambda: run(plan)),
+                 (4_400, lambda: run_lanes(plan, [PolicySpec(kind="matc")])),
+                 (4_400, lambda: run_paired(plan, PolicySpec(kind="matc")))]
+        for cells, call in calls:
+            monkeypatch.setattr(streams, "substream", no_blocks)
+            monkeypatch.setattr(sim, "TRACE_LIMIT", cells - 1)
+            with pytest.raises(ValueError, match=f"allocate {cells} cells"):
+                call()
+            # exactly at the limit the run completes
+            monkeypatch.setattr(streams, "substream", substream)
+            monkeypatch.setattr(sim, "TRACE_LIMIT", cells)
+            call()
 
 
 class TestSteadyState:
@@ -329,10 +421,19 @@ class TestLanes:
             assert point.var_empirical == steady_state_variance(alone.rounds)
 
     def test_paired_lanes_equal_single_runs_bit_for_bit(self):
-        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400)
-        paired = run_paired(plan, PolicySpec(kind="matc"))
-        assert paired.a.rounds == run(plan).rounds
-        assert paired.b.rounds == run(replace(plan, policy=PolicySpec(kind="matc"))).rounds
+        # three blocks, on one and on two threads: a paired run's centre of
+        # mass and traces are those of run_lanes' lanes on the same noise
+        for threads in (1, 2):
+            plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900,
+                              block_size=400, threads=threads, record_traces=True)
+            paired = run_paired(plan, PolicySpec(kind="matc"))
+            lanes = run_lanes(plan, [PolicySpec(kind="matc")])
+            for lane, result in enumerate(lanes):
+                np.testing.assert_array_equal(
+                    paired.center_of_mass[lane], [r.center_of_mass for r in result.rounds])
+                np.testing.assert_array_equal(paired.com_traces[lane], result.com_traces)
+                np.testing.assert_array_equal(paired.stretch_traces[lane],
+                                              result.stretch_traces)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_spec_lanes_equal_single_runs_bit_for_bit(self, threads):
@@ -393,12 +494,8 @@ class TestLanes:
             for a, b in zip(results, run_lanes(plan, others), strict=True):
                 assert_same_result(a, b)
         for pair, result in zip(pairs, paired):
-            called = run_paired(*pair)
-            assert_same_result(result.a, called.a)
-            assert_same_result(result.b, called.b)
             assert (result.shift_rule_dev is None) == (pair[2] is None)
-            for name in ("max_stretch_diff", "shift_mean", "shift_spread", "shift_rule_dev"):
-                np.testing.assert_array_equal(getattr(result, name), getattr(called, name))
+            assert_same_paired(result, run_paired(*pair))
 
     def test_lane_policies_compiled_before_any_block(self, monkeypatch):
         def no_blocks(*args):
