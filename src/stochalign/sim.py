@@ -39,12 +39,15 @@ any thread count and any number of lanes.
 Per-round statistics treat the replication as the sampling unit: the
 reported variance / mean-absolute-stretch are means over replications of
 the per-replication agent averages, and standard errors come from the
-replication-level spread of those averages.
+replication-level spread of those averages.  A full run also sums every
+agent's s_i^2 and |s_i| over replications, so each agent's variance and
+mean |stretch|, with its standard error, is a column of the result, and
+the worst agent (the paper's maximal objective) is a max over columns.
 """
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -69,15 +72,12 @@ class RunPlan:
     policy: Union[PolicySpec, Gain]
     replications: int
     record_traces: bool = False
-    stat_agent: Optional[int] = None
     threads: int = 1
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         for name in ("replications", "threads", "block_size"):
             require_int(name, getattr(self, name), lo=1)
-        if self.stat_agent is not None:
-            require_int("stat_agent", self.stat_agent, lo=0, hi=self.cfg.n)
 
 
 @dataclass(slots=True)
@@ -95,9 +95,21 @@ class RoundStats:
 
 @dataclass
 class RunResult:
+    """One lane's per-round statistics.
+
+    rounds average the n agents.  The agent_* arrays are (rounds+1, n),
+    one column per agent, over the same replications: the variance of
+    agent i's stretch, the mean of its |stretch| and that mean's standard
+    error.  agent_mean_abs_stretch.max(axis=1) is the worst agent's mean
+    |stretch| per round.
+    """
+
     rounds: List[RoundStats]
     # per-round max over replications of |sum of stretches|; zero in exact arithmetic
     max_abs_stretch_sum: np.ndarray = field(repr=False)
+    agent_var_stretch: np.ndarray = field(repr=False)
+    agent_mean_abs_stretch: np.ndarray = field(repr=False)
+    agent_std_error: np.ndarray = field(repr=False)
     com_traces: Optional[np.ndarray] = None  # (rounds+1, reps) when traced
     stretch_traces: Optional[np.ndarray] = None  # (rounds+1, reps, n) when traced
 
@@ -171,16 +183,19 @@ def _compile(plan: RunPlan, policies) -> List[Gain]:
 class _Accumulator:
     """One block's sums of every lane's per-round statistics.
 
-    Per-lane sums are (lanes, rounds+1) arrays.  kind picks what is kept:
-    "lanes" (run_lanes') keeps every lane's RoundStats sums, centre of
-    mass and zero-sum check; "paired" (run_paired's) keeps each lane's
-    centre of mass and the diagnostics of lane 1 against lane 0;
-    "variance" (sweep_rho's) keeps sum_sq alone.  Each lane is reduced
-    over its own contiguous slice, so its sums carry the same bits
-    whatever the number of lanes and whatever else is kept.
+    Per-lane sums are (lanes, rounds+1) arrays, per-agent sums (lanes,
+    rounds+1, n).  kind picks what is kept: "lanes" (run_lanes') keeps
+    every lane's RoundStats sums, its per-agent sums of s_i^2 and |s_i|
+    (agent_sq, agent_abs), centre of mass and zero-sum check; "paired"
+    (run_paired's) keeps each lane's centre of mass and the diagnostics
+    of lane 1 against lane 0; "variance" (sweep_rho's) keeps sum_sq
+    alone.  Each lane is reduced over its own contiguous slice, so its
+    sums carry the same bits whatever the number of lanes and whatever
+    else is kept.
     """
 
-    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "com_sum", "shift_sum")
+    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "agent_sq", "agent_abs", "com_sum",
+            "shift_sum")
     MAXES = ("max_zero_sum", "max_diff", "shift_spread", "rule_dev")
 
     def __init__(self, plan: RunPlan, lanes: int, kind: str, shift_rule=None):
@@ -189,14 +204,13 @@ class _Accumulator:
         self.sum_sq = np.zeros(shape) if kind != "paired" else None
         for name in ("sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
             setattr(self, name, np.zeros(shape) if kind == "lanes" else None)
+        for name in ("agent_sq", "agent_abs"):
+            setattr(self, name, np.zeros(shape + (plan.cfg.n,)) if kind == "lanes" else None)
         self.com_sum = np.zeros(shape) if kind != "variance" else None
         for name in ("max_diff", "shift_sum", "shift_spread"):
             setattr(self, name, np.zeros(rounds + 1) if kind == "paired" else None)
         self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
         self.shift_rule = shift_rule
-        # the agents whose stretches the per-round statistics average
-        a = plan.stat_agent
-        self.agents = slice(None) if a is None else slice(a, a + 1)
 
     def record(self, t: int, st: np.ndarray, total: np.ndarray, work: np.ndarray):
         """Add round t of the (lanes, n, count) stretches st.  total holds
@@ -207,7 +221,8 @@ class _Accumulator:
         Sums over agents add whole agent rows in order.  The sum of squares
         adds the even agents' squares and the odd agents' squares apart and
         then the two, which for up to 7 agents is the order of
-        np.einsum("ij,ij->i") over agent-last rows.
+        np.einsum("ij,ij->i") over agent-last rows.  Per-agent sums reduce
+        each agent's contiguous row of replications.
         """
         if self.com_sum is not None:
             self.com_sum[:, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
@@ -215,18 +230,20 @@ class _Accumulator:
             diff = st[0] - st[1]
             self.max_diff[t] = np.abs(diff, out=diff).max()
             return
-        stat = st[:, self.agents]
-        k = stat.shape[1]
-        even, odd = stat[:, 0::2], stat[:, 1::2]
+        n = st.shape[1]
+        even, odd = st[:, 0::2], st[:, 1::2]
         np.einsum("lac,lac->lc", even, even, out=work)
         work += np.einsum("lac,lac->lc", odd, odd, out=total)
-        work /= k
+        work /= n
         self.sum_sq[:, t] = work.sum(axis=1)
         if self.sum_sq2 is None:
             return
         self.sum_sq2[:, t] = np.multiply(work, work, out=work).sum(axis=1)
-        ab = np.abs(stat).sum(axis=1, out=work)
-        ab /= k
+        self.agent_sq[:, t] = np.einsum("lac,lac->la", st, st)
+        abs_st = np.abs(st)
+        self.agent_abs[:, t] = abs_st.sum(axis=2)
+        ab = abs_st.sum(axis=1, out=work)
+        ab /= n
         self.sum_abs[:, t] = ab.sum(axis=1)
         self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
         zero_sum = np.abs(st.sum(axis=1, out=work), out=work)
@@ -262,7 +279,8 @@ def _mean_and_se(total: np.ndarray, total_sq: np.ndarray, count: int):
     return mean, np.sqrt(var / count)
 
 
-def _finalize(acc: _Accumulator, lane: int, count: int) -> List[RoundStats]:
+def _result(acc: _Accumulator, lane: int, count: int, traces) -> RunResult:
+    """One lane's RunResult from the run's merged sums over count replications."""
     var, var_se = _mean_and_se(acc.sum_sq[lane], acc.sum_sq2[lane], count)
     mabs, mabs_se = _mean_and_se(acc.sum_abs[lane], acc.sum_abs2[lane], count)
     rounds = []
@@ -271,7 +289,13 @@ def _finalize(acc: _Accumulator, lane: int, count: int) -> List[RoundStats]:
             round=t, var_stretch=float(var[t]), mean_abs_stretch=float(mabs[t]),
             std_error=float(mabs_se[t]), var_std_error=float(var_se[t]),
             center_of_mass=float(acc.com_sum[lane, t] / count)))
-    return rounds
+    agent_abs, agent_se = _mean_and_se(acc.agent_abs[lane], acc.agent_sq[lane], count)
+    result = RunResult(rounds=rounds, max_abs_stretch_sum=acc.max_zero_sum[lane],
+                       agent_var_stretch=acc.agent_sq[lane] / count,
+                       agent_mean_abs_stretch=agent_abs, agent_std_error=agent_se)
+    if traces is not None:
+        result.stretch_traces, result.com_traces = (trace[lane] for trace in traces)
+    return result
 
 
 def _stack(plan: RunPlan, fns):
@@ -384,21 +408,15 @@ def _simulate(plan: RunPlan, policies, kind: str = "lanes", shift_rule=None):
     return _accumulate(plan, fns, kind, shift_rule, traces), traces
 
 
-def run_lanes(plan: RunPlan, others: Sequence[Union[PolicySpec, Gain]]) -> List[RunResult]:
+def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]]) -> List[RunResult]:
     """Simulate plan.policy and every policy in others on the plan's noise.
 
     Lane 0 is plan.policy and lane i is others[i-1]; each lane's result
     is bit-identical to a run of its policy alone.
     """
-    acc, traces = _simulate(plan, [plan.policy, *others])
-    results = []
-    for lane in range(1 + len(others)):
-        result = RunResult(rounds=_finalize(acc, lane, plan.replications),
-                           max_abs_stretch_sum=acc.max_zero_sum[lane])
-        if traces is not None:
-            result.stretch_traces, result.com_traces = (trace[lane] for trace in traces)
-        results.append(result)
-    return results
+    policies = [plan.policy, *others]
+    acc, traces = _simulate(plan, policies)
+    return [_result(acc, lane, plan.replications, traces) for lane in range(len(policies))]
 
 
 def run(plan: RunPlan) -> RunResult:
@@ -411,18 +429,13 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
     """Simulate plan.policy and policy_b under identical noise.
 
     Records only what pairing adds (see PairedRunResult); the two lanes'
-    per-round statistics come from run_lanes(plan, [policy_b]).  A plan
-    with stat_agent set is rejected, since stat_agent picks the agents of
-    those statistics.
+    per-round statistics come from run_lanes(plan, [policy_b]).
 
     shift_rule, when given, holds one finite scale rho_t per round of the plan:
     it predicts that the move difference in round t is the common shift
     rho_t times each replication's mean measurement, and the result
     reports the worst per-round deviation of the observed shift from it.
     """
-    if plan.stat_agent is not None:
-        raise ValueError("stat_agent must be None: run_paired computes no per-lane "
-                         "statistics (run_lanes does)")
     if shift_rule is not None:
         shift_rule = require_schedule("shift_rule", shift_rule, plan.cfg.horizon)
     acc, traces = _simulate(plan, [plan.policy, policy_b], "paired", shift_rule)
@@ -457,11 +470,12 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     closed form is infinite (rho = 0) are still simulated; their tail
     estimate is a horizon artifact, not a steady state.
     """
+    # the plan checks the counts, on any grid; the grid's lanes are compiled apart
+    plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=replications,
+                   threads=threads, block_size=block_size)
     specs = [PolicySpec(kind="weighted", rho=float(rho)) for rho in grid]
     if not specs:
         return []
-    plan = RunPlan(cfg=cfg, policy=specs[0], replications=replications, threads=threads,
-                   block_size=block_size)
     # a chunk holds no more replications, and no more lane-rounds, than
     # one block holds replications
     bound = max(1, block_size // max(replications, cfg.horizon + 1))

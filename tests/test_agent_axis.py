@@ -6,7 +6,8 @@ over agents with numpy's own axis sums and einsum.  These tests pin the
 summation orders that layout keeps: numpy adds agent rows strictly in
 order, and even-plus-odd einsums reproduce the agent-last einsum.  A
 whole-run oracle then recomputes every per-round statistic from the
-traces with the agent-last formulas.  Bits are compared as uint64, so a
+traces with the agent-last formulas, and every per-agent statistic from
+each agent's column of the traces.  Bits are compared as uint64, so a
 sign of zero or a last-place difference shows.  Examples are
 derandomized and capped.
 """
@@ -131,13 +132,12 @@ class TestAgentSums:
         assert_same_bits(even_odd_sum_sq(v), agent_last_sum_sq(v))
 
 
-def mean_and_se(values):
-    """Mean over replications and its standard error, by the engine's formula."""
-    count = len(values)
-    total, total_sq = values.sum(), (values * values).sum()
+def se_of(total, total_sq, count):
+    """The standard error of a mean over count replications from the sums
+    of the values and of their squares, by the engine's formula."""
     mean = total / count
-    var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
-    return mean, np.sqrt(var / count)
+    var = np.maximum(total_sq - count * mean * mean, 0.0) / (count - 1)
+    return np.sqrt(var / count)
 
 
 class TestWholeRun:
@@ -148,25 +148,46 @@ class TestWholeRun:
                                  agent=n - 1)
         others = [PolicySpec(kind="weighted", rho=0.3), PolicySpec(kind="matc"), deviant]
         reps = 37
-        for stat_agent in [None, *range(n)]:
-            plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
-                           record_traces=True, stat_agent=stat_agent, block_size=reps)
-            agents = slice(None) if stat_agent is None else slice(stat_agent, stat_agent + 1)
-            for lane in run_lanes(plan, others):
-                for t, stats in enumerate(lane.rounds):
-                    s = lane.stretch_traces[t][:, agents]
-                    k = s.shape[-1]
-                    sq = np.einsum("ij,ij->i", s, s) / k
-                    ab = np.abs(s).sum(axis=-1) / k
-                    var, var_se = mean_and_se(sq)
-                    mabs, mabs_se = mean_and_se(ab)
-                    assert stats.var_stretch == var == sq.sum() / reps
-                    assert stats.var_std_error == var_se
-                    assert stats.mean_abs_stretch == mabs
-                    assert stats.std_error == mabs_se
-                    assert stats.center_of_mass == lane.com_traces[t].sum() / reps
-                    zero_sum = np.abs(lane.stretch_traces[t].sum(axis=-1)).max()
-                    assert lane.max_abs_stretch_sum[t] == zero_sum
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
+                       record_traces=True, block_size=reps)
+        for lane in run_lanes(plan, others):
+            for t, stats in enumerate(lane.rounds):
+                s = lane.stretch_traces[t]
+                sq = np.einsum("ij,ij->i", s, s) / n
+                ab = np.abs(s).sum(axis=-1) / n
+                assert stats.var_stretch == sq.sum() / reps
+                assert stats.var_std_error == se_of(sq.sum(), (sq * sq).sum(), reps)
+                assert stats.mean_abs_stretch == ab.sum() / reps
+                assert stats.std_error == se_of(ab.sum(), (ab * ab).sum(), reps)
+                assert stats.center_of_mass == lane.com_traces[t].sum() / reps
+                zero_sum = np.abs(s.sum(axis=-1)).max()
+                assert lane.max_abs_stretch_sum[t] == zero_sum
+                # each agent's column of replications, contiguous, reduced
+                # as the engine reduces it
+                rows = np.ascontiguousarray(s.T)[np.newaxis]
+                agent_sq = np.einsum("lac,lac->la", rows, rows)[0]
+                agent_abs = np.abs(rows).sum(axis=2)[0]
+                assert_same_bits(lane.agent_var_stretch[t], agent_sq / reps)
+                assert_same_bits(lane.agent_mean_abs_stretch[t], agent_abs / reps)
+                assert_same_bits(lane.agent_std_error[t], se_of(agent_abs, agent_sq, reps))
+
+    def test_per_agent_sums_add_blocks_in_order(self):
+        # 37 replications in blocks of 10, 10, 10 and 7, on two threads
+        cfg = ModelConfig(n=5, sigma0=2.0, sigma_m=0.7, sigma_d=0.4, horizon=4, seed=11)
+        reps, block = 37, 10
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
+                       record_traces=True, threads=2, block_size=block)
+        for lane in run_lanes(plan, [PolicySpec(kind="matc")]):
+            for t in range(cfg.horizon + 1):
+                agent_sq, agent_abs = np.zeros(cfg.n), np.zeros(cfg.n)
+                for start in range(0, reps, block):
+                    s = lane.stretch_traces[t][start:start + block]
+                    rows = np.ascontiguousarray(s.T)[np.newaxis]
+                    agent_sq += np.einsum("lac,lac->la", rows, rows)[0]
+                    agent_abs += np.abs(rows).sum(axis=2)[0]
+                assert_same_bits(lane.agent_var_stretch[t], agent_sq / reps)
+                assert_same_bits(lane.agent_mean_abs_stretch[t], agent_abs / reps)
+                assert_same_bits(lane.agent_std_error[t], se_of(agent_abs, agent_sq, reps))
 
 
 def old_stretch(positions):

@@ -164,13 +164,14 @@ class TestEmpiricalDominance:
         # one pass: the best response and every fixed deviation are lanes
         # on the same noise
         plan = RunPlan(cfg=cfg, policy=deviant_policy(br.responsiveness, sched),
-                       replications=reps, stat_agent=0, threads=4)
+                       replications=reps, threads=4)
         base, *others = run_lanes(
             plan, [deviant_policy(np.full(horizon + 1, c), sched) for c in fixed])
-        base_abs = np.array([r.mean_abs_stretch for r in base.rounds])
+        # the deviator is agent 0: its own column of each lane's statistics
+        base_abs = base.agent_mean_abs_stretch[:, 0]
         for coeff, result in zip(fixed, others):
-            other_abs = np.array([r.mean_abs_stretch for r in result.rounds])
-            other_se = np.array([r.std_error for r in result.rounds])
+            other_abs = result.agent_mean_abs_stretch[:, 0]
+            other_se = result.agent_std_error[:, 0]
             assert np.all(base_abs <= other_abs + 3.0 * other_se), (
                 f"fixed coefficient {coeff} beat the best response"
             )

@@ -66,7 +66,6 @@ def lane_setups(draw):
                    replications=draw(st.integers(1, 30)),
                    block_size=draw(st.integers(1, 40)),
                    threads=draw(st.sampled_from([1, 2])),
-                   stat_agent=draw(st.sampled_from([None, 0])),
                    record_traces=draw(st.booleans()))
     return plan, draw(st.lists(policies(), max_size=4))
 
@@ -80,7 +79,9 @@ def test_every_lane_equals_its_own_run_bit_for_bit(setup):
     for policy, lane in zip([plan.policy, *others], lanes):
         alone = run(replace(plan, policy=policy))
         assert lane.rounds == alone.rounds
-        np.testing.assert_array_equal(lane.max_abs_stretch_sum, alone.max_abs_stretch_sum)
+        for name in ("max_abs_stretch_sum", "agent_var_stretch", "agent_mean_abs_stretch",
+                     "agent_std_error"):
+            np.testing.assert_array_equal(getattr(lane, name), getattr(alone, name))
         for name in ("stretch_traces", "com_traces"):
             x, y = getattr(lane, name), getattr(alone, name)
             assert (x is None) == (y is None) == (not plan.record_traces)

@@ -54,7 +54,9 @@ def assert_same_paired(a, b):
 def assert_same_result(a, b):
     """Two RunResults carry the same bits, traces included."""
     assert a.rounds == b.rounds
-    np.testing.assert_array_equal(a.max_abs_stretch_sum, b.max_abs_stretch_sum)
+    for name in ("max_abs_stretch_sum", "agent_var_stretch", "agent_mean_abs_stretch",
+                 "agent_std_error"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     for name in ("stretch_traces", "com_traces"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None) == (y is None)
@@ -70,15 +72,6 @@ class TestRunPlanValidation:
             small_plan(threads=0)
         with pytest.raises(ValueError):
             small_plan(block_size=0)
-
-    def test_rejects_bad_stat_agent(self):
-        with pytest.raises(ValueError):
-            small_plan(stat_agent=3)
-        with pytest.raises(ValueError):
-            small_plan(stat_agent=-1)
-        for value in (1.5, True):
-            with pytest.raises(ValueError, match="stat_agent must be an integer"):
-                small_plan(stat_agent=value)
 
     def test_rejects_fractional_counts(self):
         with pytest.raises(ValueError):
@@ -117,19 +110,6 @@ class TestDeterminism:
         b = run(small_plan())
         assert a.rounds == b.rounds
         np.testing.assert_array_equal(a.max_abs_stretch_sum, b.max_abs_stretch_sum)
-
-    def test_thread_count_does_not_change_results(self):
-        # more threads than cores, switching often, all writing slices of
-        # the run's one trace array
-        plan = small_plan(replications=2_500, block_size=500, record_traces=True)
-        base = run(plan)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = run(replace(plan, threads=4))
-        finally:
-            sys.setswitchinterval(interval)
-        assert_same_result(base, threaded)
 
     def test_seed_changes_results(self):
         a = run(small_plan())
@@ -177,14 +157,28 @@ class TestStatistics:
         assert result.max_abs_stretch_sum.max() <= 1e-10
 
     def test_single_agent_statistics(self):
-        # stat_agent statistics use one coordinate; at round 0 its variance
-        # is c sigma0^2 like any other coordinate
+        # each agent's statistics use its one coordinate; at round 0 every
+        # agent's variance is c sigma0^2
         cfg = ModelConfig(n=5, horizon=0, seed=3)
         result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
-                             replications=50_000, stat_agent=2))
+                             replications=50_000))
         expect = cfg.n / (cfg.n - 1)
-        r0 = result.rounds[0]
-        assert abs(r0.var_stretch / expect - 1.0) < 0.05
+        assert result.agent_var_stretch.shape == (1, 5)
+        for var in result.agent_var_stretch[0]:
+            assert abs(var / expect - 1.0) < 0.05
+
+    def test_agents_are_exchangeable_under_wstar(self):
+        # every agent plays the same schedule, so the n per-agent mean
+        # |stretch| values estimate one number: each lies within 4 of its
+        # standard errors of the agent average, in every round
+        cfg = ModelConfig(n=5, horizon=30, seed=19)
+        result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"),
+                             replications=40_000, block_size=15_000))
+        mabs = result.agent_mean_abs_stretch
+        assert mabs.shape == result.agent_std_error.shape == (31, 5)
+        average = np.array([r.mean_abs_stretch for r in result.rounds])
+        np.testing.assert_allclose(mabs.mean(axis=1), average, rtol=1e-12)
+        assert np.all(np.abs(mabs - average[:, np.newaxis]) <= 4.0 * result.agent_std_error)
 
     def test_gaussian_shape_of_initial_stretch(self):
         cfg = ModelConfig(n=4, horizon=0, seed=5)
@@ -260,17 +254,6 @@ class TestPairedRuns:
             with pytest.raises(ValueError, match="shift_rule must be finite"):
                 run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
 
-    def test_rejects_stat_agent_before_any_block(self, monkeypatch):
-        def no_blocks(*args):
-            raise AssertionError("a block started")
-
-        # stat_agent picks the agents of per-lane statistics, which a
-        # paired run does not compute
-        monkeypatch.setattr(streams, "substream", no_blocks)
-        for agent in (0, 2):
-            with pytest.raises(ValueError, match="stat_agent must be None"):
-                run_paired(small_plan(stat_agent=agent, threads=2), PolicySpec(kind="matc"))
-
     def test_paired_accumulator_keeps_only_what_pairing_adds(self, monkeypatch):
         made = []
 
@@ -287,7 +270,8 @@ class TestPairedRuns:
         # centre of mass, so none computes one
         assert len(made) == 3
         for acc in made:
-            for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
+            for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "agent_sq", "agent_abs",
+                         "max_zero_sum"):
                 assert getattr(acc, name) is None, name
             assert acc.com_sum.shape == (2, 11)
             for name in ("max_diff", "shift_sum", "shift_spread", "rule_dev"):
@@ -299,6 +283,8 @@ class TestPairedRuns:
         for acc in made:
             for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum", "com_sum"):
                 assert getattr(acc, name).shape == (2, 11), name
+            for name in ("agent_sq", "agent_abs"):
+                assert getattr(acc, name).shape == (2, 11, 3), name
             for name in ("max_diff", "shift_sum", "shift_spread", "rule_dev"):
                 assert getattr(acc, name) is None, name
 
@@ -453,7 +439,7 @@ class TestLanes:
         sched = AlphaSchedule(cfg, 12)
         gains = [deviant_policy(np.full(13, c), sched) for c in (0.0, 0.5, 1.0)]
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=700,
-                       block_size=300, threads=threads, stat_agent=0)
+                       block_size=300, threads=threads)
         lanes = run_lanes(plan, gains)
         for policy, lane in zip([plan.policy] + gains, lanes):
             assert_same_result(lane, run(replace(plan, policy=policy)))
@@ -496,6 +482,32 @@ class TestLanes:
         for pair, result in zip(pairs, paired):
             assert (result.shift_rule_dev is None) == (pair[2] is None)
             assert_same_paired(result, run_paired(*pair))
+
+    def test_thread_count_does_not_change_results(self):
+        # more threads than cores, switching often: every lane's per-round
+        # and per-agent sums are merged in block order, and its traces are
+        # slices of the run's trace arrays
+        plan = small_plan(replications=2_500, block_size=500, record_traces=True)
+        others = [PolicySpec(kind="matc"),
+                  deviant_policy(np.full(11, 0.5), AlphaSchedule(plan.cfg, 10), agent=1)]
+        base = run_lanes(plan, others)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_lanes(replace(plan, threads=4), others)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(base, threaded, strict=True):
+            assert_same_result(a, b)
+
+    def test_lane_policies_may_come_from_a_generator(self):
+        plan = small_plan(replications=300, block_size=100)
+        others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3)]
+        from_list = run_lanes(plan, others)
+        from_generator = run_lanes(plan, (policy for policy in others))
+        assert len(from_generator) == 3
+        for a, b in zip(from_list, from_generator, strict=True):
+            assert_same_result(a, b)
 
     def test_lane_policies_compiled_before_any_block(self, monkeypatch):
         def no_blocks(*args):
@@ -559,6 +571,22 @@ class TestSweep:
                 sys.setswitchinterval(interval)
             assert sorted(chunks) == sizes
             assert threaded == base
+
+    def test_counts_checked_before_the_grid(self, monkeypatch):
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        monkeypatch.setattr(streams, "substream", no_blocks)
+        cfg = ModelConfig(n=3, horizon=5, seed=1)
+        for grid in ([], [0.5]):
+            with pytest.raises(ValueError, match="replications must be >= 1, got 0"):
+                sweep_rho(cfg, grid, 0, threads=0, block_size=-4)
+            with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+                sweep_rho(cfg, grid, 10, threads=0)
+            with pytest.raises(ValueError, match="block_size must be >= 1, got -4"):
+                sweep_rho(cfg, grid, 10, block_size=-4)
+        # an empty grid with valid counts has no points
+        assert sweep_rho(cfg, [], 10, threads=2, block_size=4) == []
 
     def test_passive_point_keeps_growing(self):
         # rho = 0 has no steady state: the tail estimate grows with horizon
