@@ -13,18 +13,29 @@ identical noise (common random numbers) for the price of one draw.
 centre of mass, the traces and the diagnostics of their difference),
 and `sweep_rho` runs its grid as lanes in chunks.
 
-A sweep splits its grid into chunks of at most
-max(1, block_size // max(replications, rounds + 1)) grid points, as few
-chunks as that allows and of sizes that differ by at most one.  A chunk
-never simulates more replications at once than one block of a single
-run does, and never holds more lane-rounds of statistics than a block
-holds replications.  The bound is there for peak memory: the state grows
-with lanes times replications, every lane's accumulators with lanes
-times rounds, and the whole grid in one pass would multiply a run's
-footprint by the grid size.  The chunks run one after another, and the
-threads share each chunk's blocks.  A sweep point is read straight from
-its chunk's merged sums of squared stretches, the only statistic a sweep
-accumulates.
+A block keeps every lane's positions from its first round to its last,
+but does each round's per-lane work (stretches, statistics, moves) over
+groups of lanes that share one scratch.  Each round's measurement and
+drift normals are drawn once for all its groups, so every lane of a
+block shares one draw per round.  `run_lanes` and `run_paired` run all
+their lanes as one group.  A sweep bounds two things, each for peak
+memory:
+
+- a group holds at most max(1, block_size // count) lanes, where count
+  is min(replications, block_size), so a round's scratch is never larger
+  than that of one block of a single run;
+- a chunk holds at most max(1, CELL_BUDGET // max(n * count, rounds + 1))
+  lanes, so what a block keeps across rounds (positions, per-lane sums
+  and the stacked scales) stays within about CELL_BUDGET cells.
+
+The grid is split into as few chunks as that allows, of sizes that
+differ by at most one.  The chunks run one after another, and the
+threads share each chunk's blocks, so with T threads up to T blocks hold
+their positions at once.  A sweep point is read straight from its
+chunk's merged sums of squared stretches, the only statistic a sweep
+accumulates.  Noise is keyed by (seed, block, kind) and every lane is
+reduced over its own slice, so neither the groups nor the chunks change
+a point's bits.
 
 Every lane moves by one update per round: the lanes' scales, stacked
 once per run, times the measurements, the same products as the gains'
@@ -34,7 +45,7 @@ first replaces its measurements with its moves and is stacked at 1.0.
 
 Per-block partial statistics are merged in block order, and every lane is
 reduced over its own contiguous slice, so results are bit-identical for
-any thread count and any number of lanes.
+any thread count, any number of lanes and any grouping of them.
 
 Per-round statistics treat the replication as the sampling unit: the
 reported variance / mean-absolute-stretch are means over replications of
@@ -58,6 +69,7 @@ from .policies import Gain, PolicySpec, make_policy
 
 DEFAULT_BLOCK_SIZE = 20_000
 TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs only
+CELL_BUDGET = 2 ** 22  # cells a sweep chunk keeps across rounds, per block
 
 
 @dataclass(frozen=True)
@@ -212,11 +224,13 @@ class _Accumulator:
         self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
         self.shift_rule = shift_rule
 
-    def record(self, t: int, st: np.ndarray, total: np.ndarray, work: np.ndarray):
-        """Add round t of the (lanes, n, count) stretches st.  total holds
-        each replication's sum of positions and is scratch once read; work
-        is (lanes, count) scratch.  A paired accumulator stops after the
-        centre of mass and the stretch difference.
+    def record(self, t: int, lanes: slice, st: np.ndarray, total: np.ndarray,
+               work: np.ndarray):
+        """Add round t of the (group, n, count) stretches st of the lanes in
+        the slice lanes.  total holds each replication's sum of positions
+        and is scratch once read; work is (group, count) scratch.  A paired
+        accumulator, whose two lanes are one group, stops after the centre
+        of mass and the stretch difference.
 
         Sums over agents add whole agent rows in order.  The sum of squares
         adds the even agents' squares and the odd agents' squares apart and
@@ -225,7 +239,7 @@ class _Accumulator:
         each agent's contiguous row of replications.
         """
         if self.com_sum is not None:
-            self.com_sum[:, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
+            self.com_sum[lanes, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
         if self.max_diff is not None:
             diff = st[0] - st[1]
             self.max_diff[t] = np.abs(diff, out=diff).max()
@@ -235,19 +249,19 @@ class _Accumulator:
         np.einsum("lac,lac->lc", even, even, out=work)
         work += np.einsum("lac,lac->lc", odd, odd, out=total)
         work /= n
-        self.sum_sq[:, t] = work.sum(axis=1)
+        self.sum_sq[lanes, t] = work.sum(axis=1)
         if self.sum_sq2 is None:
             return
-        self.sum_sq2[:, t] = np.multiply(work, work, out=work).sum(axis=1)
-        self.agent_sq[:, t] = np.einsum("lac,lac->la", st, st)
+        self.sum_sq2[lanes, t] = np.multiply(work, work, out=work).sum(axis=1)
+        self.agent_sq[lanes, t] = np.einsum("lac,lac->la", st, st)
         abs_st = np.abs(st)
-        self.agent_abs[:, t] = abs_st.sum(axis=2)
+        self.agent_abs[lanes, t] = abs_st.sum(axis=2)
         ab = abs_st.sum(axis=1, out=work)
         ab /= n
-        self.sum_abs[:, t] = ab.sum(axis=1)
-        self.sum_abs2[:, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
+        self.sum_abs[lanes, t] = ab.sum(axis=1)
+        self.sum_abs2[lanes, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
         zero_sum = np.abs(st.sum(axis=1, out=work), out=work)
-        self.max_zero_sum[:, t] = zero_sum.max(axis=1)
+        self.max_zero_sum[lanes, t] = zero_sum.max(axis=1)
 
     def record_moves(self, t: int, moves: np.ndarray, mean_y0: Optional[np.ndarray]):
         """Paired only: lane 0's per-agent moves minus lane 1's; mean_y0 is
@@ -302,8 +316,9 @@ def _stack(plan: RunPlan, fns):
     """The lanes' per-round scales as one (rounds, lanes, width, 1) array,
     and the called lanes: Gains with an operator and callables that are
     not Gains, which scale their own moves and are stacked at 1.0.  width
-    is n when any other lane is per-agent and 1 otherwise, so that
-    stack[t] broadcasts against the (lanes, n, count) measurements.
+    is n when any other lane is per-agent and 1 otherwise, so that a
+    group's rows of stack[t] broadcast against its (group, n, count)
+    measurements.
     """
     rounds = plan.cfg.horizon
     called = [i for i, fn in enumerate(fns) if not isinstance(fn, Gain) or fn.op is not None]
@@ -316,66 +331,87 @@ def _stack(plan: RunPlan, fns):
 
 
 def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _Accumulator,
-               traces, index: int, count: int) -> _Accumulator:
+               traces, group: int, index: int, count: int) -> _Accumulator:
     """Simulate one block of replications for every policy lane.
 
-    The state is (lanes, n, count); each noise draw is (count, n) and is
-    added through its transpose to every lane.  Only the positions and the
-    stretches are held for all lanes: the measurements overwrite the
-    stretches, each called lane's moves overwrite its slice, and one
-    multiply by the stacked scales (see _stack) turns every slice into its
-    lane's moves.  Called lanes, stretch_values and the traces see the
-    agent-last (count, n) views of the state.  The block's statistics go
-    into acc.  traces, when recorded, are the run's (stretch, com) arrays;
-    the block writes its replications' slice.  Each round's sums of the
-    positions over agents feed the stretches, the centre of mass and its
-    trace, and then serve acc as scratch.
+    The positions are (lanes, n, count) and live for the whole block.
+    Each round draws its measurement and drift normals once, as (count,
+    n) arrays, and adds them through their transpose to every lane.  The
+    round's per-lane work runs over groups of at most group lanes, which
+    reuse one scratch: their stretches and two (group, count) rows.  The
+    measurements overwrite a group's stretches, each called lane's moves
+    overwrite its slice, and one multiply by the group's stacked scales
+    (see _stack) turns every slice into its lane's moves.  Called lanes,
+    stretch_values and the traces see the agent-last (count, n) views.
+    The block's statistics go into acc.  traces, when recorded, are the
+    run's (stretch, com) arrays; the block writes its replications' slice.
+    Each round's sums of a group's positions over agents feed the
+    stretches, the centre of mass and its trace, and then serve acc as
+    scratch.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
+    lanes = len(fns)
     shape = (count, cfg.n)
     gen_init = streams.substream(cfg.seed, index, streams.INIT)
     gen_meas = streams.substream(cfg.seed, index, streams.MEASURE)
     gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
 
     reps = slice(index * plan.block_size, index * plan.block_size + count)
-    pos = np.empty((len(fns), cfg.n, count))
+    pos = np.empty((lanes, cfg.n, count))
     pos[...] = gen_init.normal(0.0, cfg.sigma0, shape).T
-    st = np.empty_like(pos)
-    # the agent-last views that stretch_values and the traces take
-    pos_t, st_t = pos.transpose(0, 2, 1), st.transpose(0, 2, 1)
-    total = np.empty((len(fns), count))
-    work = np.empty_like(total)
+    group = min(group, lanes)
+    scratch = np.empty((group, cfg.n, count))
+    sums = np.empty((group, count))
+    rows = np.empty_like(sums)
+    meas = None
     for t in range(rounds + 1):
-        pos.sum(axis=1, out=total)
-        stretch_values(pos_t, out=st_t, total=total)
-        if traces is not None:
-            traces[0][:, t, reps] = st_t
-            traces[1][:, t, reps] = total / cfg.n
-        acc.record(t, st, total, work)
+        for lo in range(0, lanes, group):
+            part = slice(lo, min(lo + group, lanes))
+            gpos = pos[part]
+            st, total, work = scratch[:len(gpos)], sums[:len(gpos)], rows[:len(gpos)]
+            gpos.sum(axis=1, out=total)
+            # the agent-last views that stretch_values and the traces take
+            st_t = st.transpose(0, 2, 1)
+            stretch_values(gpos.transpose(0, 2, 1), out=st_t, total=total)
+            if traces is not None:
+                traces[0][part, t, reps] = st_t
+                traces[1][part, t, reps] = total / cfg.n
+            acc.record(t, part, st, total, work)
+            if t == rounds:
+                continue
+            # the round's one draw, made after the first group's statistics
+            # and freed after the last group's add: with one group it adds to
+            # no temporary of the statistics, the moves or the drift draw
+            if meas is None:
+                meas = gen_meas.normal(0.0, cfg.sigma_m, shape).T
+            y = st
+            y += meas
+            if part.stop == lanes:
+                meas = None
+            mean_y0 = y[0].sum(axis=0) / cfg.n if acc.shift_rule is not None else None
+            for lane in called:
+                if part.start <= lane < part.stop:
+                    y[lane - lo] = fns[lane](y[lane - lo].T, t).T
+            y *= stack[t, part]
+            if acc.shift_sum is not None:
+                acc.record_moves(t, y, mean_y0)
+            gpos += y
         if t == rounds:
             break
-        y = st
-        y += gen_meas.normal(0.0, cfg.sigma_m, shape).T
-        mean_y0 = y[0].sum(axis=0) / cfg.n if acc.shift_rule is not None else None
-        for lane in called:
-            y[lane] = fns[lane](y[lane].T, t).T
-        y *= stack[t]
-        if acc.shift_sum is not None:
-            acc.record_moves(t, y, mean_y0)
-        pos += y
         pos += gen_drift.normal(0.0, cfg.sigma_d, shape).T
     return acc
 
 
-def _accumulate(plan: RunPlan, fns, kind: str = "lanes", shift_rule=None,
+def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes", shift_rule=None,
                 traces=None) -> _Accumulator:
-    """Run every block of the plan for the compiled lanes; merge in block order."""
+    """Run every block of the plan for the compiled lanes, group lanes at a
+    time within each round; merge in block order."""
     stack, called = _stack(plan, fns)
 
     def worker(block):
         acc = _Accumulator(plan, len(fns), kind, shift_rule)
-        return _run_block(plan, fns, stack, called, acc, traces, *block)
+        return _run_block(plan, fns, stack, called, acc, traces, group, *block)
 
     blocks = _blocks(plan.replications, plan.block_size)
     if plan.threads == 1 or len(blocks) == 1:
@@ -405,7 +441,7 @@ def _simulate(plan: RunPlan, policies, kind: str = "lanes", shift_rule=None):
                              f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
     traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
-    return _accumulate(plan, fns, kind, shift_rule, traces), traces
+    return _accumulate(plan, fns, len(fns), kind, shift_rule, traces), traces
 
 
 def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]]) -> List[RunResult]:
@@ -476,9 +512,11 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     specs = [PolicySpec(kind="weighted", rho=float(rho)) for rho in grid]
     if not specs:
         return []
-    # a chunk holds no more replications, and no more lane-rounds, than
-    # one block holds replications
-    bound = max(1, block_size // max(replications, cfg.horizon + 1))
+    count = min(replications, block_size)
+    # a group's scratch holds no more replications than one block of a run
+    group = max(1, block_size // count)
+    # a chunk's positions, sums and stacked scales stay within the budget
+    bound = max(1, CELL_BUDGET // max(cfg.n * count, cfg.horizon + 1))
     # as few chunks as the bound allows, of sizes that differ by at most one
     chunks = -(-len(specs) // bound)
     edges = [i * len(specs) // chunks for i in range(chunks + 1)]
@@ -487,7 +525,7 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     for chunk in range(chunks):
         lanes = specs[edges[chunk]:edges[chunk + 1]]
         # the variance a RoundStats would hold, without building one per lane-round
-        var = _accumulate(plan, _compile(plan, lanes), "variance").sum_sq / replications
+        var = _accumulate(plan, _compile(plan, lanes), group, "variance").sum_sq / replications
         points += [SweepPoint(rho=spec.rho, var_empirical=_tail_mean(var[lane]),
                               var_closed_form=var_limit(spec.rho, cfg))
                    for lane, spec in enumerate(lanes)]

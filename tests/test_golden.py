@@ -36,16 +36,16 @@ CASES = {
         ["compare", "--a", "weighted", "--rho-a", "0.2", "--b", "weighted",
          "--rho-b", "0.7", "--n", "4", "--rounds", "15", "--reps", "21000"],
         "bfe82598fb1d0caae271f7dd7e84d8833c27b19f2a7e05c586c44faaea1b3551"),
-    # every grid point in one lane chunk
+    # every grid point in one lane chunk and one lane group
     "sweep-one-chunk": (
         ["sweep", "--n", "2", "--rounds", "60", "--reps", "300"],
         "61d865e214da91421cc82e45901e640a836dc2a8ad501490b27b7f874e017cb5"),
-    # 8000 replications give chunks of two grid points: 2 + 2 + 1
+    # 8000 replications give lane groups of two grid points: 2 + 2 + 1
     "sweep-chunked": (
         ["sweep", "--n", "3", "--rounds", "40", "--reps", "8000",
          "--grid-start", "0.3", "--grid-stop", "0.7", "--grid-step", "0.1"],
         "fcf551818478301125e3907d3a514af8e0fa9c0cf892275497e77f93d68d6ca3"),
-    # more replications than one block: one grid point per chunk, two blocks each
+    # more replications than one block: one grid point per lane group, two blocks
     "sweep-multi-block": (
         ["sweep", "--n", "2", "--rounds", "10", "--reps", "20001",
          "--grid-start", "0.0", "--grid-stop", "0.5", "--grid-step", "0.25"],

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo engine."""
 
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -397,7 +398,7 @@ class TestSteadyState:
 
 class TestLanes:
     def test_sweep_points_equal_single_runs_bit_for_bit(self):
-        # 700 replications and 2000-replication blocks: chunks of 2 lanes
+        # 700 replications and 2000-replication blocks: groups of 2 lanes
         cfg = ModelConfig(n=3, horizon=30, seed=12)
         grid = [0.1, 0.4, 0.7, 1.0, 0.25]
         points = sweep_rho(cfg, grid, 700, block_size=2_000)
@@ -539,29 +540,40 @@ class TestSweep:
         for p in points:
             assert abs(p.var_empirical / p.var_closed_form - 1.0) < 0.1
 
-    def test_balanced_chunks_give_the_same_points_on_any_thread_count(self, monkeypatch):
+    @staticmethod
+    def spy_chunks(monkeypatch):
+        """(lanes, group) of every chunk a sweep runs, in order."""
         chunks = []
         accumulate = sim._accumulate
 
-        def counting(plan, fns, *args, **kwargs):
-            chunks.append(len(fns))
-            return accumulate(plan, fns, *args, **kwargs)
+        def counting(plan, fns, group, *args, **kwargs):
+            chunks.append((len(fns), group))
+            return accumulate(plan, fns, group, *args, **kwargs)
 
         monkeypatch.setattr(sim, "_accumulate", counting)
+        return chunks
+
+    def test_balanced_chunks_give_the_same_points_on_any_thread_count(self, monkeypatch):
+        chunks = self.spy_chunks(monkeypatch)
         grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-        # (cfg, replications, lanes per chunk) in blocks of 250: 100
-        # replications, or one replication of 100 rounds, allow two lanes;
-        # 300 replications span two blocks and allow one
-        cases = [(ModelConfig(n=2, horizon=9, seed=1), 100, 2),
-                 (ModelConfig(n=2, horizon=99, seed=1), 1, 2),
-                 (ModelConfig(n=3, horizon=9, seed=1), 300, 1)]
-        interval = sys.getswitchinterval()
-        for cfg, reps, bound in cases:
+        # (cfg, replications, cells per lane) in blocks of 250: 100
+        # replications of 2 agents, or one replication of 100 rounds; 300
+        # replications span two blocks, whose larger one holds 3 x 250 cells
+        cases = [(ModelConfig(n=2, horizon=9, seed=1), 100, 200),
+                 (ModelConfig(n=2, horizon=99, seed=1), 1, 100),
+                 (ModelConfig(n=3, horizon=9, seed=1), 300, 750)]
+        interval, default = sys.getswitchinterval(), sim.CELL_BUDGET
+        for cfg, reps, cells in cases:
+            monkeypatch.setattr(sim, "CELL_BUDGET", default)
+            chunks.clear()
+            whole = sweep_rho(cfg, grid, reps, block_size=250)
+            assert [lanes for lanes, _ in chunks] == [len(grid)]
+            # a budget of two lanes' cells: 7 lanes run as 1 + 2 + 2 + 2
+            monkeypatch.setattr(sim, "CELL_BUDGET", 2 * cells + 1)
             chunks.clear()
             base = sweep_rho(cfg, grid, reps, block_size=250)
-            sizes = sorted(chunks)
-            assert len(sizes) == -(-len(grid) // bound) >= 3
-            assert sizes[-1] <= bound and sizes[-1] - sizes[0] <= 1
+            sizes = [lanes for lanes, _ in chunks]
+            assert sorted(sizes) == [1, 2, 2, 2]
             chunks.clear()
             # the two-block case's block threads switch often
             sys.setswitchinterval(1e-6)
@@ -569,8 +581,65 @@ class TestSweep:
                 threaded = sweep_rho(cfg, grid, reps, threads=2, block_size=250)
             finally:
                 sys.setswitchinterval(interval)
-            assert sorted(chunks) == sizes
-            assert threaded == base
+            assert [lanes for lanes, _ in chunks] == sizes
+            assert threaded == base == whole
+
+    def test_lane_groups_give_the_same_points(self, monkeypatch):
+        chunks = self.spy_chunks(monkeypatch)
+        cfg = ModelConfig(n=2, horizon=9, seed=1)
+        grid = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+        # 100 replications are one block of 100, 250 or 1000, so the noise
+        # is the same: groups of 1, 2 and all 7 lanes
+        points = []
+        for block_size, group in ((100, 1), (250, 2), (1_000, 10)):
+            chunks.clear()
+            points.append(sweep_rho(cfg, grid, 100, block_size=block_size))
+            assert chunks == [(len(grid), group)]
+        assert points[0] == points[1] == points[2]
+
+    def test_each_round_draws_its_noise_once_for_the_whole_grid(self, monkeypatch):
+        draws = []
+        substream = streams.substream
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def normal(self, *args, **kwargs):
+                draws.append(args)
+                return self.gen.normal(*args, **kwargs)
+
+        monkeypatch.setattr(streams, "substream", lambda *key: Counting(substream(*key)))
+        cfg = ModelConfig(n=2, horizon=9, seed=1)
+        # (replications, block size): groups of 1, 2 and all lanes in one
+        # block, and groups of one lane in two blocks; every grid is one chunk
+        for reps, block_size in ((100, 100), (100, 250), (100, 1_000), (300, 250)):
+            blocks = -(-reps // block_size)
+            for size in (1, 7, 20):
+                draws.clear()
+                sweep_rho(cfg, [0.05 * (i + 1) for i in range(size)], reps,
+                          block_size=block_size)
+                assert len(draws) == blocks * (1 + 2 * cfg.horizon)
+
+    def test_chunk_memory_stays_within_the_cell_budget(self, monkeypatch):
+        chunks = self.spy_chunks(monkeypatch)
+        cfg = ModelConfig(n=50, horizon=3, seed=1)
+        reps = 100
+        # blocks of 100 give groups of one lane; the budget holds the
+        # positions of 16 lanes, so 40 lanes run as three chunks
+        budget = 16 * cfg.n * reps
+        monkeypatch.setattr(sim, "CELL_BUDGET", budget)
+        grid = [0.02 * (i + 1) for i in range(40)]
+        # one group's stretches and its two rows of sums
+        scratch = (cfg.n + 2) * reps
+        tracemalloc.start()
+        try:
+            sweep_rho(cfg, grid, reps, block_size=reps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert chunks == [(13, 1), (13, 1), (14, 1)]
+        assert peak < 1.25 * 8 * (budget + scratch)
 
     def test_counts_checked_before_the_grid(self, monkeypatch):
         def no_blocks(*args):
