@@ -39,9 +39,16 @@ a point's bits.
 
 Every lane moves by one update per round: the lanes' scales, stacked
 once per run, times the measurements, the same products as the gains'
-own calls.  A lane whose policy is called (a Gain with an operator, or a
-plain callable such as the benchmark tracer's wrapper of make_policy)
-first replaces its measurements with its moves and is stacked at 1.0.
+own calls.  A Gain with an operator first has it applied to its
+measurements in place.  Only a plain callable, such as the benchmark
+tracer's wrapper of make_policy, is called: it replaces its measurements
+with its moves and is stacked at 1.0.
+
+Beyond what it keeps for the whole block (every lane's positions, its
+scratch and two rows of sums), a block holds at most one array of a
+noise draw's size at a time: the draw itself, or a statistic's per-lane
+temporary freed before the next draw.  With T threads up to T blocks
+run at once.
 
 Per-block partial statistics are merged in block order, and every lane is
 reduced over its own contiguous slice, so results are bit-identical for
@@ -66,6 +73,7 @@ from . import streams
 from .analysis import var_limit
 from .model import ModelConfig, require_int, require_schedule, stretch_values
 from .policies import Gain, PolicySpec, make_policy
+from .structmat import apply
 
 DEFAULT_BLOCK_SIZE = 20_000
 TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs only
@@ -230,7 +238,8 @@ class _Accumulator:
         the slice lanes.  total holds each replication's sum of positions
         and is scratch once read; work is (group, count) scratch.  A paired
         accumulator, whose two lanes are one group, stops after the centre
-        of mass and the stretch difference.
+        of mass and the stretch difference.  |s| is taken one lane at a
+        time into one (n, count) temporary.
 
         Sums over agents add whole agent rows in order.  The sum of squares
         adds the even agents' squares and the odd agents' squares apart and
@@ -254,25 +263,33 @@ class _Accumulator:
             return
         self.sum_sq2[lanes, t] = np.multiply(work, work, out=work).sum(axis=1)
         self.agent_sq[lanes, t] = np.einsum("lac,lac->la", st, st)
-        abs_st = np.abs(st)
-        self.agent_abs[lanes, t] = abs_st.sum(axis=2)
-        ab = abs_st.sum(axis=1, out=work)
-        ab /= n
-        self.sum_abs[lanes, t] = ab.sum(axis=1)
-        self.sum_abs2[lanes, t] = np.multiply(ab, ab, out=ab).sum(axis=1)
+        # |s| one lane at a time, in one (n, count) temporary
+        agent_abs = self.agent_abs[lanes, t]
+        abs_lane = None
+        for i, lane in enumerate(st):
+            abs_lane = np.abs(lane, out=abs_lane)
+            abs_lane.sum(axis=1, out=agent_abs[i])
+            abs_lane.sum(axis=0, out=work[i])
+        work /= n
+        self.sum_abs[lanes, t] = work.sum(axis=1)
+        self.sum_abs2[lanes, t] = np.multiply(work, work, out=work).sum(axis=1)
         zero_sum = np.abs(st.sum(axis=1, out=work), out=work)
         self.max_zero_sum[lanes, t] = zero_sum.max(axis=1)
 
-    def record_moves(self, t: int, moves: np.ndarray, mean_y0: Optional[np.ndarray]):
-        """Paired only: lane 0's per-agent moves minus lane 1's; mean_y0 is
-        lane 0's mean measurement per replication when a shift rule is set."""
-        move_diff = moves[0] - moves[1]
-        common = move_diff.sum(axis=0) / len(move_diff)
+    def record_moves(self, t: int, moves: np.ndarray, rows: np.ndarray):
+        """Paired only: lane 0's per-agent moves minus lane 1's.  moves, the
+        (2, n, count) moves, is scratch once the positions have taken them;
+        rows is (2, count) scratch whose row 0 holds lane 0's mean
+        measurement per replication when a shift rule is set."""
+        move_diff = np.subtract(moves[0], moves[1], out=moves[1])
+        common = np.divide(move_diff.sum(axis=0, out=rows[1]), len(move_diff), out=rows[1])
         self.shift_sum[t] = common.sum()
         spread = np.subtract(common, move_diff, out=move_diff)
         self.shift_spread[t] = np.abs(spread, out=spread).max()
         if self.rule_dev is not None:
-            self.rule_dev[t] = np.abs(common - self.shift_rule[t] * mean_y0).max()
+            dev = np.multiply(rows[0], self.shift_rule[t], out=rows[0])
+            dev = np.subtract(common, dev, out=dev)
+            self.rule_dev[t] = np.abs(dev, out=dev).max()
 
     def merge(self, other: "_Accumulator"):
         for name in self.SUMS:
@@ -314,14 +331,14 @@ def _result(acc: _Accumulator, lane: int, count: int, traces) -> RunResult:
 
 def _stack(plan: RunPlan, fns):
     """The lanes' per-round scales as one (rounds, lanes, width, 1) array,
-    and the called lanes: Gains with an operator and callables that are
-    not Gains, which scale their own moves and are stacked at 1.0.  width
-    is n when any other lane is per-agent and 1 otherwise, so that a
-    group's rows of stack[t] broadcast against its (group, n, count)
-    measurements.
+    and the called lanes: callables that are not Gains, which scale their
+    own moves and are stacked at 1.0.  Every Gain, with an operator or
+    not, is stacked at its own scales.  width is n when any Gain is
+    per-agent and 1 otherwise, so that a group's rows of stack[t]
+    broadcast against its (group, n, count) measurements.
     """
     rounds = plan.cfg.horizon
-    called = [i for i, fn in enumerate(fns) if not isinstance(fn, Gain) or fn.op is not None]
+    called = [i for i, fn in enumerate(fns) if not isinstance(fn, Gain)]
     scales = {i: fn.scale[:rounds] for i, fn in enumerate(fns) if i not in called}
     width = plan.cfg.n if any(s.ndim == 2 for s in scales.values()) else 1
     stack = np.ones((rounds, len(fns), width, 1))
@@ -339,15 +356,17 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     n) arrays, and adds them through their transpose to every lane.  The
     round's per-lane work runs over groups of at most group lanes, which
     reuse one scratch: their stretches and two (group, count) rows.  The
-    measurements overwrite a group's stretches, each called lane's moves
+    measurements overwrite a group's stretches, an operator lane's
+    operator is applied to its slice in place, each called lane's moves
     overwrite its slice, and one multiply by the group's stacked scales
-    (see _stack) turns every slice into its lane's moves.  Called lanes,
-    stretch_values and the traces see the agent-last (count, n) views.
-    The block's statistics go into acc.  traces, when recorded, are the
-    run's (stretch, com) arrays; the block writes its replications' slice.
-    Each round's sums of a group's positions over agents feed the
-    stretches, the centre of mass and its trace, and then serve acc as
-    scratch.
+    (see _stack) turns every slice into its lane's moves.  Operators,
+    called lanes, stretch_values and the traces see the agent-last
+    (count, n) views.  The block's statistics go into acc.  traces, when
+    recorded, are the run's (stretch, com) arrays; the block writes its
+    replications' slice.  Each round's sums of a group's positions over
+    agents feed the stretches, the centre of mass and its trace, and then
+    serve acc as scratch, as do the moves once the positions have taken
+    them.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
@@ -357,6 +376,9 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     gen_meas = streams.substream(cfg.seed, index, streams.MEASURE)
     gen_drift = streams.substream(cfg.seed, index, streams.DRIFT)
 
+    # the Gains whose operator is applied in place before the multiply
+    ops = [(lane, fn.op) for lane, fn in enumerate(fns)
+           if lane not in called and fn.op is not None]
     reps = slice(index * plan.block_size, index * plan.block_size + count)
     pos = np.empty((lanes, cfg.n, count))
     pos[...] = gen_init.normal(0.0, cfg.sigma0, shape).T
@@ -389,14 +411,20 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
             y += meas
             if part.stop == lanes:
                 meas = None
-            mean_y0 = y[0].sum(axis=0) / cfg.n if acc.shift_rule is not None else None
+            if acc.shift_rule is not None:
+                # lane 0's mean measurement, for record_moves
+                np.divide(y[0].sum(axis=0, out=total[0]), cfg.n, out=total[0])
             for lane in called:
                 if part.start <= lane < part.stop:
                     y[lane - lo] = fns[lane](y[lane - lo].T, t).T
+            for lane, op in ops:
+                if part.start <= lane < part.stop:
+                    y_lane = y[lane - lo].T
+                    apply(op, y_lane, out=y_lane)
             y *= stack[t, part]
-            if acc.shift_sum is not None:
-                acc.record_moves(t, y, mean_y0)
             gpos += y
+            if acc.shift_sum is not None:
+                acc.record_moves(t, y, total)
         if t == rounds:
             break
         pos += gen_drift.normal(0.0, cfg.sigma_d, shape).T

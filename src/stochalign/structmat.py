@@ -47,16 +47,19 @@ def mn(n: int) -> StructuredMatrix:
     return StructuredMatrix(n, -1.0, 1.0 / (n - 1))
 
 
-def apply(x: StructuredMatrix, v: np.ndarray) -> np.ndarray:
+def apply(x: StructuredMatrix, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Matrix-vector product along the last axis, one O(n) pass.
 
     (M(a, b) v)_i = b * sum(v) + (a - b) * v_i, so batched inputs of shape
     (..., n) are handled without forming the matrix.  The result is a new
-    array; v is left as it is.
+    array, or out when given, which may be v itself: the row sums are
+    taken before out is written.  Both give the same bits.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-1] != x.n:
         raise ValueError(f"vector length {v.shape[-1]} != dimension {x.n}")
-    out = (x.diag - x.off) * v
-    out += x.off * v.sum(axis=-1, keepdims=True)
+    total = v.sum(axis=-1, keepdims=True)
+    out = np.multiply(v, x.diag - x.off, out=out)
+    total *= x.off
+    out += total
     return out

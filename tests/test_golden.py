@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 
+from stochalign import sim
 from stochalign.cli import THREADS_ENV, main
 
 COMMON = ["--seed", "20210201"]
@@ -40,12 +41,14 @@ CASES = {
     "sweep-one-chunk": (
         ["sweep", "--n", "2", "--rounds", "60", "--reps", "300"],
         "61d865e214da91421cc82e45901e640a836dc2a8ad501490b27b7f874e017cb5"),
-    # 8000 replications give lane groups of two grid points: 2 + 2 + 1
+    # 8000 replications give lane groups of two grid points, 2 + 2 + 1, all
+    # in one chunk at the default budget (see test_multi_chunk_sweep_...)
     "sweep-chunked": (
         ["sweep", "--n", "3", "--rounds", "40", "--reps", "8000",
          "--grid-start", "0.3", "--grid-stop", "0.7", "--grid-step", "0.1"],
         "fcf551818478301125e3907d3a514af8e0fa9c0cf892275497e77f93d68d6ca3"),
-    # more replications than one block: one grid point per lane group, two blocks
+    # more replications than one block: one grid point per lane group, two
+    # blocks, one chunk at the default budget
     "sweep-multi-block": (
         ["sweep", "--n", "2", "--rounds", "10", "--reps", "20001",
          "--grid-start", "0.0", "--grid-stop", "0.5", "--grid-step", "0.25"],
@@ -75,3 +78,23 @@ def test_csv_matches_pinned_digest(case, threads, tmp_path, monkeypatch, capsys)
     monkeypatch.delenv(THREADS_ENV, raising=False)
     argv, pinned = CASES[case]
     assert csv_digest(argv, threads, tmp_path / "out.csv") == pinned
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("case", ["sweep-chunked", "sweep-multi-block"])
+def test_multi_chunk_sweep_matches_pinned_digest(case, threads, tmp_path, monkeypatch, capsys):
+    # a budget of one cell puts every grid point in a chunk of its own;
+    # how a sweep's grid is chunked must not move a byte
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    monkeypatch.setattr(sim, "CELL_BUDGET", 1)
+    chunks = []
+    accumulate = sim._accumulate
+
+    def counting(plan, fns, *args, **kwargs):
+        chunks.append(len(fns))
+        return accumulate(plan, fns, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "_accumulate", counting)
+    argv, pinned = CASES[case]
+    assert csv_digest(argv, threads, tmp_path / "out.csv") == pinned
+    assert len(chunks) >= 3 and set(chunks) == {1}

@@ -446,20 +446,22 @@ class TestLanes:
             assert_same_result(lane, run(replace(plan, policy=policy)))
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("n", [2, 5, 9])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 13])
     def test_stacked_gains_equal_per_lane_calls_bit_for_bit(self, monkeypatch, n, threads):
-        # three blocks, every record on
+        # three blocks, every record on; an operator lane is applied in
+        # place, a called lane replaced by its moves
         cfg = ModelConfig(n=n, horizon=12, seed=3)
         sched = AlphaSchedule(cfg, 12)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.4), replications=500,
                        block_size=200, threads=threads, record_traces=True)
-        specs = [PolicySpec(kind="wstar"), PolicySpec(kind="weighted", rho=1.0)]
+        specs = [PolicySpec(kind="wstar"), PolicySpec(kind="weighted", rho=1.0),
+                 PolicySpec(kind="matc")]
         # one scale per round, and with a per-agent lane one row of n
         lane_sets = [specs, specs + [deviant_policy(np.linspace(0.0, 1.2, 13), sched,
                                                     agent=n - 1)]]
         weighted = replace(plan, policy=PolicySpec(kind="weighted", rho=0.2))
-        # (plan, policy_b, shift_rule): a called matc lane beside a stacked
-        # wstar lane, and two stacked lanes
+        # (plan, policy_b, shift_rule): an operator matc lane beside a
+        # wstar lane, and two weighted lanes
         pairs = [(replace(plan, policy=PolicySpec(kind="wstar")), PolicySpec(kind="matc"),
                   sched.rhos(12)),
                  (weighted, PolicySpec(kind="weighted", rho=0.7), None)]
@@ -470,8 +472,7 @@ class TestLanes:
         with monkeypatch.context() as m:
             m.setattr(Gain, "__call__", no_call)
             stacked = [run_lanes(plan, others) for others in lane_sets]
-            stacked_pair = run_paired(*pairs[1])
-        paired = [run_paired(*pairs[0]), stacked_pair]
+            paired = [run_paired(*pair) for pair in pairs]
         # every compiled lane wrapped in a plain callable, as the benchmark
         # tracer wraps make_policy's gains, is called on its own
         compile_lanes = sim._compile
@@ -523,6 +524,45 @@ class TestLanes:
             run_lanes(small_plan(threads=2), [Gain(np.ones(10), mn(4))])
         with pytest.raises(ValueError, match="gain op must be None or a StructuredMatrix"):
             run(small_plan(policy=Gain(np.ones(10), np.eye(3))))
+
+
+class TestBlockMemory:
+    """One block's peak is its floor: the positions and the scratch of
+    every lane, two (lanes, count) rows of sums and one (count, n) noise
+    draw.  Every other per-round temporary is freed before a draw is made
+    or fits in the space of one."""
+
+    COUNT = 20_000
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def floor_bytes(self, lanes, n):
+        c = self.COUNT
+        return 8 * (2 * lanes * n * c + 2 * lanes * c + n * c)
+
+    @pytest.mark.parametrize("lanes", [1, 2, 6])
+    def test_lanes_peak_at_their_floor(self, lanes):
+        cfg = ModelConfig(n=5, horizon=3, seed=1)
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=self.COUNT)
+        others = [PolicySpec(kind="weighted", rho=0.2 * i) for i in range(1, lanes)]
+        peak = self.peak_bytes(lambda: run_lanes(plan, others))
+        assert peak <= self.floor_bytes(lanes, cfg.n) + 64 * 1024
+
+    def test_paired_operator_lane_peaks_at_its_floor(self):
+        cfg = ModelConfig(n=3, horizon=3, seed=1)
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=self.COUNT)
+        rule = AlphaSchedule(cfg, 3).rhos(3)
+        peak = self.peak_bytes(
+            lambda: run_paired(plan, PolicySpec(kind="matc"), shift_rule=rule))
+        assert peak <= self.floor_bytes(2, cfg.n) + 64 * 1024
 
 
 class TestSweep:

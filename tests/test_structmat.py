@@ -78,3 +78,20 @@ def test_operator_sugar():
     scaled = m * -1.0
     assert (scaled.diag, scaled.off) == (-2.0, -1.0)
 
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 13])
+def test_apply_in_place_matches_fresh_result_bit_for_bit(n):
+    # out=v takes the row sums before overwriting v: the engine applies an
+    # operator lane to its agent-major rows through their transpose
+    rng = np.random.default_rng(n)
+    m = StructuredMatrix(n, -1.3, 0.7 / n)
+    agent_last = rng.normal(size=(300, n))
+    agent_major = rng.normal(size=(2, n, 300))
+    for v in (agent_last, agent_major[1].T, agent_major.transpose(0, 2, 1)):
+        fresh = apply(m, v)
+        out = v.copy(order="K")
+        assert out.strides == v.strides
+        assert apply(m, out, out=out) is out
+        np.testing.assert_array_equal(out, fresh)
+        assert fresh.tobytes() == out.tobytes()
