@@ -239,7 +239,8 @@ class _Accumulator:
         and is scratch once read; work is (group, count) scratch.  A paired
         accumulator, whose two lanes are one group, stops after the centre
         of mass and the stretch difference.  |s| is taken one lane at a
-        time into one (n, count) temporary.
+        time into one (n, count) temporary, which is no larger than a
+        noise draw.
 
         Sums over agents add whole agent rows in order.  The sum of squares
         adds the even agents' squares and the odd agents' squares apart and
@@ -263,7 +264,6 @@ class _Accumulator:
             return
         self.sum_sq2[lanes, t] = np.multiply(work, work, out=work).sum(axis=1)
         self.agent_sq[lanes, t] = np.einsum("lac,lac->la", st, st)
-        # |s| one lane at a time, in one (n, count) temporary
         agent_abs = self.agent_abs[lanes, t]
         abs_lane = None
         for i, lane in enumerate(st):
@@ -378,7 +378,7 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
 
     # the Gains whose operator is applied in place before the multiply
     ops = [(lane, fn.op) for lane, fn in enumerate(fns)
-           if lane not in called and fn.op is not None]
+           if isinstance(fn, Gain) and fn.op is not None]
     reps = slice(index * plan.block_size, index * plan.block_size + count)
     pos = np.empty((lanes, cfg.n, count))
     pos[...] = gen_init.normal(0.0, cfg.sigma0, shape).T

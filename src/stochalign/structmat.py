@@ -7,6 +7,7 @@ materializes the n x n array.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +48,7 @@ def mn(n: int) -> StructuredMatrix:
     return StructuredMatrix(n, -1.0, 1.0 / (n - 1))
 
 
-def apply(x: StructuredMatrix, v: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+def apply(x: StructuredMatrix, v: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Matrix-vector product along the last axis, one O(n) pass.
 
     (M(a, b) v)_i = b * sum(v) + (a - b) * v_i, so batched inputs of shape
