@@ -196,13 +196,13 @@ def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
     cost = cost_from_variance(limit)
 
     result = run(plan)
-    rows = ([_fmt(r.round), _fmt(r.var_stretch), _fmt(r.mean_abs_stretch),
-             _fmt(r.std_error)] for r in result.rounds)
+    rows = ([_fmt(t), _fmt(var), _fmt(mabs), _fmt(se)] for t, (var, mabs, se) in
+            enumerate(zip(result.var_stretch, result.mean_abs_stretch, result.std_error)))
     _write_outputs(settings, "round,var_stretch,mean_abs_stretch,stderr", rows)
 
     print(f"policy {label}: predicted limiting variance {_fmt(limit)}, "
           f"cost {_fmt(cost)}")
-    print(f"final-round empirical variance {_fmt(result.rounds[-1].var_stretch)} "
+    print(f"final-round empirical variance {_fmt(result.var_stretch[-1])} "
           f"over {settings['replications']} replications -> {settings['out']}")
     return 0
 

@@ -31,11 +31,11 @@ memory:
 The grid is split into as few chunks as that allows, of sizes that
 differ by at most one.  The chunks run one after another, and the
 threads share each chunk's blocks, so with T threads up to T blocks hold
-their positions at once.  A sweep point is read straight from its
-chunk's merged sums of squared stretches, the only statistic a sweep
-accumulates.  Noise is keyed by (seed, block, kind) and every lane is
-reduced over its own slice, so neither the groups nor the chunks change
-a point's bits.
+their positions at once.  A sweep point is steady_state_variance of its
+lane's var_stretch column, divided straight from its chunk's merged sums
+of squared stretches, the only statistic a sweep accumulates.  Noise is
+keyed by (seed, block, kind) and every lane is reduced over its own
+slice, so neither the groups nor the chunks change a point's bits.
 
 Every lane moves by one update per round: the lanes' scales, stacked
 once per run, times the measurements, the same products as the gains'
@@ -50,21 +50,22 @@ noise draw's size at a time: the draw itself, or a statistic's per-lane
 temporary freed before the next draw.  With T threads up to T blocks
 run at once.
 
-Per-block partial statistics are merged in block order, and every lane is
-reduced over its own contiguous slice, so results are bit-identical for
-any thread count, any number of lanes and any grouping of them.
+Per-block partial statistics, each one row of the STATS table, are merged
+in block order by their rows' rules, and every lane is reduced over its
+own contiguous slice, so results are bit-identical for any thread count,
+any number of lanes and any grouping of them.
 
-Per-round statistics treat the replication as the sampling unit: the
-reported variance / mean-absolute-stretch are means over replications of
-the per-replication agent averages, and standard errors come from the
-replication-level spread of those averages.  A full run also sums every
-agent's s_i^2 and |s_i| over replications, so each agent's variance and
-mean |stretch|, with its standard error, is a column of the result, and
-the worst agent (the paper's maximal objective) is a max over columns.
+A RunResult holds (rounds+1,) columns that treat the replication as the
+sampling unit: var_stretch / mean_abs_stretch are means over
+replications of the per-replication agent averages, and standard errors
+come from the replication-level spread of those averages.  Each agent's
+variance and mean |stretch|, with its standard error, is a column of a
+(rounds+1, n) array, and the worst agent (the paper's maximal
+objective) is a max over columns.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -102,8 +103,8 @@ class RunPlan:
 
 @dataclass(slots=True)
 class RoundStats:
-    """Cross-replication statistics of the stretch, and the mean centre of
-    mass, at the start of a round."""
+    """One round of a RunResult's averaged columns, as RunResult.rounds
+    builds it."""
 
     round: int
     var_stretch: float
@@ -115,16 +116,20 @@ class RoundStats:
 
 @dataclass
 class RunResult:
-    """One lane's per-round statistics.
+    """One lane's per-round statistics, as float64 columns indexed by round.
 
-    rounds average the n agents.  The agent_* arrays are (rounds+1, n),
-    one column per agent, over the same replications: the variance of
-    agent i's stretch, the mean of its |stretch| and that mean's standard
-    error.  agent_mean_abs_stretch.max(axis=1) is the worst agent's mean
-    |stretch| per round.
+    The (rounds+1,) columns average the n agents: var_stretch,
+    mean_abs_stretch, their standard errors and center_of_mass.  The
+    agent_* arrays are (rounds+1, n), one column per agent: agent i's
+    variance, mean |stretch| and that mean's standard error.
+    agent_mean_abs_stretch.max(axis=1) is the worst agent's per round.
     """
 
-    rounds: List[RoundStats]
+    var_stretch: np.ndarray
+    var_std_error: np.ndarray
+    mean_abs_stretch: np.ndarray
+    std_error: np.ndarray
+    center_of_mass: np.ndarray
     # per-round max over replications of |sum of stretches|; zero in exact arithmetic
     max_abs_stretch_sum: np.ndarray = field(repr=False)
     agent_var_stretch: np.ndarray = field(repr=False)
@@ -132,6 +137,12 @@ class RunResult:
     agent_std_error: np.ndarray = field(repr=False)
     com_traces: Optional[np.ndarray] = None  # (rounds+1, reps) when traced
     stretch_traces: Optional[np.ndarray] = None  # (rounds+1, reps, n) when traced
+
+    @property
+    def rounds(self) -> List[RoundStats]:
+        """The averaged columns as one RoundStats per round, built on each read."""
+        columns = (getattr(self, f.name).tolist() for f in fields(RoundStats)[1:])
+        return [RoundStats(t, *row) for t, row in enumerate(zip(*columns))]
 
 
 @dataclass
@@ -200,37 +211,41 @@ def _compile(plan: RunPlan, policies) -> List[Gain]:
     return gains
 
 
+# Every statistic a block accumulates, name: (shape, block merge).  A shape is
+# per lane (lanes, rounds+1), per agent (lanes, rounds+1, n) or per run (rounds+1,)
+STATS = {"sum_sq": ("lane", np.add), "sum_sq2": ("lane", np.add),
+         "sum_abs": ("lane", np.add), "sum_abs2": ("lane", np.add),
+         "agent_sq": ("agent", np.add), "agent_abs": ("agent", np.add),
+         "com_sum": ("lane", np.add), "max_zero_sum": ("lane", np.maximum),
+         "max_diff": ("run", np.maximum), "shift_sum": ("run", np.add),
+         "shift_spread": ("run", np.maximum), "rule_dev": ("run", np.maximum)}
+# the rows each kind of run keeps; a paired run with a shift rule adds rule_dev
+KINDS = {"lanes": ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "agent_sq", "agent_abs",
+                   "com_sum", "max_zero_sum"),
+         "paired": ("com_sum", "max_diff", "shift_sum", "shift_spread"),
+         "variance": ("sum_sq",)}
+
+
 class _Accumulator:
     """One block's sums of every lane's per-round statistics.
 
-    Per-lane sums are (lanes, rounds+1) arrays, per-agent sums (lanes,
-    rounds+1, n).  kind picks what is kept: "lanes" (run_lanes') keeps
-    every lane's RoundStats sums, its per-agent sums of s_i^2 and |s_i|
-    (agent_sq, agent_abs), centre of mass and zero-sum check; "paired"
-    (run_paired's) keeps each lane's centre of mass and the diagnostics
-    of lane 1 against lane 0; "variance" (sweep_rho's) keeps sum_sq
-    alone.  Each lane is reduced over its own contiguous slice, so its
-    sums carry the same bits whatever the number of lanes and whatever
-    else is kept.
+    names lists the rows of STATS its kind keeps (KINDS), and each is an
+    attribute in the shape its row states; the others do not exist.
+    "lanes" (run_lanes') keeps the sums every RunResult column is made
+    of; "paired" (run_paired's) each lane's centre of mass and the
+    diagnostics of lane 1 against lane 0, with rule_dev under a shift
+    rule; "variance" (sweep_rho's) sum_sq alone.  Each lane is reduced
+    over its own contiguous slice, so its sums carry the same bits
+    whatever the number of lanes and whatever else is kept.
     """
 
-    SUMS = ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "agent_sq", "agent_abs", "com_sum",
-            "shift_sum")
-    MAXES = ("max_zero_sum", "max_diff", "shift_spread", "rule_dev")
-
     def __init__(self, plan: RunPlan, lanes: int, kind: str, shift_rule=None):
-        rounds = plan.cfg.horizon
-        shape = (lanes, rounds + 1)
-        self.sum_sq = np.zeros(shape) if kind != "paired" else None
-        for name in ("sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum"):
-            setattr(self, name, np.zeros(shape) if kind == "lanes" else None)
-        for name in ("agent_sq", "agent_abs"):
-            setattr(self, name, np.zeros(shape + (plan.cfg.n,)) if kind == "lanes" else None)
-        self.com_sum = np.zeros(shape) if kind != "variance" else None
-        for name in ("max_diff", "shift_sum", "shift_spread"):
-            setattr(self, name, np.zeros(rounds + 1) if kind == "paired" else None)
-        self.rule_dev = np.zeros(rounds + 1) if shift_rule is not None else None
-        self.shift_rule = shift_rule
+        rounds = plan.cfg.horizon + 1
+        shapes = {"lane": (lanes, rounds), "agent": (lanes, rounds, plan.cfg.n), "run": (rounds,)}
+        self.kind, self.shift_rule = kind, shift_rule
+        self.names = KINDS[kind] + (("rule_dev",) if shift_rule is not None else ())
+        for name in self.names:
+            setattr(self, name, np.zeros(shapes[STATS[name][0]]))
 
     def record(self, t: int, lanes: slice, st: np.ndarray, total: np.ndarray,
                work: np.ndarray):
@@ -238,9 +253,9 @@ class _Accumulator:
         the slice lanes.  total holds each replication's sum of positions
         and is scratch once read; work is (group, count) scratch.  A paired
         accumulator, whose two lanes are one group, stops after the centre
-        of mass and the stretch difference.  |s| is taken one lane at a
-        time into one (n, count) temporary, which is no larger than a
-        noise draw.
+        of mass and the stretch difference, a variance one after sum_sq.
+        |s| is taken one lane at a time into one (n, count) temporary,
+        which is no larger than a noise draw.
 
         Sums over agents add whole agent rows in order.  The sum of squares
         adds the even agents' squares and the odd agents' squares apart and
@@ -248,9 +263,9 @@ class _Accumulator:
         np.einsum("ij,ij->i") over agent-last rows.  Per-agent sums reduce
         each agent's contiguous row of replications.
         """
-        if self.com_sum is not None:
+        if self.kind != "variance":
             self.com_sum[lanes, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
-        if self.max_diff is not None:
+        if self.kind == "paired":
             diff = st[0] - st[1]
             self.max_diff[t] = np.abs(diff, out=diff).max()
             return
@@ -260,7 +275,7 @@ class _Accumulator:
         work += np.einsum("lac,lac->lc", odd, odd, out=total)
         work /= n
         self.sum_sq[lanes, t] = work.sum(axis=1)
-        if self.sum_sq2 is None:
+        if self.kind == "variance":
             return
         self.sum_sq2[lanes, t] = np.multiply(work, work, out=work).sum(axis=1)
         self.agent_sq[lanes, t] = np.einsum("lac,lac->la", st, st)
@@ -286,20 +301,16 @@ class _Accumulator:
         self.shift_sum[t] = common.sum()
         spread = np.subtract(common, move_diff, out=move_diff)
         self.shift_spread[t] = np.abs(spread, out=spread).max()
-        if self.rule_dev is not None:
+        if self.shift_rule is not None:
             dev = np.multiply(rows[0], self.shift_rule[t], out=rows[0])
             dev = np.subtract(common, dev, out=dev)
             self.rule_dev[t] = np.abs(dev, out=dev).max()
 
     def merge(self, other: "_Accumulator"):
-        for name in self.SUMS:
+        """Merge other's block into this one, each row by its own rule."""
+        for name in self.names:
             mine = getattr(self, name)
-            if mine is not None:
-                mine += getattr(other, name)
-        for name in self.MAXES:
-            mine = getattr(self, name)
-            if mine is not None:
-                np.maximum(mine, getattr(other, name), out=mine)
+            STATS[name][1](mine, getattr(other, name), out=mine)
 
 
 def _mean_and_se(total: np.ndarray, total_sq: np.ndarray, count: int):
@@ -314,19 +325,14 @@ def _result(acc: _Accumulator, lane: int, count: int, traces) -> RunResult:
     """One lane's RunResult from the run's merged sums over count replications."""
     var, var_se = _mean_and_se(acc.sum_sq[lane], acc.sum_sq2[lane], count)
     mabs, mabs_se = _mean_and_se(acc.sum_abs[lane], acc.sum_abs2[lane], count)
-    rounds = []
-    for t in range(len(var)):
-        rounds.append(RoundStats(
-            round=t, var_stretch=float(var[t]), mean_abs_stretch=float(mabs[t]),
-            std_error=float(mabs_se[t]), var_std_error=float(var_se[t]),
-            center_of_mass=float(acc.com_sum[lane, t] / count)))
     agent_abs, agent_se = _mean_and_se(acc.agent_abs[lane], acc.agent_sq[lane], count)
-    result = RunResult(rounds=rounds, max_abs_stretch_sum=acc.max_zero_sum[lane],
-                       agent_var_stretch=acc.agent_sq[lane] / count,
-                       agent_mean_abs_stretch=agent_abs, agent_std_error=agent_se)
-    if traces is not None:
-        result.stretch_traces, result.com_traces = (trace[lane] for trace in traces)
-    return result
+    stretch, com = (None, None) if traces is None else (trace[lane] for trace in traces)
+    return RunResult(var_stretch=var, var_std_error=var_se, mean_abs_stretch=mabs,
+                     std_error=mabs_se, center_of_mass=acc.com_sum[lane] / count,
+                     max_abs_stretch_sum=acc.max_zero_sum[lane],
+                     agent_var_stretch=acc.agent_sq[lane] / count,
+                     agent_mean_abs_stretch=agent_abs, agent_std_error=agent_se,
+                     stretch_traces=stretch, com_traces=com)
 
 
 def _stack(plan: RunPlan, fns):
@@ -388,6 +394,8 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     rows = np.empty_like(sums)
     meas = None
     for t in range(rounds + 1):
+        if t:
+            pos += gen_drift.normal(0.0, cfg.sigma_d, shape).T
         for lo in range(0, lanes, group):
             part = slice(lo, min(lo + group, lanes))
             gpos = pos[part]
@@ -423,11 +431,8 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
                     apply(op, y_lane, out=y_lane)
             y *= stack[t, part]
             gpos += y
-            if acc.shift_sum is not None:
+            if acc.kind == "paired":
                 acc.record_moves(t, y, total)
-        if t == rounds:
-            break
-        pos += gen_drift.normal(0.0, cfg.sigma_d, shape).T
     return acc
 
 
@@ -503,25 +508,20 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
     if shift_rule is not None:
         shift_rule = require_schedule("shift_rule", shift_rule, plan.cfg.horizon)
     acc, traces = _simulate(plan, [plan.policy, policy_b], "paired", shift_rule)
-    stretch_traces, com_traces = traces if traces is not None else (None, None)
+    stretch_traces, com_traces = traces or (None, None)
     return PairedRunResult(center_of_mass=acc.com_sum / plan.replications,
                            max_stretch_diff=acc.max_diff,
                            shift_mean=acc.shift_sum / plan.replications,
-                           shift_spread=acc.shift_spread, shift_rule_dev=acc.rule_dev,
+                           shift_spread=acc.shift_spread,
+                           shift_rule_dev=getattr(acc, "rule_dev", None),
                            com_traces=com_traces, stretch_traces=stretch_traces)
 
 
-def _tail_mean(values) -> float:
-    """Average of the final 10% of a per-round sequence, at least its last entry."""
-    if not len(values):
+def steady_state_variance(var_stretch: Sequence[float]) -> float:
+    """Mean of a per-round variance column over its last 10% of rounds, at least one."""
+    if not len(var_stretch):
         raise ValueError("need at least one round to average")
-    tail = max(1, len(values) // 10)
-    return float(np.mean(values[-tail:]))
-
-
-def steady_state_variance(rounds: Sequence[RoundStats]) -> float:
-    """Average per-round variance over the final 10% of rounds."""
-    return _tail_mean([r.var_stretch for r in rounds])
+    return float(np.mean(var_stretch[-max(1, len(var_stretch) // 10):]))
 
 
 def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
@@ -552,9 +552,9 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     points = []
     for chunk in range(chunks):
         lanes = specs[edges[chunk]:edges[chunk + 1]]
-        # the variance a RoundStats would hold, without building one per lane-round
+        # each lane's var_stretch column, as a run of its policy computes it
         var = _accumulate(plan, _compile(plan, lanes), group, "variance").sum_sq / replications
-        points += [SweepPoint(rho=spec.rho, var_empirical=_tail_mean(var[lane]),
+        points += [SweepPoint(rho=spec.rho, var_empirical=steady_state_variance(var[lane]),
                               var_closed_form=var_limit(spec.rho, cfg))
                    for lane, spec in enumerate(lanes)]
     return points

@@ -8,6 +8,7 @@ checks use fixed seeds, so outcomes are reproducible bit for bit.
 import math
 import os
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -42,7 +43,7 @@ def test_limiting_variance_matches_closed_form():
                           horizon=200, seed=1001)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=rho),
                        replications=100_000, threads=THREADS)
-        empirical = run(plan).rounds[-1].var_stretch
+        empirical = run(plan).var_stretch[-1]
         expect = sa.var_limit(rho, cfg)
         worst = max(worst, abs(empirical / expect - 1.0))
     elapsed = time.time() - t0
@@ -169,15 +170,13 @@ def test_scheduled_policy_dominates_constant_weights():
     plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
                    threads=THREADS)
     base, *others = run_lanes(plan, [PolicySpec(kind="weighted", rho=rho) for rho in rivals])
-    base_abs = np.array([r.mean_abs_stretch for r in base.rounds])
+    base_abs = base.mean_abs_stretch
     # the maximal objective: each lane's worst agent, per round
     base_max = base.agent_mean_abs_stretch.max(axis=1)
     worst_margin = worst_max_margin = math.inf
     ok = True
     for result in others:
-        other_abs = np.array([r.mean_abs_stretch for r in result.rounds])
-        other_se = np.array([r.std_error for r in result.rounds])
-        margins = other_abs + 3.0 * other_se - base_abs
+        margins = result.mean_abs_stretch + 3.0 * result.std_error - base_abs
         worst_margin = min(worst_margin, margins.min())
         ok &= bool(np.all(margins >= 0.0))
         mabs, se = result.agent_mean_abs_stretch, result.agent_std_error
@@ -237,7 +236,9 @@ def test_model_invariants(tmp_path, monkeypatch, capsys):
         plan = RunPlan(cfg=ModelConfig(n=4, horizon=20, seed=66),
                        policy=PolicySpec(kind="wstar"), replications=10_000,
                        block_size=2_000, threads=threads)
-        return run(plan).rounds
+        result = run(plan)
+        return [getattr(result, f.name).tobytes() for f in fields(result)
+                if getattr(result, f.name) is not None]
 
     invariant = stats(1) == stats(4)
     ok &= invariant

@@ -151,15 +151,15 @@ class TestWholeRun:
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
                        record_traces=True, block_size=reps)
         for lane in run_lanes(plan, others):
-            for t, stats in enumerate(lane.rounds):
-                s = lane.stretch_traces[t]
+            assert lane.var_stretch.shape == lane.center_of_mass.shape == (cfg.horizon + 1,)
+            for t, s in enumerate(lane.stretch_traces):
                 sq = np.einsum("ij,ij->i", s, s) / n
                 ab = np.abs(s).sum(axis=-1) / n
-                assert stats.var_stretch == sq.sum() / reps
-                assert stats.var_std_error == se_of(sq.sum(), (sq * sq).sum(), reps)
-                assert stats.mean_abs_stretch == ab.sum() / reps
-                assert stats.std_error == se_of(ab.sum(), (ab * ab).sum(), reps)
-                assert stats.center_of_mass == lane.com_traces[t].sum() / reps
+                assert lane.var_stretch[t] == sq.sum() / reps
+                assert lane.var_std_error[t] == se_of(sq.sum(), (sq * sq).sum(), reps)
+                assert lane.mean_abs_stretch[t] == ab.sum() / reps
+                assert lane.std_error[t] == se_of(ab.sum(), (ab * ab).sum(), reps)
+                assert lane.center_of_mass[t] == lane.com_traces[t].sum() / reps
                 zero_sum = np.abs(s.sum(axis=-1)).max()
                 assert lane.max_abs_stretch_sum[t] == zero_sum
                 # each agent's column of replications, contiguous, reduced

@@ -599,13 +599,22 @@ def test_readme_command_line_section_matches_the_parser():
     assert listed == actual
 
 
-def test_readme_library_names_exist():
+def test_readme_library_names_exist(monkeypatch):
     text = README.read_text()
     (block,) = re.findall(r"^## Library\n+```python\n(.*?)^```$", text,
                           flags=re.MULTILINE | re.DOTALL)
     names = set(re.findall(r"\bsa\.(\w+)", block))
     assert {"ModelConfig", "run", "best_response"} <= names
     assert sorted(name for name in names if not hasattr(stochalign, name)) == []
+    # the block also runs as written, at 2,000 replications at most, so an
+    # attribute it reads that the package lacks fails here too
+    plan_type = stochalign.RunPlan
+
+    def capped(**fields):
+        return plan_type(**{**fields, "replications": min(fields["replications"], 2_000)})
+
+    monkeypatch.setattr(stochalign, "RunPlan", capped)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 class TestUsageErrors:

@@ -147,7 +147,7 @@ class TestChecks:
 class TestInitWorld:
     def test_shape_and_round(self):
         result = engine_run(ModelConfig(n=5, seed=3), 0.5, 4, rounds=0)
-        assert [r.round for r in result.rounds] == [0]
+        assert result.var_stretch.shape == (1,)
         assert result.stretch_traces.shape == (1, 4, 5)
 
     def test_deterministic_per_seed(self):

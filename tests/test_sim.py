@@ -2,7 +2,7 @@
 
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
 from stochalign.policies import Gain, PolicySpec
 from stochalign.sim import (
-    RoundStats,
     RunPlan,
     run,
     run_lanes,
@@ -42,27 +41,17 @@ def shape_moments(x):
     return np.mean(d**3) / m2**1.5, np.mean(d**4) / m2**2 - 3.0
 
 
-def assert_same_paired(a, b):
-    """Two PairedRunResults carry the same bits, traces included."""
-    for name in ("center_of_mass", "max_stretch_diff", "shift_mean", "shift_spread",
-                 "shift_rule_dev", "com_traces", "stretch_traces"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x is None) == (y is None), name
+def assert_same_bits(a, b):
+    """Two RunResults, or two PairedRunResults, carry the same bits in every
+    column, traces included: -0.0 is not 0.0, and a NaN only matches the
+    same NaN."""
+    assert type(a) is type(b)
+    for field in fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        assert (x is None) == (y is None), field.name
         if x is not None:
-            np.testing.assert_array_equal(x, y)
-
-
-def assert_same_result(a, b):
-    """Two RunResults carry the same bits, traces included."""
-    assert a.rounds == b.rounds
-    for name in ("max_abs_stretch_sum", "agent_var_stretch", "agent_mean_abs_stretch",
-                 "agent_std_error"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    for name in ("stretch_traces", "com_traces"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x is None) == (y is None)
-        if x is not None:
-            np.testing.assert_array_equal(x, y)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+            assert x.tobytes() == y.tobytes(), field.name
 
 
 class TestRunPlanValidation:
@@ -107,15 +96,14 @@ class TestRunPlanValidation:
 
 class TestDeterminism:
     def test_identical_reruns(self):
-        a = run(small_plan())
-        b = run(small_plan())
-        assert a.rounds == b.rounds
-        np.testing.assert_array_equal(a.max_abs_stretch_sum, b.max_abs_stretch_sum)
+        assert_same_bits(run(small_plan()), run(small_plan()))
 
     def test_seed_changes_results(self):
         a = run(small_plan())
         b = run(small_plan(cfg=ModelConfig(n=3, horizon=10, seed=8)))
-        assert a.rounds != b.rounds
+        for name in ("var_stretch", "var_std_error", "mean_abs_stretch", "std_error",
+                     "center_of_mass"):
+            assert not np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_common_noise_across_policies(self):
         # same plan, different policy: the initial worlds coincide exactly
@@ -133,9 +121,9 @@ class TestStatistics:
         result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
                              replications=50_000))
         expect = cfg.n / (cfg.n - 1) * cfg.sigma0**2
-        r0 = result.rounds[0]
-        assert abs(r0.var_stretch - expect) <= 4.0 * r0.var_std_error
-        assert abs(r0.var_stretch / expect - 1.0) < 0.03
+        var, var_se = result.var_stretch[0], result.var_std_error[0]
+        assert abs(var - expect) <= 4.0 * var_se
+        assert abs(var / expect - 1.0) < 0.03
 
     def test_variance_tracks_one_round_recursion(self):
         # empirical per-round variance vs the exact recursion
@@ -149,8 +137,8 @@ class TestStatistics:
                              replications=50_000))
         c = cfg.n / (cfg.n - 1)
         v = c * cfg.sigma0**2
-        for t, stats in enumerate(result.rounds):
-            assert abs(stats.var_stretch - v) <= 6.0 * stats.var_std_error, f"round {t}"
+        for t, (var, var_se) in enumerate(zip(result.var_stretch, result.var_std_error)):
+            assert abs(var - v) <= 6.0 * var_se, f"round {t}"
             v = (1 - c * rho) ** 2 * v + c * (rho**2 * cfg.sigma_m**2 + cfg.sigma_d**2)
 
     def test_stretches_sum_to_zero(self):
@@ -177,7 +165,7 @@ class TestStatistics:
                              replications=40_000, block_size=15_000))
         mabs = result.agent_mean_abs_stretch
         assert mabs.shape == result.agent_std_error.shape == (31, 5)
-        average = np.array([r.mean_abs_stretch for r in result.rounds])
+        average = result.mean_abs_stretch
         np.testing.assert_allclose(mabs.mean(axis=1), average, rtol=1e-12)
         assert np.all(np.abs(mabs - average[:, np.newaxis]) <= 4.0 * result.agent_std_error)
 
@@ -196,14 +184,26 @@ class TestStatistics:
             plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500,
                               block_size=200, threads=threads, record_traces=True)
             result = run(plan)
-            for t, r in enumerate(result.rounds):
-                assert type(r.center_of_mass) is float
-                assert r.center_of_mass == pytest.approx(result.com_traces[t].mean(),
-                                                         rel=0, abs=1e-12)
+            assert result.center_of_mass.dtype == np.float64
+            assert result.center_of_mass.shape == (11,)
+            np.testing.assert_allclose(result.center_of_mass, result.com_traces.mean(axis=-1),
+                                       rtol=0, atol=1e-12)
             paired = run_paired(plan, PolicySpec(kind="matc"))
             assert paired.center_of_mass.shape == (2, 11)
             np.testing.assert_allclose(paired.center_of_mass,
                                        paired.com_traces.mean(axis=-1), rtol=0, atol=1e-12)
+
+
+    def test_rounds_view_reads_the_columns(self):
+        result = run(small_plan(replications=300))
+        assert len(result.rounds) == 11
+        for t, stats in enumerate(result.rounds):
+            assert stats.round == t
+            for name in ("var_stretch", "var_std_error", "mean_abs_stretch", "std_error",
+                         "center_of_mass"):
+                value = getattr(stats, name)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == getattr(result, name)[t].tobytes(), name
 
 
 class TestScheduledPolicies:
@@ -215,9 +215,8 @@ class TestScheduledPolicies:
         result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"),
                              replications=100_000))
         sched = AlphaSchedule(cfg, 60)
-        for t, stats in enumerate(result.rounds):
-            dev = abs(stats.var_stretch - sched.alpha(t))
-            assert dev <= 6.0 * stats.var_std_error, f"round {t}"
+        for t, (var, var_se) in enumerate(zip(result.var_stretch, result.var_std_error)):
+            assert abs(var - sched.alpha(t)) <= 6.0 * var_se, f"round {t}"
 
     def test_near_noiseless_center_seeking_settles_immediately(self):
         tiny = 1e-9
@@ -225,9 +224,8 @@ class TestScheduledPolicies:
                           horizon=5, seed=13)
         result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="matc"),
                              replications=2_000))
-        assert result.rounds[0].mean_abs_stretch > 0.5
-        for stats in result.rounds[1:]:
-            assert stats.mean_abs_stretch < 1e-6
+        assert result.mean_abs_stretch[0] > 0.5
+        assert np.all(result.mean_abs_stretch[1:] < 1e-6)
 
 
 class TestPairedRuns:
@@ -255,40 +253,6 @@ class TestPairedRuns:
             with pytest.raises(ValueError, match="shift_rule must be finite"):
                 run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
 
-    def test_paired_accumulator_keeps_only_what_pairing_adds(self, monkeypatch):
-        made = []
-
-        class Recording(sim._Accumulator):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(self)
-
-        monkeypatch.setattr(sim, "_Accumulator", Recording)
-        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500, block_size=200)
-        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
-        run_paired(plan, PolicySpec(kind="matc"), shift_rule=rule)
-        # one accumulator per block; none holds a per-lane sum but the
-        # centre of mass, so none computes one
-        assert len(made) == 3
-        for acc in made:
-            for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "agent_sq", "agent_abs",
-                         "max_zero_sum"):
-                assert getattr(acc, name) is None, name
-            assert acc.com_sum.shape == (2, 11)
-            for name in ("max_diff", "shift_sum", "shift_spread", "rule_dev"):
-                assert getattr(acc, name).shape == (11,), name
-        # a run's accumulators keep every per-lane sum and no diagnostic
-        made.clear()
-        run_lanes(plan, [PolicySpec(kind="matc")])
-        assert len(made) == 3
-        for acc in made:
-            for name in ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "max_zero_sum", "com_sum"):
-                assert getattr(acc, name).shape == (2, 11), name
-            for name in ("agent_sq", "agent_abs"):
-                assert getattr(acc, name).shape == (2, 11, 3), name
-            for name in ("max_diff", "shift_sum", "shift_spread", "rule_dev"):
-                assert getattr(acc, name) is None, name
-
     def test_thread_count_does_not_change_paired_results(self):
         # more threads than cores, switching often, all writing slices of
         # the run's trace arrays
@@ -303,7 +267,7 @@ class TestPairedRuns:
                                   shift_rule=rule)
         finally:
             sys.setswitchinterval(interval)
-        assert_same_paired(base, threaded)
+        assert_same_bits(base, threaded)
 
     def test_same_policy_pairs_exactly(self):
         paired = run_paired(small_plan(replications=500), PolicySpec(kind="weighted", rho=0.5))
@@ -333,6 +297,71 @@ class TestPairedRuns:
         # center-seeking keeps the measured center fixed up to drift, the
         # plain schedule lets it wander: traces must differ
         assert not np.allclose(paired.com_traces[0], paired.com_traces[1])
+
+
+class TestAccumulator:
+    def test_each_kind_keeps_exactly_its_table_rows(self, monkeypatch):
+        made = []
+
+        class Recording(sim._Accumulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(sim, "_Accumulator", Recording)
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500, block_size=200)
+        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
+        matc = PolicySpec(kind="matc")
+        # two lanes of 11 rounds and 3 agents, in each of three blocks
+        lane, agent, per_run = (2, 11), (2, 11, 3), (11,)
+        shapes = {"lane": lane, "agent": agent, "run": per_run}
+        paired = {"com_sum": lane, "max_diff": per_run, "shift_sum": per_run,
+                  "shift_spread": per_run}
+        # (run, kind, every row its accumulators keep, in the shape it has):
+        # a run keeps every per-lane and per-agent sum and no diagnostic;
+        # a paired run no per-lane sum but the centre of mass, and a sweep
+        # sum_sq alone, so neither computes a sum it does not keep
+        cases = [
+            (lambda: run_lanes(plan, [matc]), "lanes",
+             {"sum_sq": lane, "sum_sq2": lane, "sum_abs": lane, "sum_abs2": lane,
+              "agent_sq": agent, "agent_abs": agent, "com_sum": lane, "max_zero_sum": lane}),
+            (lambda: run_paired(plan, matc, shift_rule=rule), "paired",
+             {**paired, "rule_dev": per_run}),
+            (lambda: run_paired(plan, matc), "paired", paired),
+            (lambda: sweep_rho(plan.cfg, [0.3, 0.6], 500, block_size=200), "variance",
+             {"sum_sq": lane}),
+        ]
+        for call, kind, kept in cases:
+            made.clear()
+            call()
+            assert len(made) == 3
+            for acc in made:
+                assert acc.kind == kind
+                assert sorted(acc.names) == sorted(kept)
+                assert set(kept) - {"rule_dev"} == set(sim.KINDS[kind])
+                for name in sim.STATS:
+                    assert hasattr(acc, name) == (name in kept), name
+                for name, shape in kept.items():
+                    assert getattr(acc, name).shape == shape == shapes[sim.STATS[name][0]], name
+
+    def test_merge_folds_each_row_by_its_own_rule(self):
+        # a worst case takes the larger of two blocks' values, every other
+        # row their sum
+        maxed = {"max_zero_sum", "max_diff", "shift_spread", "rule_dev"}
+        plan = small_plan()
+        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
+        rng = np.random.default_rng(0)
+        for kind, shift_rule in (("lanes", None), ("paired", rule), ("variance", None)):
+            a, b = (sim._Accumulator(plan, 2, kind, shift_rule) for _ in range(2))
+            for acc in (a, b):
+                for name in acc.names:
+                    getattr(acc, name)[...] = rng.normal(size=getattr(acc, name).shape)
+            expect = {name: (np.maximum if name in maxed else np.add)(getattr(a, name),
+                                                                      getattr(b, name))
+                      for name in a.names}
+            a.merge(b)
+            for name, value in expect.items():
+                assert getattr(a, name).tobytes() == value.tobytes(), name
 
 
 class TestTraces:
@@ -374,26 +403,19 @@ class TestTraces:
 
 class TestSteadyState:
     def test_tail_average(self):
-        def fake(t, v):
-            return RoundStats(round=t, var_stretch=v, mean_abs_stretch=0.0,
-                              std_error=0.0, var_std_error=0.0, center_of_mass=0.0)
-
-        rounds = [fake(t, 1.0) for t in range(18)] + [fake(18, 2.0), fake(19, 4.0)]
+        var = np.array([1.0] * 18 + [2.0, 4.0])
         # 20 rounds -> tail is the last 2
-        assert steady_state_variance(rounds) == pytest.approx(3.0)
+        assert steady_state_variance(var) == pytest.approx(3.0)
 
     def test_short_result_uses_last_round(self):
-        def fake(t, v):
-            return RoundStats(round=t, var_stretch=v, mean_abs_stretch=0.0,
-                              std_error=0.0, var_std_error=0.0, center_of_mass=0.0)
-
-        assert steady_state_variance([fake(0, 1.0), fake(1, 5.0)]) == 5.0
+        assert steady_state_variance(np.array([1.0, 5.0])) == 5.0
 
     @pytest.mark.filterwarnings("error")
     def test_rejects_no_rounds(self):
         # numpy's mean of an empty slice gave nan with a RuntimeWarning
-        with pytest.raises(ValueError, match="at least one round"):
-            steady_state_variance([])
+        for empty in (np.array([]), []):
+            with pytest.raises(ValueError, match="at least one round"):
+                steady_state_variance(empty)
 
 
 class TestLanes:
@@ -405,7 +427,7 @@ class TestLanes:
         for rho, point in zip(grid, points):
             alone = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=rho),
                                 replications=700, block_size=2_000))
-            assert point.var_empirical == steady_state_variance(alone.rounds)
+            assert point.var_empirical == steady_state_variance(alone.var_stretch)
 
     def test_paired_lanes_equal_single_runs_bit_for_bit(self):
         # three blocks, on one and on two threads: a paired run's centre of
@@ -416,11 +438,9 @@ class TestLanes:
             paired = run_paired(plan, PolicySpec(kind="matc"))
             lanes = run_lanes(plan, [PolicySpec(kind="matc")])
             for lane, result in enumerate(lanes):
-                np.testing.assert_array_equal(
-                    paired.center_of_mass[lane], [r.center_of_mass for r in result.rounds])
-                np.testing.assert_array_equal(paired.com_traces[lane], result.com_traces)
-                np.testing.assert_array_equal(paired.stretch_traces[lane],
-                                              result.stretch_traces)
+                for name in ("center_of_mass", "com_traces", "stretch_traces"):
+                    assert getattr(paired, name)[lane].tobytes() == \
+                        getattr(result, name).tobytes(), name
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_spec_lanes_equal_single_runs_bit_for_bit(self, threads):
@@ -432,7 +452,7 @@ class TestLanes:
         lanes = run_lanes(plan, others)
         assert len(lanes) == 4
         for policy, lane in zip([plan.policy] + others, lanes):
-            assert_same_result(lane, run(replace(plan, policy=policy)))
+            assert_same_bits(lane, run(replace(plan, policy=policy)))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_deviant_lanes_equal_single_runs_bit_for_bit(self, threads):
@@ -443,7 +463,7 @@ class TestLanes:
                        block_size=300, threads=threads)
         lanes = run_lanes(plan, gains)
         for policy, lane in zip([plan.policy] + gains, lanes):
-            assert_same_result(lane, run(replace(plan, policy=policy)))
+            assert_same_bits(lane, run(replace(plan, policy=policy)))
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 13])
@@ -480,10 +500,10 @@ class TestLanes:
             lambda y, t, g=g: g(y, t) for g in compile_lanes(plan, policies)])
         for others, results in zip(lane_sets, stacked):
             for a, b in zip(results, run_lanes(plan, others), strict=True):
-                assert_same_result(a, b)
+                assert_same_bits(a, b)
         for pair, result in zip(pairs, paired):
             assert (result.shift_rule_dev is None) == (pair[2] is None)
-            assert_same_paired(result, run_paired(*pair))
+            assert_same_bits(result, run_paired(*pair))
 
     def test_thread_count_does_not_change_results(self):
         # more threads than cores, switching often: every lane's per-round
@@ -500,7 +520,7 @@ class TestLanes:
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(base, threaded, strict=True):
-            assert_same_result(a, b)
+            assert_same_bits(a, b)
 
     def test_lane_policies_may_come_from_a_generator(self):
         plan = small_plan(replications=300, block_size=100)
@@ -509,7 +529,7 @@ class TestLanes:
         from_generator = run_lanes(plan, (policy for policy in others))
         assert len(from_generator) == 3
         for a, b in zip(from_list, from_generator, strict=True):
-            assert_same_result(a, b)
+            assert_same_bits(a, b)
 
     def test_lane_policies_compiled_before_any_block(self, monkeypatch):
         def no_blocks(*args):
