@@ -28,7 +28,7 @@ from .analysis import alpha_infty, cost_from_variance, rho_star_const, var_limit
 from .game import best_response
 from .kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from .model import ModelConfig
-from .policies import POLICY_KINDS, PolicySpec
+from .policies import POLICY_KINDS, Gain, PolicySpec, make_policy
 from .sim import RunPlan, run, run_paired, sweep_rho
 
 THREADS_ENV = "STOCH_ALIGN_THREADS"
@@ -142,6 +142,12 @@ def _noise_scale(cfg: ModelConfig) -> float:
     return max(1.0, cfg.sigma0, cfg.sigma_m, cfg.sigma_d)
 
 
+def _entries(gain: Gain) -> np.ndarray:
+    """A compiled gain's (diagonal, off-diagonal) entries, one row per round."""
+    entries = (1.0, 0.0) if gain.op is None else (gain.op.diag, gain.op.off)
+    return gain.scale[:, np.newaxis] * entries
+
+
 def _policy_spec(name: str, rho: float) -> PolicySpec:
     """Only the weighted kind takes rho; PolicySpec rejects an unknown kind."""
     return PolicySpec(kind=name, rho=rho if name == "weighted" else None)
@@ -214,10 +220,7 @@ def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
     plan = RunPlan(cfg=cfg, policy=spec_a, replications=settings["replications"],
                    threads=settings["threads"])
 
-    shift_rule = None
-    if (spec_a.kind, spec_b.kind) == ("wstar", "matc"):
-        shift_rule = AlphaSchedule(cfg, cfg.horizon).rhos(cfg.horizon)
-    paired = run_paired(plan, spec_b, shift_rule=shift_rule)
+    paired = run_paired(plan, spec_b)
 
     rows = []
     for t, (com_a, com_b) in enumerate(paired.center_of_mass.T):
@@ -228,17 +231,19 @@ def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
 
     print(f"paired {spec_a.kind} vs {spec_b.kind}: max stretch difference "
           f"{_fmt(paired.max_stretch_diff.max())} -> {settings['out']}")
-    if shift_rule is None:
+    if (spec_a.kind, spec_b.kind) != ("wstar", "matc"):
         return 0
-    # the two policies must be the same move up to a common per-round shift;
-    # the unrecorded last round holds 0 and every value is >= 0.  Positions,
-    # and with them both tolerances, grow with the noise scale
-    scale = _noise_scale(cfg)
-    stretch_tol, shift_tol = STRETCH_EQ_TOL * scale, SHIFT_TOL * scale
-    worst_spread = paired.shift_spread.max()
-    worst_rule = paired.shift_rule_dev.max()
+    # the two policies must be the same move up to a common per-round shift,
+    # rho*(t) times the mean measurement: their gains differ in every entry
+    # by rho*(t)/n.  Gains have no units, so that check is exact; the
+    # sampled stretches grow with the noise scale, and so does their bound
+    stretch_tol = STRETCH_EQ_TOL * _noise_scale(cfg)
+    diff = _entries(make_policy(spec_a, cfg)) - _entries(make_policy(spec_b, cfg))
+    rule = AlphaSchedule(cfg, cfg.horizon).rhos(cfg.horizon)[:cfg.horizon, np.newaxis] / cfg.n
+    worst_spread = np.abs(diff[:, 0] - diff[:, 1]).max(initial=0.0)
+    worst_rule = np.abs(diff - rule).max(initial=0.0)
     ok = (paired.max_stretch_diff.max() <= stretch_tol
-          and worst_spread <= shift_tol and worst_rule <= shift_tol)
+          and worst_spread <= SHIFT_TOL and worst_rule <= SHIFT_TOL)
     print(f"shift equivalence: stretch diff <= {stretch_tol:g}, "
           f"shift spread {_fmt(worst_spread)}, rule deviation {_fmt(worst_rule)}: "
           f"{'pass' if ok else 'FAIL'}")

@@ -4,7 +4,10 @@ Every policy the package ships is a weighted-average rule: at round t
 each agent moves a scale known before round 0 times either its own
 measurement or a structured linear map of the round's measurement
 vector.  make_policy compiles a declarative PolicySpec into that Gain
-once; the engine then calls it as gain(measurements, t).
+once.  The engine never calls a Gain: it stacks the Gains' scales and
+applies an operator to the measurements in place, which gives the bits
+of gain(measurements, t).  It calls only a plain callable, such as the
+benchmark tracer's wrapper of make_policy's Gains.
 """
 
 from dataclasses import dataclass

@@ -10,8 +10,8 @@ added through their transpose to every lane.  All lanes therefore see
 identical noise (common random numbers) for the price of one draw.
 `run_lanes` returns one RunResult per lane; `run` is its single lane,
 `run_paired` two lanes that record only what pairing adds (each lane's
-centre of mass, the traces and the diagnostics of their difference),
-and `sweep_rho` runs its grid as lanes in chunks.
+centre of mass, the traces, their stretch difference and the common
+shift of their moves), and `sweep_rho` runs its grid as lanes in chunks.
 
 A block keeps every lane's positions from its first round to its last,
 but does each round's per-lane work (stretches, statistics, moves) over
@@ -27,6 +27,12 @@ memory:
 - a chunk holds at most max(1, CELL_BUDGET // max(n * count, rounds + 1))
   lanes, so what a block keeps across rounds (positions, per-lane sums
   and the stacked scales) stays within about CELL_BUDGET cells.
+
+The group bound is also the sweep's cache tile: a group's scratch stays
+in cache while its lanes' per-round work runs, where one group of every
+lane would stream through memory.  At n = 2 and 8,000 replications, 50
+lanes in one group took about a third longer than in groups of 2, so the
+groups stay even where memory would allow one.
 
 The grid is split into as few chunks as that allows, of sizes that
 differ by at most one.  The chunks run one after another, and the
@@ -72,7 +78,7 @@ import numpy as np
 
 from . import streams
 from .analysis import var_limit
-from .model import ModelConfig, require_int, require_schedule, stretch_values
+from .model import ModelConfig, require_int, stretch_values
 from .policies import Gain, PolicySpec, make_policy
 from .structmat import apply
 
@@ -151,21 +157,18 @@ class PairedRunResult:
 
     center_of_mass is (2, rounds+1): each lane's per-round mean centre of
     mass, row 0 for a and row 1 for b.  max_stretch_diff is the per-round
-    max over replications and agents of their stretch difference.
-    shift_* summarize the per-agent move difference (a minus b): its
-    common value, its spread across agents, and, when a shift rule is
-    supplied, the worst deviation from the shift it predicts (rho_t times
-    each replication's mean measurement).  The traces, when recorded, are
-    indexed by lane first.  A paired run computes no other per-lane
-    statistic: run_lanes(plan, [policy_b]) gives both lanes' RunResults
-    on the same noise, bit-identical to the paired lanes.
+    max over replications and agents of their stretch difference, and
+    shift_mean the per-round mean over replications of the common shift,
+    the per-agent move difference (a minus b) averaged over agents.  The
+    traces, when recorded, are indexed by lane first.  A paired run
+    computes no other per-lane statistic: run_lanes(plan, [policy_b])
+    gives both lanes' RunResults on the same noise, bit-identical to the
+    paired lanes.
     """
 
     center_of_mass: np.ndarray
     max_stretch_diff: np.ndarray
     shift_mean: np.ndarray
-    shift_spread: np.ndarray
-    shift_rule_dev: Optional[np.ndarray]
     com_traces: Optional[np.ndarray] = None  # (2, rounds+1, reps) when traced
     stretch_traces: Optional[np.ndarray] = None  # (2, rounds+1, reps, n) when traced
 
@@ -217,12 +220,11 @@ STATS = {"sum_sq": ("lane", np.add), "sum_sq2": ("lane", np.add),
          "sum_abs": ("lane", np.add), "sum_abs2": ("lane", np.add),
          "agent_sq": ("agent", np.add), "agent_abs": ("agent", np.add),
          "com_sum": ("lane", np.add), "max_zero_sum": ("lane", np.maximum),
-         "max_diff": ("run", np.maximum), "shift_sum": ("run", np.add),
-         "shift_spread": ("run", np.maximum), "rule_dev": ("run", np.maximum)}
-# the rows each kind of run keeps; a paired run with a shift rule adds rule_dev
+         "max_diff": ("run", np.maximum), "shift_sum": ("run", np.add)}
+# the rows each kind of run keeps
 KINDS = {"lanes": ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "agent_sq", "agent_abs",
                    "com_sum", "max_zero_sum"),
-         "paired": ("com_sum", "max_diff", "shift_sum", "shift_spread"),
+         "paired": ("com_sum", "max_diff", "shift_sum"),
          "variance": ("sum_sq",)}
 
 
@@ -232,18 +234,17 @@ class _Accumulator:
     names lists the rows of STATS its kind keeps (KINDS), and each is an
     attribute in the shape its row states; the others do not exist.
     "lanes" (run_lanes') keeps the sums every RunResult column is made
-    of; "paired" (run_paired's) each lane's centre of mass and the
-    diagnostics of lane 1 against lane 0, with rule_dev under a shift
-    rule; "variance" (sweep_rho's) sum_sq alone.  Each lane is reduced
-    over its own contiguous slice, so its sums carry the same bits
-    whatever the number of lanes and whatever else is kept.
+    of; "paired" (run_paired's) each lane's centre of mass, the stretch
+    difference of the two lanes and their moves' common shift; "variance"
+    (sweep_rho's) sum_sq alone.  Each lane is reduced over its own
+    contiguous slice, so its sums carry the same bits whatever the number
+    of lanes and whatever else is kept.
     """
 
-    def __init__(self, plan: RunPlan, lanes: int, kind: str, shift_rule=None):
+    def __init__(self, plan: RunPlan, lanes: int, kind: str):
         rounds = plan.cfg.horizon + 1
         shapes = {"lane": (lanes, rounds), "agent": (lanes, rounds, plan.cfg.n), "run": (rounds,)}
-        self.kind, self.shift_rule = kind, shift_rule
-        self.names = KINDS[kind] + (("rule_dev",) if shift_rule is not None else ())
+        self.kind, self.names = kind, KINDS[kind]
         for name in self.names:
             setattr(self, name, np.zeros(shapes[STATS[name][0]]))
 
@@ -291,20 +292,14 @@ class _Accumulator:
         zero_sum = np.abs(st.sum(axis=1, out=work), out=work)
         self.max_zero_sum[lanes, t] = zero_sum.max(axis=1)
 
-    def record_moves(self, t: int, moves: np.ndarray, rows: np.ndarray):
-        """Paired only: lane 0's per-agent moves minus lane 1's.  moves, the
-        (2, n, count) moves, is scratch once the positions have taken them;
-        rows is (2, count) scratch whose row 0 holds lane 0's mean
-        measurement per replication when a shift rule is set."""
+    def record_moves(self, t: int, moves: np.ndarray, row: np.ndarray):
+        """Paired only: the common shift, lane 0's per-agent moves minus
+        lane 1's averaged over agents, summed over replications.  moves,
+        the (2, n, count) moves, is scratch once the positions have taken
+        them; row is (count,) scratch."""
         move_diff = np.subtract(moves[0], moves[1], out=moves[1])
-        common = np.divide(move_diff.sum(axis=0, out=rows[1]), len(move_diff), out=rows[1])
+        common = np.divide(move_diff.sum(axis=0, out=row), len(move_diff), out=row)
         self.shift_sum[t] = common.sum()
-        spread = np.subtract(common, move_diff, out=move_diff)
-        self.shift_spread[t] = np.abs(spread, out=spread).max()
-        if self.shift_rule is not None:
-            dev = np.multiply(rows[0], self.shift_rule[t], out=rows[0])
-            dev = np.subtract(common, dev, out=dev)
-            self.rule_dev[t] = np.abs(dev, out=dev).max()
 
     def merge(self, other: "_Accumulator"):
         """Merge other's block into this one, each row by its own rule."""
@@ -419,9 +414,6 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
             y += meas
             if part.stop == lanes:
                 meas = None
-            if acc.shift_rule is not None:
-                # lane 0's mean measurement, for record_moves
-                np.divide(y[0].sum(axis=0, out=total[0]), cfg.n, out=total[0])
             for lane in called:
                 if part.start <= lane < part.stop:
                     y[lane - lo] = fns[lane](y[lane - lo].T, t).T
@@ -432,18 +424,18 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
             y *= stack[t, part]
             gpos += y
             if acc.kind == "paired":
-                acc.record_moves(t, y, total)
+                acc.record_moves(t, y, total[0])
     return acc
 
 
-def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes", shift_rule=None,
+def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
                 traces=None) -> _Accumulator:
     """Run every block of the plan for the compiled lanes, group lanes at a
     time within each round; merge in block order."""
     stack, called = _stack(plan, fns)
 
     def worker(block):
-        acc = _Accumulator(plan, len(fns), kind, shift_rule)
+        acc = _Accumulator(plan, len(fns), kind)
         return _run_block(plan, fns, stack, called, acc, traces, group, *block)
 
     blocks = _blocks(plan.replications, plan.block_size)
@@ -458,7 +450,7 @@ def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes", shift_rule=
     return acc
 
 
-def _simulate(plan: RunPlan, policies, kind: str = "lanes", shift_rule=None):
+def _simulate(plan: RunPlan, policies, kind: str = "lanes"):
     """Simulate every lane of the plan.
 
     Returns the merged accumulator and, when recorded, the run's
@@ -474,7 +466,7 @@ def _simulate(plan: RunPlan, policies, kind: str = "lanes", shift_rule=None):
                              f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
     traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
-    return _accumulate(plan, fns, len(fns), kind, shift_rule, traces), traces
+    return _accumulate(plan, fns, len(fns), kind, traces), traces
 
 
 def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]]) -> List[RunResult]:
@@ -493,27 +485,17 @@ def run(plan: RunPlan) -> RunResult:
     return run_lanes(plan, ())[0]
 
 
-def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain],
-               shift_rule=None) -> PairedRunResult:
+def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain]) -> PairedRunResult:
     """Simulate plan.policy and policy_b under identical noise.
 
     Records only what pairing adds (see PairedRunResult); the two lanes'
     per-round statistics come from run_lanes(plan, [policy_b]).
-
-    shift_rule, when given, holds one finite scale rho_t per round of the plan:
-    it predicts that the move difference in round t is the common shift
-    rho_t times each replication's mean measurement, and the result
-    reports the worst per-round deviation of the observed shift from it.
     """
-    if shift_rule is not None:
-        shift_rule = require_schedule("shift_rule", shift_rule, plan.cfg.horizon)
-    acc, traces = _simulate(plan, [plan.policy, policy_b], "paired", shift_rule)
+    acc, traces = _simulate(plan, [plan.policy, policy_b], "paired")
     stretch_traces, com_traces = traces or (None, None)
     return PairedRunResult(center_of_mass=acc.com_sum / plan.replications,
                            max_stretch_diff=acc.max_diff,
                            shift_mean=acc.shift_sum / plan.replications,
-                           shift_spread=acc.shift_spread,
-                           shift_rule_dev=getattr(acc, "rule_dev", None),
                            com_traces=com_traces, stretch_traces=stretch_traces)
 
 

@@ -12,9 +12,11 @@ import pytest
 
 from stochalign.analysis import rho_star_const, var_limit
 import stochalign
-from stochalign import cli
+from stochalign import cli, sim
 from stochalign.cli import MAX_GRID_POINTS, THREADS_ENV, main
 from stochalign.model import ModelConfig
+from stochalign.policies import Gain
+from stochalign.structmat import StructuredMatrix
 
 
 def read_csv(path):
@@ -174,6 +176,67 @@ class TestCompare:
         verdict = capsys.readouterr().out.splitlines()[-1]
         assert verdict.startswith("shift equivalence: stretch diff <= 1e+41,")
         assert verdict.endswith(": pass")
+
+    def test_no_rounds_pass(self, capsys):
+        code = main(["compare", "--rounds", "0", "--reps", "5", "--threads", "1",
+                     "--out", "cmp.csv"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "shift equivalence: stretch diff <= 1e-09, shift spread 0, rule deviation 0: pass")
+
+    @staticmethod
+    def verdict(capsys):
+        """The verdict line's (stretch bound, shift spread, rule deviation, outcome)."""
+        line = capsys.readouterr().out.splitlines()[-1]
+        match = re.fullmatch(r"shift equivalence: stretch diff <= (\S+), shift spread (\S+), "
+                             r"rule deviation (\S+): (pass|FAIL)", line)
+        assert match, line
+        return (*map(float, match.groups()[:3]), match[4])
+
+    @pytest.mark.parametrize("diag", [0.0, 1e-9], ids=["spread", "rule"])
+    def test_gains_off_the_shift_fail(self, tmp_path, capsys, monkeypatch, diag):
+        # the compiled matc gain's off-diagonal is off by 1e-9, and with its
+        # diagonal too the gains differ by a common shift of the wrong size;
+        # the engine compiles its own gains: the same CSV, and only the
+        # exact check fails
+        argv = ["compare", "--n", "4", "--rounds", "10", "--reps", "50", "--threads", "1",
+                "--out", "cmp.csv"]
+        assert main(argv) == 0
+        expect = (tmp_path / "cmp.csv").read_bytes()
+        capsys.readouterr()
+        make_policy = cli.make_policy
+
+        def off(spec, cfg):
+            gain = make_policy(spec, cfg)
+            if spec.kind != "matc":
+                return gain
+            return Gain(gain.scale,
+                        StructuredMatrix(cfg.n, gain.op.diag + diag, gain.op.off + 1e-9))
+
+        monkeypatch.setattr(cli, "make_policy", off)
+        assert main(argv) == 1
+        assert (tmp_path / "cmp.csv").read_bytes() == expect
+        _, spread, rule, outcome = self.verdict(capsys)
+        assert (spread > 1e-12) == (diag == 0.0)
+        assert rule > 1e-12 and outcome == "FAIL"
+
+    def test_engine_moves_off_the_shift_fail(self, tmp_path, capsys, monkeypatch):
+        # the engine's matc scale is off by one part in a million, so the
+        # stretches part while the compiled gains still differ by the shift
+        make_policy = sim.make_policy
+
+        def off(spec, cfg):
+            gain = make_policy(spec, cfg)
+            return Gain(gain.scale * (1 + 1e-6), gain.op) if spec.kind == "matc" else gain
+
+        monkeypatch.setattr(sim, "make_policy", off)
+        code = main(["compare", "--n", "4", "--rounds", "10", "--reps", "50",
+                     "--threads", "1", "--out", "cmp.csv"])
+        assert code == 1
+        _, rows = read_csv(tmp_path / "cmp.csv")
+        assert max(float(r[3]) for r in rows) > 1e-9
+        stretch_tol, spread, rule, outcome = self.verdict(capsys)
+        assert stretch_tol == 1e-9 and spread <= 1e-12 and rule <= 1e-12 and outcome == "FAIL"
 
     def test_same_policy_compare_is_exact(self, tmp_path):
         code = main(["compare", "--a", "weighted", "--b", "weighted",

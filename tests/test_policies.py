@@ -100,6 +100,24 @@ class TestMatc:
             lam = sched.rho(t) * y.mean(axis=-1)
             np.testing.assert_allclose(diff, lam[:, None] * np.ones(4), atol=1e-13)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("sigma0", [0.0, 1.0])
+    @pytest.mark.parametrize("sigma_m, sigma_d", [(1.0, 1.0), (1e50, 1.0), (1.0, 1e50),
+                                                  (1e-50, 1.0), (1.0, 1e-50)])
+    def test_gain_differs_from_wstar_by_the_shift_in_every_entry(self, n, sigma0, sigma_m,
+                                                                 sigma_d):
+        # wstar's gain minus matc's is rho*(t)/n times the all-ones matrix,
+        # so their moves differ by rho*(t) mean(Y) on every agent, over the
+        # accepted noise range
+        cfg = ModelConfig(n=n, sigma0=sigma0, sigma_m=sigma_m, sigma_d=sigma_d, horizon=30)
+        rhos = AlphaSchedule(cfg, 30).rhos(30)
+        wstar = make_policy(PolicySpec(kind="wstar"), cfg)
+        matc = make_policy(PolicySpec(kind="matc"), cfg)
+        assert wstar.op is None and wstar.scale.shape == matc.scale.shape == (30,)
+        for t in range(30):
+            diff = wstar.scale[t] * np.eye(n) - (matc.scale[t] * matc.op).to_dense()
+            np.testing.assert_allclose(diff, np.full((n, n), rhos[t] / n), rtol=0, atol=1e-12)
+
     def test_moves_sum_to_zero(self):
         rng = np.random.default_rng(4)
         out = compiled("matc", 5)(rng.normal(size=(100, 5)), 0)

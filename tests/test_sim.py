@@ -233,38 +233,16 @@ class TestPairedRuns:
         with pytest.raises(ValueError, match="PolicySpec or a Gain"):
             run_paired(small_plan(), None)
 
-    def test_rejects_shift_rule_without_a_scale_per_round(self):
-        for rule in (np.full(9, 0.5), np.full((10, 3), 0.5)):
-            with pytest.raises(ValueError, match="one scale per round"):
-                run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
-
-    def test_rejects_non_finite_shift_rule_before_any_block(self, monkeypatch):
-        def no_blocks(*args):
-            raise AssertionError("a block started")
-
-        # the plan has 10 rounds; an entry past them is never read
-        rule = np.append(np.full(10, 0.5), np.nan)
-        paired = run_paired(small_plan(replications=20), PolicySpec(kind="matc"),
-                            shift_rule=rule)
-        assert np.all(np.isfinite(paired.shift_rule_dev))
-        monkeypatch.setattr(streams, "substream", no_blocks)
-        for bad in (np.nan, np.inf):
-            rule[9] = bad
-            with pytest.raises(ValueError, match="shift_rule must be finite"):
-                run_paired(small_plan(), PolicySpec(kind="matc"), shift_rule=rule)
-
     def test_thread_count_does_not_change_paired_results(self):
         # more threads than cores, switching often, all writing slices of
         # the run's trace arrays
         plan = small_plan(policy=PolicySpec(kind="wstar"), replications=2_500,
                           block_size=500, record_traces=True)
-        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
-        base = run_paired(plan, PolicySpec(kind="matc"), shift_rule=rule)
+        base = run_paired(plan, PolicySpec(kind="matc"))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_paired(replace(plan, threads=4), PolicySpec(kind="matc"),
-                                  shift_rule=rule)
+            threaded = run_paired(replace(plan, threads=4), PolicySpec(kind="matc"))
         finally:
             sys.setswitchinterval(interval)
         assert_same_bits(base, threaded)
@@ -274,16 +252,16 @@ class TestPairedRuns:
         np.testing.assert_array_equal(paired.max_stretch_diff, np.zeros(11))
         np.testing.assert_array_equal(paired.center_of_mass[0], paired.center_of_mass[1])
 
-    def test_wstar_and_center_seeking_share_stretch_paths(self):
+    def test_wstar_and_center_seeking_share_stretch_paths(self, paired_shift):
         cfg = ModelConfig(n=3, horizon=40, seed=21)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=200)
         sched = AlphaSchedule(cfg, 40)
-        paired = run_paired(plan, PolicySpec(kind="matc"),
-                            shift_rule=sched.rhos(40))
+        paired, spread, rule_dev = paired_shift(plan, PolicySpec(kind="matc"), sched.rhos(40))
         assert paired.max_stretch_diff.max() <= 1e-9
-        # their move difference is a pure common shift that follows the rule
-        assert paired.shift_spread.max() <= 1e-12
-        assert paired.shift_rule_dev[:-1].max() <= 1e-12
+        # the moves the engine applies differ by a pure common shift that
+        # follows the rule: rho*(t) times the mean measurement
+        assert spread <= 1e-12
+        assert rule_dev <= 1e-12
 
     def test_paired_traces(self):
         cfg = ModelConfig(n=3, horizon=4, seed=2)
@@ -310,13 +288,10 @@ class TestAccumulator:
 
         monkeypatch.setattr(sim, "_Accumulator", Recording)
         plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500, block_size=200)
-        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
         matc = PolicySpec(kind="matc")
         # two lanes of 11 rounds and 3 agents, in each of three blocks
         lane, agent, per_run = (2, 11), (2, 11, 3), (11,)
         shapes = {"lane": lane, "agent": agent, "run": per_run}
-        paired = {"com_sum": lane, "max_diff": per_run, "shift_sum": per_run,
-                  "shift_spread": per_run}
         # (run, kind, every row its accumulators keep, in the shape it has):
         # a run keeps every per-lane and per-agent sum and no diagnostic;
         # a paired run no per-lane sum but the centre of mass, and a sweep
@@ -325,9 +300,8 @@ class TestAccumulator:
             (lambda: run_lanes(plan, [matc]), "lanes",
              {"sum_sq": lane, "sum_sq2": lane, "sum_abs": lane, "sum_abs2": lane,
               "agent_sq": agent, "agent_abs": agent, "com_sum": lane, "max_zero_sum": lane}),
-            (lambda: run_paired(plan, matc, shift_rule=rule), "paired",
-             {**paired, "rule_dev": per_run}),
-            (lambda: run_paired(plan, matc), "paired", paired),
+            (lambda: run_paired(plan, matc), "paired",
+             {"com_sum": lane, "max_diff": per_run, "shift_sum": per_run}),
             (lambda: sweep_rho(plan.cfg, [0.3, 0.6], 500, block_size=200), "variance",
              {"sum_sq": lane}),
         ]
@@ -338,7 +312,7 @@ class TestAccumulator:
             for acc in made:
                 assert acc.kind == kind
                 assert sorted(acc.names) == sorted(kept)
-                assert set(kept) - {"rule_dev"} == set(sim.KINDS[kind])
+                assert set(kept) == set(sim.KINDS[kind])
                 for name in sim.STATS:
                     assert hasattr(acc, name) == (name in kept), name
                 for name, shape in kept.items():
@@ -347,12 +321,11 @@ class TestAccumulator:
     def test_merge_folds_each_row_by_its_own_rule(self):
         # a worst case takes the larger of two blocks' values, every other
         # row their sum
-        maxed = {"max_zero_sum", "max_diff", "shift_spread", "rule_dev"}
+        maxed = {"max_zero_sum", "max_diff"}
         plan = small_plan()
-        rule = AlphaSchedule(plan.cfg, 10).rhos(10)
         rng = np.random.default_rng(0)
-        for kind, shift_rule in (("lanes", None), ("paired", rule), ("variance", None)):
-            a, b = (sim._Accumulator(plan, 2, kind, shift_rule) for _ in range(2))
+        for kind in ("lanes", "paired", "variance"):
+            a, b = (sim._Accumulator(plan, 2, kind) for _ in range(2))
             for acc in (a, b):
                 for name in acc.names:
                     getattr(acc, name)[...] = rng.normal(size=getattr(acc, name).shape)
@@ -480,11 +453,10 @@ class TestLanes:
         lane_sets = [specs, specs + [deviant_policy(np.linspace(0.0, 1.2, 13), sched,
                                                     agent=n - 1)]]
         weighted = replace(plan, policy=PolicySpec(kind="weighted", rho=0.2))
-        # (plan, policy_b, shift_rule): an operator matc lane beside a
-        # wstar lane, and two weighted lanes
-        pairs = [(replace(plan, policy=PolicySpec(kind="wstar")), PolicySpec(kind="matc"),
-                  sched.rhos(12)),
-                 (weighted, PolicySpec(kind="weighted", rho=0.7), None)]
+        # (plan, policy_b): an operator matc lane beside a wstar lane, and
+        # two weighted lanes
+        pairs = [(replace(plan, policy=PolicySpec(kind="wstar")), PolicySpec(kind="matc")),
+                 (weighted, PolicySpec(kind="weighted", rho=0.7))]
 
         def no_call(self, y, t):
             raise AssertionError("a gain was called per lane")
@@ -502,7 +474,6 @@ class TestLanes:
             for a, b in zip(results, run_lanes(plan, others), strict=True):
                 assert_same_bits(a, b)
         for pair, result in zip(pairs, paired):
-            assert (result.shift_rule_dev is None) == (pair[2] is None)
             assert_same_bits(result, run_paired(*pair))
 
     def test_thread_count_does_not_change_results(self):
@@ -579,9 +550,7 @@ class TestBlockMemory:
     def test_paired_operator_lane_peaks_at_its_floor(self):
         cfg = ModelConfig(n=3, horizon=3, seed=1)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=self.COUNT)
-        rule = AlphaSchedule(cfg, 3).rhos(3)
-        peak = self.peak_bytes(
-            lambda: run_paired(plan, PolicySpec(kind="matc"), shift_rule=rule))
+        peak = self.peak_bytes(lambda: run_paired(plan, PolicySpec(kind="matc")))
         assert peak <= self.floor_bytes(2, cfg.n) + 64 * 1024
 
 
