@@ -28,9 +28,10 @@ def dense_filter_path(cfg: ModelConfig, t_max: int):
     These are the bits of the general recursion in `tests/test_kalman.py`,
     products with I included, except that at sigma0 = 0 zero entries of
     K_0 may carry the other sign.  Yields (P-_t, K_t) for t = 0..t_max as
-    fresh dense arrays, one round at a time, and holds only the current
-    round's matrices, so its memory is O(n^2) independent of t_max.  t_max
-    is checked when this is called, not when the first round is drawn.
+    fresh dense arrays, one round at a time.  Besides the current round's
+    matrices it holds one n x n work buffer, which takes P + R and then
+    I - K, so its memory is O(n^2) independent of t_max.  t_max is checked
+    when this is called, not when the first round is drawn.
     """
     require_int("t_max", t_max, lo=0)
     return _dense_filter_rounds(cfg, t_max)
@@ -43,11 +44,13 @@ def _dense_filter_rounds(cfg: ModelConfig, t_max: int):
     q = cfg.sigma_d ** 2 * m2
     eye = np.eye(cfg.n)
     r = cfg.sigma_m ** 2 * eye
+    work = np.empty_like(p)  # P + R, then I - K
     for _ in range(t_max + 1):
         # K = P (P + R)^-1, solved on the transposed system
-        k = np.linalg.solve((p + r).T, p.T).T
+        k = np.linalg.solve(np.add(p, r, out=work).T, p.T).T
         yield p, k
-        p = (eye - k) @ p + q
+        p = np.subtract(eye, k, out=work) @ p
+        p += q
 
 
 class AlphaSchedule:

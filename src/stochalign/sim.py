@@ -54,7 +54,9 @@ Beyond what it keeps for the whole block (every lane's positions, its
 scratch and two rows of sums), a block holds at most one array of a
 noise draw's size at a time: the draw itself, or a statistic's per-lane
 temporary freed before the next draw.  With T threads up to T blocks
-run at once.
+run at once: the calling thread runs blocks too, beside T - 1 pool
+workers, and each thread takes the next block no thread has started.
+A run on one thread, or of one block, starts no pool.
 
 Per-block partial statistics, each one row of the STATS table, are merged
 in block order by their rows' rules, and every lane is reduced over its
@@ -70,7 +72,6 @@ variance and mean |stretch|, with its standard error, is a column of a
 objective) is a max over columns.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -431,19 +432,43 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
 def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
                 traces=None) -> _Accumulator:
     """Run every block of the plan for the compiled lanes, group lanes at a
-    time within each round; merge in block order."""
+    time within each round; merge in block order.
+
+    The calling thread and up to threads - 1 pool workers share the
+    blocks.  Once a block raises, no thread starts a later block; every
+    thread is joined and the exception of the first failed block in block
+    order propagates, as from Executor.map.
+    """
     stack, called = _stack(plan, fns)
-
-    def worker(block):
-        acc = _Accumulator(plan, len(fns), kind)
-        return _run_block(plan, fns, stack, called, acc, traces, group, *block)
-
     blocks = _blocks(plan.replications, plan.block_size)
-    if plan.threads == 1 or len(blocks) == 1:
-        parts = [worker(block) for block in blocks]
+    parts = [None] * len(blocks)
+    errors = {}
+    # one shared iterator: each thread takes the next block no thread has started
+    pending = iter(range(len(blocks)))
+
+    def work():
+        for i in pending:
+            if errors and i > min(errors):
+                return
+            try:
+                acc = _Accumulator(plan, len(fns), kind)
+                parts[i] = _run_block(plan, fns, stack, called, acc, traces, group, *blocks[i])
+            except BaseException as exc:
+                errors[i] = exc
+                return
+
+    helpers = min(plan.threads, len(blocks)) - 1
+    if helpers:
+        # imported here, so that a run on one thread never loads it
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(max_workers=helpers) as pool:
+            for _ in range(helpers):
+                pool.submit(work)
+            work()
     else:
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            parts = list(pool.map(worker, blocks))
+        work()
+    if errors:
+        raise errors[min(errors)]
     acc = parts[0]
     for other in parts[1:]:
         acc.merge(other)

@@ -22,6 +22,10 @@ def normalize_seed(seed: int) -> int:
     return int(seed) & SEED_MASK
 
 
-def substream(seed: int, block: int, kind: int) -> np.random.Generator:
-    """Generator for one (replication block, noise kind) pair."""
+def substream(seed: int, block: int, kind: int) -> "np.random.Generator":
+    """Generator for one (replication block, noise kind) pair.
+
+    numpy.random loads on the first call, not on import: the annotation
+    is a string, so the closed forms never load the random stack.
+    """
     return np.random.default_rng(np.random.SeedSequence((normalize_seed(seed), block, kind)))

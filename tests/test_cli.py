@@ -14,6 +14,7 @@ from stochalign.analysis import rho_star_const, var_limit
 import stochalign
 from stochalign import cli, sim
 from stochalign.cli import MAX_GRID_POINTS, THREADS_ENV, main
+from stochalign.kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from stochalign.model import ModelConfig
 from stochalign.policies import Gain
 from stochalign.structmat import StructuredMatrix
@@ -378,6 +379,23 @@ class TestKalmanCheck:
         assert max(float(r[3]) for r in rows) > 1e80
         assert max(float(r[4]) for r in rows) <= 1e-9
         assert "(pass at 1e+91 for covariances, 1e-09 for gains)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sigma0", ["1", "0"])
+    def test_deviations_are_those_of_the_dense_closed_form(self, tmp_path, sigma0):
+        # computed in place, without forming the closed form's matrices; at
+        # sigma0 = 0 zero entries of K_0 carry the other sign in the two paths
+        code = main(["kalman-check", "--n", "5", "--sigma0", sigma0, "--t-max", "30",
+                     "--threads", "1", "--out", "kc.csv"])
+        assert code == 0
+        _, rows = read_csv(tmp_path / "kc.csv")
+        cfg = ModelConfig(n=5, sigma0=float(sigma0))
+        schedule = AlphaSchedule(cfg, 30)
+        expected = []
+        for t, dense in enumerate(dense_filter_path(cfg, 30)):
+            closed = closed_form_filter_state(cfg, t, schedule)
+            expected.append([cli._fmt(np.abs(d - c.to_dense()).max())
+                             for d, c in zip(dense, closed, strict=True)])
+        assert [row[3:] for row in rows] == expected
 
     def test_degenerate_start(self, tmp_path):
         code = main(["kalman-check", "--n", "2", "--sigma0", "0", "--t-max", "20",

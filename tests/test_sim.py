@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo engine."""
 
+import concurrent.futures
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -515,6 +517,116 @@ class TestLanes:
             run_lanes(small_plan(threads=2), [Gain(np.ones(10), mn(4))])
         with pytest.raises(ValueError, match="gain op must be None or a StructuredMatrix"):
             run(small_plan(policy=Gain(np.ones(10), np.eye(3))))
+
+
+class TestBlockScheduler:
+    """The calling thread and threads - 1 pool workers share a run's blocks."""
+
+    WAIT_S = 10.0  # bounds a wait on another thread, so a broken scheduler fails, not hangs
+
+    @staticmethod
+    def five_block_plan(threads):
+        return small_plan(replications=500, block_size=100, threads=threads,
+                          record_traces=True)
+
+    @staticmethod
+    def spy_blocks(monkeypatch, before):
+        """Wrap _run_block so that before(index) runs as each block starts;
+        returns the list of (thread ident, block index) it fills."""
+        started = []
+        run_block = sim._run_block
+
+        def spy(*args):
+            index = args[-2]
+            started.append((threading.get_ident(), index))
+            before(index)
+            return run_block(*args)
+
+        monkeypatch.setattr(sim, "_run_block", spy)
+        return started
+
+    def test_five_blocks_give_the_same_bits_on_one_two_and_three_threads(self):
+        others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3)]
+        lanes = [run_lanes(self.five_block_plan(threads), others) for threads in (1, 2, 3)]
+        paired = [run_paired(replace(self.five_block_plan(threads), policy=PolicySpec(kind="wstar")),
+                             PolicySpec(kind="matc")) for threads in (1, 2, 3)]
+        for results in lanes[1:]:
+            for a, b in zip(lanes[0], results, strict=True):
+                assert_same_bits(a, b)
+        for result in paired[1:]:
+            assert_same_bits(paired[0], result)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_caller_runs_blocks_beside_threads_minus_one_workers(self, monkeypatch, threads):
+        pools = []
+
+        class SpyPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+        caller = threading.get_ident()
+        caller_started = threading.Event()
+
+        def before(index):
+            # a worker's block waits until the caller has one, so the
+            # workers cannot take every block before the caller starts
+            if threading.get_ident() == caller:
+                caller_started.set()
+            else:
+                caller_started.wait(self.WAIT_S)
+
+        started = self.spy_blocks(monkeypatch, before)
+        run(self.five_block_plan(threads))
+        assert pools == [threads - 1]
+        assert sorted(index for _, index in started) == list(range(5))
+        assert caller in {ident for ident, _ in started}
+        assert len({ident for ident, _ in started}) <= threads
+
+    def test_one_thread_or_one_block_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        run(self.five_block_plan(1))
+        run(small_plan(replications=100, block_size=100, threads=4))
+
+    def test_failing_block_stops_the_run_and_joins_every_thread(self, monkeypatch):
+        class BlockFailed(Exception):
+            pass
+
+        second_started, first_failing = threading.Event(), threading.Event()
+
+        def before(index):
+            # block 0 fails while block 1 runs on the other thread; block 1
+            # finishes after the failure, and then no thread may start another
+            if index == 0:
+                second_started.wait(self.WAIT_S)
+                first_failing.set()
+                raise BlockFailed
+            if index == 1:
+                second_started.set()
+                first_failing.wait(self.WAIT_S)
+                threading.Event().wait(0.2)
+
+        threads_before = threading.active_count()
+        started = self.spy_blocks(monkeypatch, before)
+        with pytest.raises(BlockFailed):
+            run(self.five_block_plan(2))
+        assert sorted(index for _, index in started) == [0, 1]
+        assert len({ident for ident, _ in started}) == 2
+        assert threading.active_count() == threads_before
+
+    def test_first_failed_block_in_block_order_propagates(self, monkeypatch):
+        def before(index):
+            if index in (1, 3):
+                raise ValueError(f"block {index}")
+
+        self.spy_blocks(monkeypatch, before)
+        for threads in (1, 3):
+            with pytest.raises(ValueError, match="block 1"):
+                run(self.five_block_plan(threads))
 
 
 class TestBlockMemory:
