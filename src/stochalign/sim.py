@@ -54,9 +54,9 @@ Beyond what it keeps for the whole block (every lane's positions, its
 scratch and two rows of sums), a block holds at most one array of a
 noise draw's size at a time: the draw itself, or a statistic's per-lane
 temporary freed before the next draw.  With T threads up to T blocks
-run at once: the calling thread runs blocks too, beside T - 1 pool
-workers, and each thread takes the next block no thread has started.
-A run on one thread, or of one block, starts no pool.
+run at once: the calling thread runs blocks too, beside T - 1 helper
+threads, and each thread takes the next block no thread has started.
+A run on one thread, or of one block, starts no thread.
 
 Per-block partial statistics, each one row of the STATS table, are merged
 in block order by their rows' rules, and every lane is reduced over its
@@ -72,6 +72,7 @@ variance and mean |stretch|, with its standard error, is a column of a
 objective) is a max over columns.
 """
 
+import threading
 from dataclasses import dataclass, field, fields
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -434,9 +435,9 @@ def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
     """Run every block of the plan for the compiled lanes, group lanes at a
     time within each round; merge in block order.
 
-    The calling thread and up to threads - 1 pool workers share the
+    The calling thread and up to threads - 1 helper threads share the
     blocks.  Once a block raises, no thread starts a later block; every
-    thread is joined and the exception of the first failed block in block
+    helper is joined and the exception of the first failed block in block
     order propagates, as from Executor.map.
     """
     stack, called = _stack(plan, fns)
@@ -457,16 +458,16 @@ def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
                 errors[i] = exc
                 return
 
-    helpers = min(plan.threads, len(blocks)) - 1
-    if helpers:
-        # imported here, so that a run on one thread never loads it
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=helpers) as pool:
-            for _ in range(helpers):
-                pool.submit(work)
-            work()
-    else:
+    helpers = []
+    try:
+        for _ in range(min(plan.threads, len(blocks)) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
         work()
+    finally:
+        for helper in helpers:
+            helper.join()
     if errors:
         raise errors[min(errors)]
     acc = parts[0]

@@ -239,6 +239,29 @@ class TestCompare:
         stretch_tol, spread, rule, outcome = self.verdict(capsys)
         assert stretch_tol == 1e-9 and spread <= 1e-12 and rule <= 1e-12 and outcome == "FAIL"
 
+    @pytest.mark.parametrize("offset, code", [((0.9e-12, -0.9e-12), 1),
+                                              ((1.5e-12, 1.5e-12), 1),
+                                              ((0.0, 0.0), 0)],
+                             ids=["spread-alone", "rule-alone", "none"])
+    def test_each_half_of_the_shift_check_fails_alone(self, tmp_path, capsys, monkeypatch,
+                                                      offset, code):
+        # wstar's (diagonal, off-diagonal) entries are offset as the check
+        # reads them: opposite offsets spread the gain difference by twice
+        # what they move it off the rule, so the spread alone fails; equal
+        # offsets keep the spread and move only the rule
+        entries = cli._entries
+
+        def off(gain):
+            return entries(gain) + (offset if gain.op is None else 0.0)
+
+        monkeypatch.setattr(cli, "_entries", off)
+        assert main(["compare", "--n", "4", "--rounds", "10", "--reps", "50",
+                     "--threads", "1", "--out", "cmp.csv"]) == code
+        _, spread, rule, outcome = self.verdict(capsys)
+        assert spread == pytest.approx(abs(offset[0] - offset[1]), abs=1e-15)
+        assert rule == pytest.approx(abs(offset[0]), abs=1e-15)
+        assert outcome == ("pass" if code == 0 else "FAIL")
+
     def test_same_policy_compare_is_exact(self, tmp_path):
         code = main(["compare", "--a", "weighted", "--b", "weighted",
                      "--rho-a", "0.5", "--rho-b", "0.5", "--n", "3",

@@ -1,9 +1,10 @@
 """What importing the package and running its commands loads.
 
-The closed forms (kalman-check, best-response) need neither numpy's
-random stack nor a thread pool; only the Monte Carlo engine loads them,
-on first use.  Each check runs in a fresh interpreter, since this one
-has already loaded both.
+The closed forms (kalman-check, best-response) do not need numpy's
+random stack; only the Monte Carlo engine loads it, on first use.  No
+command loads concurrent.futures: the engine runs its blocks on plain
+threads.  Each check runs in a fresh interpreter, since this one may
+have loaded both already.
 """
 
 import json
@@ -15,19 +16,19 @@ from pathlib import Path
 import stochalign
 
 SRC = str(Path(stochalign.__file__).resolve().parent.parent)
-LAZY = ("numpy.random", "concurrent.futures")
+WATCHED = ("numpy.random", "concurrent.futures")
 
 SCRIPT = """
 import json, sys
 import stochalign, stochalign.cli
 codes = [stochalign.cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "loaded": [m for m in %r if m in sys.modules]}))
-""" % (LAZY,)
+""" % (WATCHED,)
 
 
 def loaded_after(tmp_path, *commands):
     """The exit codes of the commands, run in-process in a fresh
-    interpreter, and which of LAZY it has loaded after them."""
+    interpreter, and which of WATCHED it has loaded after them."""
     argvs = [[*command, "--out", str(tmp_path / f"{i}.csv")]
              for i, command in enumerate(commands)]
     env = dict(os.environ)
@@ -48,10 +49,10 @@ def test_import_and_closed_forms_load_no_random_stack_and_no_pool(tmp_path):
     assert loaded == []
 
 
-def test_two_block_simulation_on_two_threads_loads_both(tmp_path):
+def test_two_block_simulation_on_two_threads_loads_only_the_random_stack(tmp_path):
     # the default block holds 20,000 replications
     codes, loaded = loaded_after(
         tmp_path,
         ["simulate", "--n", "2", "--rounds", "1", "--reps", "20001", "--threads", "2"])
     assert codes == [0]
-    assert loaded == list(LAZY)
+    assert loaded == ["numpy.random"]

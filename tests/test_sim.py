@@ -1,6 +1,5 @@
 """Tests for the Monte Carlo engine."""
 
-import concurrent.futures
 import sys
 import threading
 import tracemalloc
@@ -520,7 +519,7 @@ class TestLanes:
 
 
 class TestBlockScheduler:
-    """The calling thread and threads - 1 pool workers share a run's blocks."""
+    """The calling thread and threads - 1 helper threads share a run's blocks."""
 
     WAIT_S = 10.0  # bounds a wait on another thread, so a broken scheduler fails, not hangs
 
@@ -556,22 +555,32 @@ class TestBlockScheduler:
         for result in paired[1:]:
             assert_same_bits(paired[0], result)
 
+    @staticmethod
+    def spy_threads(monkeypatch, start=None):
+        """Patch sim.threading.Thread with a subclass that records each
+        helper it starts; start(count), when given, runs before each start
+        with the number of helpers started so far."""
+        helpers = []
+
+        class SpyThread(threading.Thread):
+            def start(self):
+                if start is not None:
+                    start(len(helpers))
+                super().start()
+                helpers.append(self)
+
+        monkeypatch.setattr(sim.threading, "Thread", SpyThread)
+        return helpers
+
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_caller_runs_blocks_beside_threads_minus_one_workers(self, monkeypatch, threads):
-        pools = []
-
-        class SpyPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    def test_caller_runs_blocks_beside_threads_minus_one_helpers(self, monkeypatch, threads):
+        helpers = self.spy_threads(monkeypatch)
         caller = threading.get_ident()
         caller_started = threading.Event()
 
         def before(index):
-            # a worker's block waits until the caller has one, so the
-            # workers cannot take every block before the caller starts
+            # a helper's block waits until the caller has one, so the
+            # helpers cannot take every block before the caller starts
             if threading.get_ident() == caller:
                 caller_started.set()
             else:
@@ -579,18 +588,34 @@ class TestBlockScheduler:
 
         started = self.spy_blocks(monkeypatch, before)
         run(self.five_block_plan(threads))
-        assert pools == [threads - 1]
+        assert len(helpers) == threads - 1
+        assert not any(helper.is_alive() for helper in helpers)
         assert sorted(index for _, index in started) == list(range(5))
-        assert caller in {ident for ident, _ in started}
-        assert len({ident for ident, _ in started}) <= threads
+        idents = {ident for ident, _ in started}
+        assert caller in idents
+        assert idents <= {caller} | {helper.ident for helper in helpers}
+        assert len(idents) <= threads
 
-    def test_one_thread_or_one_block_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool started")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    def test_one_thread_or_one_block_starts_no_thread(self, monkeypatch):
+        helpers = self.spy_threads(monkeypatch)
         run(self.five_block_plan(1))
         run(small_plan(replications=100, block_size=100, threads=4))
+        assert helpers == []
+
+    def test_helper_that_cannot_start_propagates_after_the_others_join(self, monkeypatch):
+        class CannotStart(RuntimeError):
+            pass
+
+        def start(count):
+            if count == 1:
+                raise CannotStart
+
+        threads_before = threading.active_count()
+        helpers = self.spy_threads(monkeypatch, start)
+        with pytest.raises(CannotStart):
+            run(self.five_block_plan(3))
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        assert threading.active_count() == threads_before
 
     def test_failing_block_stops_the_run_and_joins_every_thread(self, monkeypatch):
         class BlockFailed(Exception):
