@@ -211,6 +211,8 @@ def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
           f"cost {_fmt(cost)}")
     print(f"final-round empirical variance {_fmt(result.var_stretch[-1])} "
           f"over {settings['replications']} replications -> {settings['out']}")
+    print(f"worst |sum of stretches| {_fmt(result.max_abs_stretch_sum.max())} "
+          f"(zero in exact arithmetic)")
     return 0
 
 

@@ -8,10 +8,11 @@ reduction over agents is a sum of whole rows.  The initial, measurement
 and drift normals are drawn once per block as (block, n) arrays and
 added through their transpose to every lane.  All lanes therefore see
 identical noise (common random numbers) for the price of one draw.
-`run_lanes` returns one RunResult per lane; `run` is its single lane,
-`run_paired` two lanes that record only what pairing adds (each lane's
-centre of mass, the traces, their stretch difference and the common
-shift of their moves), and `sweep_rho` runs its grid as lanes in chunks.
+`run_lanes` returns one RunResult per lane, and is the one entry point
+that records traces; `run` is its single lane, `run_paired` two lanes
+that record only what `compare` writes (each lane's centre of mass,
+their stretch difference and the common shift of their moves), and
+`sweep_rho` runs its grid as lanes in chunks.
 
 A block keeps every lane's positions from its first round to its last,
 but does each round's per-lane work (stretches, statistics, moves) over
@@ -161,18 +162,16 @@ class PairedRunResult:
     mass, row 0 for a and row 1 for b.  max_stretch_diff is the per-round
     max over replications and agents of their stretch difference, and
     shift_mean the per-round mean over replications of the common shift,
-    the per-agent move difference (a minus b) averaged over agents.  The
-    traces, when recorded, are indexed by lane first.  A paired run
-    computes no other per-lane statistic: run_lanes(plan, [policy_b])
-    gives both lanes' RunResults on the same noise, bit-identical to the
-    paired lanes.
+    the per-agent move difference (a minus b) averaged over agents.  These
+    are what `compare` writes.  A paired run computes no other per-lane
+    statistic and records no traces: run_lanes(plan, [policy_b]) gives
+    both lanes' RunResults and traces on the same noise, bit-identical
+    to the paired lanes.
     """
 
     center_of_mass: np.ndarray
     max_stretch_diff: np.ndarray
     shift_mean: np.ndarray
-    com_traces: Optional[np.ndarray] = None  # (2, rounds+1, reps) when traced
-    stretch_traces: Optional[np.ndarray] = None  # (2, rounds+1, reps, n) when traced
 
 
 @dataclass(frozen=True)
@@ -476,33 +475,26 @@ def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
     return acc
 
 
-def _simulate(plan: RunPlan, policies, kind: str = "lanes"):
-    """Simulate every lane of the plan.
-
-    Returns the merged accumulator and, when recorded, the run's
-    (stretch, com) traces, each indexed by lane first.
-    """
-    cfg = plan.cfg
-    shape = (len(policies), cfg.horizon + 1, plan.replications)
-    if plan.record_traces:
-        # per lane, round and replication: n stretch cells and one centre of mass
-        cells = len(policies) * (cfg.horizon + 1) * plan.replications * (cfg.n + 1)
-        if cells > TRACE_LIMIT:
-            raise ValueError(f"trace recording would allocate {cells} cells "
-                             f"(limit {TRACE_LIMIT}); reduce replications or horizon")
-    fns = _compile(plan, policies)
-    traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
-    return _accumulate(plan, fns, len(fns), kind, traces), traces
-
-
 def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]]) -> List[RunResult]:
     """Simulate plan.policy and every policy in others on the plan's noise.
 
     Lane 0 is plan.policy and lane i is others[i-1]; each lane's result
-    is bit-identical to a run of its policy alone.
+    is bit-identical to a run of its policy alone.  This is the one entry
+    point that records traces: when the plan asks for them, the run's
+    (stretch, com) arrays, each indexed by lane first, are allocated once
+    the policies compile, and each lane's RunResult holds a view of its row.
     """
     policies = [plan.policy, *others]
-    acc, traces = _simulate(plan, policies)
+    cfg = plan.cfg
+    shape = (len(policies), cfg.horizon + 1, plan.replications)
+    # per lane, round and replication: n stretch cells and one centre of mass
+    cells = len(policies) * (cfg.horizon + 1) * plan.replications * (cfg.n + 1)
+    if plan.record_traces and cells > TRACE_LIMIT:
+        raise ValueError(f"trace recording would allocate {cells} cells "
+                         f"(limit {TRACE_LIMIT}); reduce replications or horizon")
+    fns = _compile(plan, policies)
+    traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
+    acc = _accumulate(plan, fns, len(fns), traces=traces)
     return [_result(acc, lane, plan.replications, traces) for lane in range(len(policies))]
 
 
@@ -514,15 +506,18 @@ def run(plan: RunPlan) -> RunResult:
 def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain]) -> PairedRunResult:
     """Simulate plan.policy and policy_b under identical noise.
 
-    Records only what pairing adds (see PairedRunResult); the two lanes'
-    per-round statistics come from run_lanes(plan, [policy_b]).
+    Records only what pairing adds (see PairedRunResult).  The two lanes'
+    per-round statistics, and their traces, come from
+    run_lanes(plan, [policy_b]); a plan that records traces is rejected
+    before any policy compiles.
     """
-    acc, traces = _simulate(plan, [plan.policy, policy_b], "paired")
-    stretch_traces, com_traces = traces or (None, None)
+    if plan.record_traces:
+        raise ValueError("a paired run records no traces; run_lanes(plan, [policy_b]) "
+                         "gives both lanes' traces on the same noise")
+    acc = _accumulate(plan, _compile(plan, [plan.policy, policy_b]), 2, "paired")
     return PairedRunResult(center_of_mass=acc.com_sum / plan.replications,
                            max_stretch_diff=acc.max_diff,
-                           shift_mean=acc.shift_sum / plan.replications,
-                           com_traces=com_traces, stretch_traces=stretch_traces)
+                           shift_mean=acc.shift_sum / plan.replications)
 
 
 def steady_state_variance(var_stretch: Sequence[float]) -> float:

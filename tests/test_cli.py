@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import importlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from stochalign import cli, sim
 from stochalign.cli import MAX_GRID_POINTS, THREADS_ENV, main
 from stochalign.kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from stochalign.model import ModelConfig
-from stochalign.policies import Gain
+from stochalign.policies import Gain, PolicySpec
 from stochalign.structmat import StructuredMatrix
 
 
@@ -53,6 +54,21 @@ class TestSimulate:
         assert "(limiting responsiveness 0.79999999999999993)" in capsys.readouterr().out
         _, rows = read_csv(tmp_path / "s.csv")
         assert len(rows) == 4
+
+    def test_prints_the_worst_zero_sum_drift(self, tmp_path, capsys):
+        # the worst |sum of stretches| over rounds and replications, which is
+        # zero in exact arithmetic, as the library computes it for the same run
+        code = main(["simulate", "--n", "5", "--sigma0", "1e12", "--rounds", "20",
+                     "--reps", "300", "--seed", "1", "--threads", "1", "--out", "sim.csv"])
+        assert code == 0
+        cfg = ModelConfig(n=5, sigma0=1e12, horizon=20, seed=1)
+        plan = sim.RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=300)
+        drift = sim.run(plan).max_abs_stretch_sum.max()
+        assert drift > 0.0
+        line = capsys.readouterr().out.splitlines()[-1]
+        printed = re.fullmatch(r"worst \|sum of stretches\| (\S+) \(zero in exact arithmetic\)",
+                               line)
+        assert printed and float(printed[1]) == drift
 
     def test_sidecar_holds_resolved_settings(self, tmp_path):
         main(["simulate", "--n", "4", "--rounds", "5", "--reps", "100",
@@ -719,6 +735,16 @@ def test_readme_library_names_exist(monkeypatch):
 
     monkeypatch.setattr(stochalign, "RunPlan", capped)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_pyproject_matches_the_package():
+    # pip installs the version the package reports, and the console script
+    # runs the command line's entry point
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text())["project"]
+    assert project["version"] == stochalign.__version__
+    module, _, name = project["scripts"]["stochalign"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main
 
 
 class TestUsageErrors:
