@@ -11,7 +11,8 @@ count and the command, but not the subcommand-only flags (compare's
 checked before any work starts, and the CSV and its sidecar are both
 written or neither is.  Exit codes: 0 success / assertion
 passed, 1 assertion failed (kalman-check also when its dense reference
-filter fails), 2 usage, configuration, I/O or out-of-memory error.
+filter fails), 2 usage, configuration, I/O, out-of-memory or
+out-of-threads error.  Threads come from --threads, else all cores.
 """
 
 import argparse
@@ -32,7 +33,6 @@ from .policies import POLICY_KINDS, Gain, PolicySpec, make_policy
 from .sim import RunPlan, run, run_paired, sweep_rho
 from .structmat import StructuredMatrix
 
-THREADS_ENV = "STOCH_ALIGN_THREADS"
 KALMAN_TOL = 1e-9
 NASH_TOL = 1e-12
 SHIFT_TOL = 1e-12
@@ -59,10 +59,6 @@ DEFAULTS = {
 CONFIG_KEYS = {**{key: type(value) for key, value in DEFAULTS.items()}, "out": str}
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _fmt(x: float) -> str:
     """Fixed 17-significant-digit decimal form; round-trips doubles."""
     return f"{float(x):.17g}"
@@ -73,14 +69,14 @@ def _load_config_file(path: str) -> dict:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(data) - set(CONFIG_KEYS))
     if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return {key: _config_value(key, value) for key, value in data.items()}
 
 
@@ -93,12 +89,12 @@ def _config_value(key: str, value):
     kind = CONFIG_KEYS[key]
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"config key {key!r} must be of type {kind.__name__}, "
-                          f"got {value!r}")
+        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, "
+                         f"got {value!r}")
     try:
         return kind(value)
     except OverflowError as exc:  # an integer too large for a float
-        raise ConfigError(f"config key {key!r} has invalid value {value!r}") from exc
+        raise ValueError(f"config key {key!r} has invalid value {value!r}") from exc
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -115,23 +111,19 @@ def _resolve(args: argparse.Namespace) -> dict:
     settings["command"] = args.command
     out = settings["out"]
     if not os.path.basename(out) or os.path.isdir(out):
-        raise ConfigError(f"output path {out!r} does not name a file")
+        raise ValueError(f"output path {out!r} does not name a file")
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir):
-        raise ConfigError(f"output directory {out_dir} does not exist")
+        raise ValueError(f"output directory {out_dir} does not exist")
     return settings
 
 
 def _resolve_threads(flag: Optional[int]) -> int:
-    if flag is None:
-        env = os.environ.get(THREADS_ENV)
-        try:
-            flag = int(env) if env else (os.cpu_count() or 1)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    if flag < 1:
-        raise ConfigError(f"threads must be >= 1, got {flag}")
-    return flag
+    """--threads, else all cores."""
+    threads = (os.cpu_count() or 1) if flag is None else flag
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    return threads
 
 
 def _model_config(settings: dict) -> ModelConfig:
@@ -261,9 +253,9 @@ def _rho_grid(start: float, stop: float, step: float) -> list:
     fine is rejected after that many points, however fine it is.
     """
     if not all(math.isfinite(x) for x in (start, stop, step)):
-        raise ConfigError(f"grid start, stop and step must be finite, got {start}, {stop}, {step}")
+        raise ValueError(f"grid start, stop and step must be finite, got {start}, {stop}, {step}")
     if step < MIN_GRID_STEP:
-        raise ConfigError(f"grid_step must be >= {MIN_GRID_STEP}, got {step}")
+        raise ValueError(f"grid_step must be >= {MIN_GRID_STEP}, got {step}")
     grid = []
     while len(grid) <= MAX_GRID_POINTS:
         point = round(start + len(grid) * step, 12)
@@ -271,11 +263,11 @@ def _rho_grid(start: float, stop: float, step: float) -> list:
             break
         grid.append(point)
     if not grid:
-        raise ConfigError("empty rho grid")
+        raise ValueError("empty rho grid")
     if len(grid) > MAX_GRID_POINTS:
-        raise ConfigError(f"rho grid has more than {MAX_GRID_POINTS} points")
+        raise ValueError(f"rho grid has more than {MAX_GRID_POINTS} points")
     if grid[0] < 0.0 or grid[-1] > 1.0:
-        raise ConfigError(f"rho grid runs from {grid[0]} to {grid[-1]}, outside [0, 1]")
+        raise ValueError(f"rho grid runs from {grid[0]} to {grid[-1]}, outside [0, 1]")
     return grid
 
 
@@ -353,7 +345,7 @@ def cmd_best_response(settings: dict, args: argparse.Namespace) -> int:
     else:
         rho = settings["rho"]
         if not 0.0 <= rho <= 1.0:
-            raise ConfigError(f"rho must be in [0, 1], got {rho}")
+            raise ValueError(f"rho must be in [0, 1], got {rho}")
         opp = np.full(t_max + 1, rho)
 
     br = best_response(opp, cfg, t_max)
@@ -398,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"replications (default {reps})")
         p.add_argument("--seed", type=int, help=f"RNG seed (default {DEFAULTS['seed']})")
         p.add_argument("--threads", type=int,
-                       help=f"worker threads (default ${THREADS_ENV} or all cores)")
+                       help="worker threads (default all cores)")
         p.add_argument("--out", help="output CSV path (default <command>.csv)")
         return p
 

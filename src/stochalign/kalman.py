@@ -72,11 +72,11 @@ class AlphaSchedule:
         c = cfg.n / (cfg.n - 1)
         sm2 = cfg.sigma_m ** 2
         csd2 = c * cfg.sigma_d ** 2
-        a = [cfg.n * cfg.sigma0 ** 2 / (cfg.n - 1)]
-        for _ in range(t_max):
-            prev = a[-1]
-            a.append(sm2 * prev / (c * prev + sm2) + csd2)
-        self._alphas = np.array(a)
+        # allocated up front, so a t_max too large for memory fails at once
+        self._alphas = a = np.empty(t_max + 1)
+        a[0] = prev = cfg.n * cfg.sigma0 ** 2 / (cfg.n - 1)
+        for t in range(1, t_max + 1):
+            a[t] = prev = sm2 * prev / (c * prev + sm2) + csd2
         self._rhos = self._alphas / (c * self._alphas + sm2)
 
     def _check(self, t: int) -> int:

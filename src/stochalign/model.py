@@ -9,6 +9,7 @@ position arrays.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,9 +48,9 @@ SCALE_MIN, SCALE_MAX = 1e-50, 1e50  # the accepted magnitudes of a noise scale
 class ModelConfig:
     """Scenario parameters.
 
-    n, horizon and seed are integers.  Each noise scale lies in
-    [SCALE_MIN, SCALE_MAX]; sigma0 may also be zero (all agents start at
-    the origin).
+    n, horizon and seed are integers, and n is at most the largest
+    float.  Each noise scale lies in [SCALE_MIN, SCALE_MAX]; sigma0 may
+    also be zero (all agents start at the origin).
     """
 
     n: int
@@ -61,6 +62,8 @@ class ModelConfig:
 
     def __post_init__(self):
         require_int("n", self.n, lo=2)
+        if self.n > sys.float_info.max:  # the closed forms take n as a float
+            raise ValueError(f"n must be <= {sys.float_info.max:g}, got {self.n}")
         require_int("horizon", self.horizon, lo=0)
         require_int("seed", self.seed)
         # in this range a product of two variances times c^2 = (n/(n-1))^2,

@@ -73,6 +73,7 @@ variance and mean |stretch|, with its standard error, is a column of a
 objective) is a max over columns.
 """
 
+import errno
 import threading
 from dataclasses import dataclass, field, fields
 from typing import Iterable, List, Optional, Sequence, Union
@@ -437,7 +438,9 @@ def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
     The calling thread and up to threads - 1 helper threads share the
     blocks.  Once a block raises, no thread starts a later block; every
     helper is joined and the exception of the first failed block in block
-    order propagates, as from Executor.map.
+    order propagates, as from Executor.map.  A helper that cannot start
+    raises OSError(EAGAIN), chained from the RuntimeError, once the
+    helpers already started have joined.
     """
     stack, called = _stack(plan, fns)
     blocks = _blocks(plan.replications, plan.block_size)
@@ -461,7 +464,10 @@ def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
     try:
         for _ in range(min(plan.threads, len(blocks)) - 1):
             helper = threading.Thread(target=work)
-            helper.start()
+            try:
+                helper.start()
+            except RuntimeError as exc:  # out of threads: a resource error, as for memory
+                raise OSError(errno.EAGAIN, f"cannot start a helper thread: {exc}") from exc
             helpers.append(helper)
         work()
     finally:

@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
 import importlib
 import json
 import math
 import os
 import re
 import shlex
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from stochalign.analysis import rho_star_const, var_limit
 import stochalign
 from stochalign import cli, sim
-from stochalign.cli import MAX_GRID_POINTS, THREADS_ENV, main
+from stochalign.cli import MAX_GRID_POINTS, main
 from stochalign.kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from stochalign.model import ModelConfig
 from stochalign.policies import Gain, PolicySpec
@@ -29,7 +31,6 @@ def read_csv(path):
 @pytest.fixture(autouse=True)
 def in_tmpdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     return tmp_path
 
 
@@ -496,33 +497,32 @@ class TestBestResponse:
 
 
 class TestThreadsResolution:
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        main(["simulate", "--n", "2", "--rounds", "5", "--reps", "50",
-              "--seed", "1", "--out", "sim.csv"])
-        sidecar = json.loads((tmp_path / "sim.csv.config.json").read_text())
-        assert sidecar["threads"] == 2
+    def test_default_is_all_cores_whatever_the_environment_holds(self, tmp_path, monkeypatch):
+        # every environment variable reads "abc", so a settings path that
+        # consulted any of them would fail or record another thread count
+        class EveryVariableIsAbc(dict):
+            def __getitem__(self, key):
+                return "abc"
 
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        main(["simulate", "--n", "2", "--rounds", "5", "--reps", "50",
-              "--seed", "1", "--threads", "3", "--out", "sim.csv"])
-        sidecar = json.loads((tmp_path / "sim.csv.config.json").read_text())
-        assert sidecar["threads"] == 3
+            def get(self, key, default=None):
+                return "abc"
+
+            def __contains__(self, key):
+                return True
+
+        argv = ["simulate", "--n", "2", "--rounds", "5", "--reps", "50", "--seed", "1"]
+        assert main(argv + ["--out", "plain.csv"]) == 0
+        monkeypatch.setattr(os, "environ", EveryVariableIsAbc())
+        assert os.getenv("ANY_NAME") == "abc"
+        assert main(argv + ["--out", "abc.csv"]) == 0
+        threads = [json.loads((tmp_path / f"{name}.csv.config.json").read_text())["threads"]
+                   for name in ("plain", "abc")]
+        assert threads == [os.cpu_count() or 1] * 2
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "abc.csv").read_bytes()
 
     def test_rejects_nonpositive(self, capsys):
         code = main(["simulate", "--threads", "0", "--reps", "10"])
         assert code == 2
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "  "])
-    def test_rejects_env_value_that_is_not_an_integer(self, tmp_path, monkeypatch, capsys,
-                                                      value):
-        monkeypatch.setenv(THREADS_ENV, value)
-        code = main(["simulate", "--n", "2", "--rounds", "3", "--reps", "3",
-                     "--out", "sim.csv"])
-        assert code == 2
-        assert f"{THREADS_ENV} must be an integer, got {value!r}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
 
     def test_thread_count_invariant_csv(self, tmp_path):
         args = ["simulate", "--n", "3", "--rounds", "10", "--reps", "600",
@@ -672,6 +672,52 @@ class TestFailClosed:
         assert "error: cannot allocate the dense filter" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "kalman-check",
+                                         "best-response"])
+    def test_agent_count_beyond_the_float_range_writes_nothing(self, tmp_path, capsys,
+                                                               command, source):
+        n = 10 ** 400
+        if source == "flag":
+            argv = ["--n", str(n)]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({"n": n}))
+            argv = ["--config", "cfg.json"]
+        code = main([command, *argv, "--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert f"error: n must be <= 1.79769e+308, got {n}\n" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["kalman-check", "--t-max"],
+        ["best-response", "--t-max"],
+        ["best-response", "--opponents", "constant", "--t-max"],
+        ["simulate", "--reps", "3", "--rounds"],
+        ["compare", "--rounds"],
+        ["sweep", "--reps", "3", "--rounds"],
+    ], ids=["kalman-check", "best-response-wstar", "best-response-constant", "simulate",
+            "compare", "sweep"])
+    def test_schedule_too_long_for_memory_fails_at_once(self, tmp_path, capsys, argv):
+        # 10**15 rounds is 8 PB of schedule, which numpy refuses to allocate
+        code = main(argv + [str(10 ** 15), "--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_helper_thread_that_cannot_start_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        # stands in for a process out of threads; no thread is started
+        class CannotStart(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(sim.threading, "Thread", CannotStart)
+        code = main(["simulate", "--n", "3", "--rounds", "3", "--reps", "40001",
+                     "--threads", "2", "--out", "s.csv"])
+        assert code == 2
+        assert (f"error: [Errno {errno.EAGAIN}] cannot start a helper thread: "
+                "can't start new thread\n") in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestClosedFormFlags:
     @pytest.mark.parametrize("command", ["kalman-check", "best-response"])
@@ -745,6 +791,19 @@ def test_pyproject_matches_the_package():
     assert project["version"] == stochalign.__version__
     module, _, name = project["scripts"]["stochalign"].partition(":")
     assert getattr(importlib.import_module(module), name) is cli.main
+
+
+def test_test_tool_pins_agree():
+    # CI's pip line, the dev extra and README's install line pin the same
+    # pytest and hypothesis; the derandomized examples depend on hypothesis's version
+    root = README.parent
+    sources = {"ci": root / ".github" / "workflows" / "tier1.yml",
+               "pyproject": root / "pyproject.toml", "readme": README}
+    for tool in ("pytest", "hypothesis"):
+        pins = {name: re.findall(rf'"{tool}==([^"]+)"', path.read_text())
+                for name, path in sources.items()}
+        assert all(len(found) == 1 for found in pins.values()), pins
+        assert len({found[0] for found in pins.values()}) == 1, pins
 
 
 class TestUsageErrors:

@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from stochalign import sim
-from stochalign.cli import THREADS_ENV, main
+from stochalign.cli import main
 
 COMMON = ["--seed", "20210201"]
 
@@ -74,8 +74,7 @@ def csv_digest(argv, threads, out):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_csv_matches_pinned_digest(case, threads, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_csv_matches_pinned_digest(case, threads, tmp_path, capsys):
     argv, pinned = CASES[case]
     assert csv_digest(argv, threads, tmp_path / "out.csv") == pinned
 
@@ -85,7 +84,6 @@ def test_csv_matches_pinned_digest(case, threads, tmp_path, monkeypatch, capsys)
 def test_multi_chunk_sweep_matches_pinned_digest(case, threads, tmp_path, monkeypatch, capsys):
     # a budget of one cell puts every grid point in a chunk of its own;
     # how a sweep's grid is chunked must not move a byte
-    monkeypatch.delenv(THREADS_ENV, raising=False)
     monkeypatch.setattr(sim, "CELL_BUDGET", 1)
     chunks = []
     accumulate = sim._accumulate

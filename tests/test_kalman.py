@@ -1,9 +1,12 @@
 """Tests for the dense filter, the closed forms, and the scalar filter.
 
 `textbook_rounds` below, the general Kalman recursion run on the
-alignment system, is the oracle for the dense path and the closed forms.
+alignment system, is the oracle for the dense path and the closed forms;
+`least_linear_stretch`, a least-squares search over every causal linear
+policy, is the oracle for the communication claim.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,6 +45,53 @@ def textbook_rounds(cfg, t_max, measure=None, move=None):
         x = a @ (x + k @ (z - h @ x)) + m @ u
         yield p, k, p_post, x
         p = a @ p_post @ a.T + q
+
+
+def least_linear_stretch(cfg, rounds, lag=0):
+    """The least E s_t^2 per bird over causal linear policies with full
+    communication, for t = 1..rounds: (mean over birds, bird 0 alone).
+
+    Every variable is linear in the stacked standard normals z: the initial
+    positions sigma0 z, each round's measurement noise sigma_m z and drift
+    sigma_d z.  The purified output y~_t = y_t - M sum_{tau<t} u_tau (M the
+    stretch operator) is the measurement of the stretch the birds would
+    have had without moving, so it does not depend on the policy.  Every
+    causal linear policy, each bird seeing every bird's whole history, is
+    u_t = sum_{k<=t} L_{t,k} y~_k with free n x n matrices L, and then
+
+        s_t = s~_t + M sum_{k<t} G_k y~_k,    G_k = sum_{k<=tau<t} L_{tau,k},
+
+    where s~_t is the unmoved stretch and the G_k are free again.  As
+    E|F z|^2 = |F|_F^2, the least E|s_t|^2 is a linear least-squares problem
+    in the entries of G, one per round; so is the least E s_{t,0}^2, with
+    every bird's moves still free.  With lag = 1 each u_t sees measurements
+    up to round t - 1 only.  The noise is Gaussian, so linear policies are
+    optimal among all policies (LQG), and this is the optimum over every
+    policy the birds could coordinate on.
+    """
+    n = cfg.n
+    m = mn(n).to_dense()
+    dim = n * (1 + 2 * rounds)
+
+    def normals(scale, k):
+        """scale times the k-th group of n standard normals, as a map of z."""
+        out = np.zeros((n, dim))
+        out[:, k * n:(k + 1) * n] = scale * np.eye(n)
+        return out
+
+    unmoved = m @ normals(cfg.sigma0, 0)
+    purified, mean, bird0 = [], [], []
+    for t in range(1, rounds + 1):
+        purified.append(unmoved + normals(cfg.sigma_m, t))
+        unmoved = unmoved + m @ normals(cfg.sigma_d, rounds + t)
+        seen = np.vstack(purified[:t - lag] or [np.zeros((0, dim))])
+        # vec(M G A) = (A^T kron M) vec(G), column-major
+        for rows, target, least in ((m, unmoved.reshape(-1, order="F"), mean),
+                                    (m[:1], unmoved[0], bird0)):
+            design = np.kron(seen.T, rows)
+            residual = target + design @ np.linalg.lstsq(design, -target, rcond=None)[0]
+            least.append(residual @ residual / len(rows))
+    return np.array(mean), np.array(bird0)
 
 
 class TestAlignmentSystem:
@@ -319,3 +369,47 @@ class TestScalarFilter:
             assert k == pytest.approx(p_oracle / (p_oracle + r), abs=1e-14)
             p_oracle = p_oracle * r / (p_oracle + r) + q
             assert p == pytest.approx(p_oracle, abs=1e-13)
+
+
+class TestCommunication:
+    """The paper's communication claim: W* stays optimal when every bird
+    sees every bird's measurements, checked against every causal linear
+    policy by `least_linear_stretch`."""
+
+    CASES = [  # (n, rounds, sigma0, sigma_m, sigma_d)
+        (3, 6, 1.0, 1.0, 1.0),
+        (4, 8, 2.0, 1.0, 0.5),
+        (5, 10, 1.0, 3.0, 1.0),
+        (2, 10, 0.5, 1.0, 2.0),
+    ]
+    # relative; the least-squares conditioning grows with the noise ratio
+    RTOL = 1e-12
+
+    @staticmethod
+    def wstar_variance(cfg, rounds):
+        """W*'s exact per-bird E s_t^2, t = 1..rounds, from
+        v' = (1 - c rho*)^2 v + c (rho*^2 sigma_m^2 + sigma_d^2)."""
+        c = cfg.n / (cfg.n - 1)
+        v = [c * cfg.sigma0 ** 2]
+        for rho in AlphaSchedule(cfg, rounds).rhos(rounds)[:rounds]:
+            v.append((1 - c * rho) ** 2 * v[-1]
+                     + c * (rho ** 2 * cfg.sigma_m ** 2 + cfg.sigma_d ** 2))
+        return np.array(v[1:])
+
+    def test_no_communicating_linear_policy_beats_wstar(self):
+        worst, gap = 0.0, math.inf
+        for n, rounds, sigma0, sigma_m, sigma_d in self.CASES:
+            cfg = ModelConfig(n=n, sigma0=sigma0, sigma_m=sigma_m, sigma_d=sigma_d)
+            wstar = self.wstar_variance(cfg, rounds)
+            for least in least_linear_stretch(cfg, rounds):
+                worst = max(worst, np.abs(least / wstar - 1).max())
+            # negative control: without the current round's measurements
+            # the same search must come out strictly above W*
+            for late in least_linear_stretch(cfg, rounds, lag=1):
+                gap = min(gap, (late / wstar - 1).min())
+        ok = worst <= self.RTOL and gap > 1e-3
+        print(f"\nACCEPTANCE communication: {'PASS' if ok else 'FAIL'} — least E s_t^2 "
+              f"over causal linear policies with full communication vs W*: max relative "
+              f"deviation {worst:.2g} (tolerance {self.RTOL:g}); one round late, "
+              f"at least {gap:.1%} above")
+        assert ok

@@ -8,6 +8,7 @@ and drift d.
 
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -64,6 +65,13 @@ class TestModelConfig:
     def test_rejects_fractional_horizon(self):
         with pytest.raises(ValueError, match="horizon must be an integer"):
             ModelConfig(n=3, horizon=2.5)
+
+    def test_agent_count_is_at_most_the_largest_float(self):
+        # the closed forms take n as a float, so the largest float bounds it
+        largest = int(sys.float_info.max)
+        assert ModelConfig(n=largest).n == largest
+        with pytest.raises(ValueError, match=r"^n must be <= 1.79769e\+308, got 1797"):
+            ModelConfig(n=largest + 1)
 
     def test_rejects_non_integer_agent_count(self):
         with pytest.raises(ValueError, match="n must be an integer"):

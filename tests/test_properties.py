@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from stochalign.analysis import alpha_infty, rho_star_const, var_limit
-from stochalign.cli import MAX_GRID_POINTS, MIN_GRID_STEP, ConfigError, _rho_grid, main
+from stochalign.cli import MAX_GRID_POINTS, MIN_GRID_STEP, _rho_grid, main
 from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
@@ -261,7 +261,7 @@ grid_steps = st.one_of(st.floats(MIN_GRID_STEP, 1e-4), st.floats(1e-4, 0.1),
 @example(-0.1, 1.0, 0.02)
 def test_rho_grid_is_the_prefix_of_points_within_stop(start, stop, step):
     if step < MIN_GRID_STEP:
-        with pytest.raises(ConfigError, match="grid_step must be >="):
+        with pytest.raises(ValueError, match="grid_step must be >="):
             _rho_grid(start, stop, step)
         return
     # the points increase with i, so one past the cap tells a grid too long
@@ -280,5 +280,5 @@ def test_rho_grid_is_the_prefix_of_points_within_stop(start, stop, step):
     else:
         assert _rho_grid(start, stop, step) == expected
         return
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ValueError, match=message):
         _rho_grid(start, stop, step)

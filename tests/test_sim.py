@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo engine."""
 
+import errno
 import sys
 import threading
 import tracemalloc
@@ -645,8 +646,11 @@ class TestBlockScheduler:
 
         threads_before = threading.active_count()
         helpers = self.spy_threads(monkeypatch, start)
-        with pytest.raises(CannotStart):
+        # a resource error, which the CLI maps to exit 2 as it does memory
+        with pytest.raises(OSError) as failed:
             run(self.five_block_plan(3))
+        assert failed.value.errno == errno.EAGAIN
+        assert isinstance(failed.value.__cause__, CannotStart)
         assert len(helpers) == 1 and not helpers[0].is_alive()
         assert threading.active_count() == threads_before
 
