@@ -18,25 +18,23 @@ A block keeps every lane's positions from its first round to its last,
 but does each round's per-lane work (stretches, statistics, moves) over
 groups of lanes that share one scratch.  Each round's measurement and
 drift normals are drawn once for all its groups, so every lane of a
-block shares one draw per round.  `run_lanes` and `run_paired` run all
-their lanes as one group.  A sweep bounds two things, each for peak
-memory:
+block shares one draw per round.  One tile rule sizes the groups of
+every run: a group holds at most max(1, block_size // count) lanes,
+where count is min(replications, block_size), so a round's scratch is
+never larger than that of one block of a single run.  The one exception
+is a paired run, whose two lanes are one group because its rows compare
+them within a round.  The tile is also a cache tile: a group's scratch
+stays in cache while its lanes' per-round work runs, where one group of
+every lane would stream through memory.  At n = 2 and 8,000
+replications, 50 sweep lanes in one group took about a third longer
+than in groups of 2, so the groups stay even where memory would allow
+one.
 
-- a group holds at most max(1, block_size // count) lanes, where count
-  is min(replications, block_size), so a round's scratch is never larger
-  than that of one block of a single run;
-- a chunk holds at most max(1, CELL_BUDGET // max(n * count, rounds + 1))
-  lanes, so what a block keeps across rounds (positions, per-lane sums
-  and the stacked scales) stays within about CELL_BUDGET cells.
-
-The group bound is also the sweep's cache tile: a group's scratch stays
-in cache while its lanes' per-round work runs, where one group of every
-lane would stream through memory.  At n = 2 and 8,000 replications, 50
-lanes in one group took about a third longer than in groups of 2, so the
-groups stay even where memory would allow one.
-
-The grid is split into as few chunks as that allows, of sizes that
-differ by at most one.  The chunks run one after another, and the
+A sweep also bounds what a block keeps across rounds (positions,
+per-lane sums and the stacked scales) to about CELL_BUDGET cells: a
+chunk holds at most max(1, CELL_BUDGET // max(n * count, rounds + 1))
+lanes.  The grid is split into as few chunks as that allows, of sizes
+that differ by at most one.  The chunks run one after another, and the
 threads share each chunk's blocks, so with T threads up to T blocks hold
 their positions at once.  A sweep point is steady_state_variance of its
 lane's var_stretch column, divided straight from its chunk's merged sums
@@ -51,10 +49,16 @@ measurements in place.  Only a plain callable, such as the benchmark
 tracer's wrapper of make_policy, is called: it replaces its measurements
 with its moves and is stacked at 1.0.
 
-Beyond what it keeps for the whole block (every lane's positions, its
-scratch and two rows of sums), a block holds at most one array of a
-noise draw's size at a time: the draw itself, or a statistic's per-lane
-temporary freed before the next draw.  With T threads up to T blocks
+A block is derived from its index: block i holds min(block_size,
+replications - i * block_size) replications, so a run keeps no list of
+its blocks, only one result slot per block.
+
+Beyond what it keeps for the whole block (every lane's positions, a
+group's scratch and two rows of sums), a block with one lane group holds
+at most one array of a noise draw's size at a time: the draw itself, or
+a statistic's per-lane temporary freed before the next draw.  With more
+groups it holds at most two, since the round's measurement draw is kept
+while a later group's temporary exists.  With T threads up to T blocks
 run at once: the calling thread runs blocks too, beside T - 1 helper
 threads, and each thread takes the next block no thread has started.
 A run on one thread, or of one block, starts no thread.
@@ -81,7 +85,7 @@ from typing import Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from . import streams
-from .analysis import var_limit
+from .analysis import alpha_infty, var_limit
 from .model import ModelConfig, require_int, stretch_values
 from .policies import Gain, PolicySpec, make_policy
 from .structmat import apply
@@ -89,6 +93,8 @@ from .structmat import apply
 DEFAULT_BLOCK_SIZE = 20_000
 TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs only
 CELL_BUDGET = 2 ** 22  # cells a sweep chunk keeps across rounds, per block
+# the largest sigma0 / sqrt(alpha_infty) whose stretches the engine resolves
+SIGMA0_RATIO_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -97,6 +103,13 @@ class RunPlan:
 
     The run lasts cfg.horizon rounds.  block_size is part of the result's
     identity (changing it reorders float reductions); threads is not.
+
+    The engine keeps absolute positions and subtracts them to get the
+    stretches, which settle at about sqrt(alpha_infty) while the centre
+    of mass stays at about sigma0: the subtraction loses about
+    log2(sigma0 / sqrt(alpha_infty)) bits.  A plan whose ratio exceeds
+    SIGMA0_RATIO_LIMIT is rejected, since its stretches would be wrong.
+    The closed forms take every sigma0 that ModelConfig accepts.
     """
 
     cfg: ModelConfig
@@ -109,6 +122,10 @@ class RunPlan:
     def __post_init__(self):
         for name in ("replications", "threads", "block_size"):
             require_int(name, getattr(self, name), lo=1)
+        limit = SIGMA0_RATIO_LIMIT * np.sqrt(alpha_infty(self.cfg))
+        if self.cfg.sigma0 > limit:
+            raise ValueError(f"sigma0 = {self.cfg.sigma0:g} exceeds {SIGMA0_RATIO_LIMIT:g} * sqrt("
+                             f"alpha_infty) = {limit:g}, the most the engine resolves")
 
 
 @dataclass(slots=True)
@@ -180,12 +197,6 @@ class SweepPoint:
     rho: float
     var_empirical: float
     var_closed_form: float
-
-
-def _blocks(replications: int, block_size: int):
-    """Deterministic partition of the replications into (index, count) blocks."""
-    return [(index, min(block_size, replications - start))
-            for index, start in enumerate(range(0, replications, block_size))]
 
 
 def _compile(plan: RunPlan, policies) -> List[Gain]:
@@ -351,14 +362,20 @@ def _stack(plan: RunPlan, fns):
 
 
 def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _Accumulator,
-               traces, group: int, index: int, count: int) -> _Accumulator:
-    """Simulate one block of replications for every policy lane.
+               traces, group: int, index: int) -> _Accumulator:
+    """Simulate block index of the replications for every policy lane.
 
-    The positions are (lanes, n, count) and live for the whole block.
-    Each round draws its measurement and drift normals once, as (count,
-    n) arrays, and adds them through their transpose to every lane.  The
-    round's per-lane work runs over groups of at most group lanes, which
-    reuse one scratch: their stretches and two (group, count) rows.  The
+    The block holds count = min(block_size, replications - index *
+    block_size) replications.  The positions are (lanes, n, count) and
+    live for the whole block.  Each round draws its measurement and
+    drift normals once, as (count, n) arrays, and adds them through their
+    transpose to every lane.  The round's per-lane work runs over groups
+    of at most group lanes, which reuse one scratch: their stretches and
+    two (group, count) rows.  Beyond that and the positions, a block
+    holds at most two arrays of a draw's size at a time.  With one group
+    it holds at most one: the draw, or a statistic's per-lane temporary
+    freed before the draw is made.  With more groups the round's
+    measurement draw is held while a later group's temporary exists.  The
     measurements overwrite a group's stretches, an operator lane's
     operator is applied to its slice in place, each called lane's moves
     overwrite its slice, and one multiply by the group's stacked scales
@@ -374,6 +391,7 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     cfg = plan.cfg
     rounds = cfg.horizon
     lanes = len(fns)
+    count = min(plan.block_size, plan.replications - index * plan.block_size)
     shape = (count, cfg.n)
     gen_init = streams.substream(cfg.seed, index, streams.INIT)
     gen_meas = streams.substream(cfg.seed, index, streams.MEASURE)
@@ -430,24 +448,31 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     return acc
 
 
-def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
-                traces=None) -> _Accumulator:
-    """Run every block of the plan for the compiled lanes, group lanes at a
-    time within each round; merge in block order.
+def _accumulate(plan: RunPlan, fns, kind: str = "lanes", traces=None) -> _Accumulator:
+    """Run every block of the plan for the compiled lanes; merge in block
+    order.
+
+    This is the one place that sizes the lane groups: by the tile rule
+    (see the module docstring) for every run, except that a paired run's
+    two lanes are one group, since its rows compare them within a round.
 
     The calling thread and up to threads - 1 helper threads share the
     blocks.  Once a block raises, no thread starts a later block; every
     helper is joined and the exception of the first failed block in block
     order propagates, as from Executor.map.  A helper that cannot start
-    raises OSError(EAGAIN), chained from the RuntimeError, once the
-    helpers already started have joined.
+    stops the run the same way, as a failure before every block: its
+    OSError(EAGAIN), chained from the RuntimeError, propagates once the
+    helpers already started have finished their current block and joined.
     """
     stack, called = _stack(plan, fns)
-    blocks = _blocks(plan.replications, plan.block_size)
-    parts = [None] * len(blocks)
+    count = min(plan.replications, plan.block_size)
+    group = len(fns) if kind == "paired" else max(1, plan.block_size // count)
+    blocks = -(-plan.replications // plan.block_size)
+    # a numpy array, so that too many blocks for memory fail here, and by name
+    parts = np.empty(blocks, dtype=object)
     errors = {}
     # one shared iterator: each thread takes the next block no thread has started
-    pending = iter(range(len(blocks)))
+    pending = iter(range(blocks))
 
     def work():
         for i in pending:
@@ -455,19 +480,21 @@ def _accumulate(plan: RunPlan, fns, group: int, kind: str = "lanes",
                 return
             try:
                 acc = _Accumulator(plan, len(fns), kind)
-                parts[i] = _run_block(plan, fns, stack, called, acc, traces, group, *blocks[i])
+                parts[i] = _run_block(plan, fns, stack, called, acc, traces, group, i)
             except BaseException as exc:
                 errors[i] = exc
                 return
 
     helpers = []
     try:
-        for _ in range(min(plan.threads, len(blocks)) - 1):
+        for _ in range(min(plan.threads, blocks) - 1):
             helper = threading.Thread(target=work)
             try:
                 helper.start()
             except RuntimeError as exc:  # out of threads: a resource error, as for memory
-                raise OSError(errno.EAGAIN, f"cannot start a helper thread: {exc}") from exc
+                errors[-1] = OSError(errno.EAGAIN, f"cannot start a helper thread: {exc}")
+                errors[-1].__cause__ = exc
+                break
             helpers.append(helper)
         work()
     finally:
@@ -500,7 +527,7 @@ def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]]) -> List[
                          f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
     traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
-    acc = _accumulate(plan, fns, len(fns), traces=traces)
+    acc = _accumulate(plan, fns, traces=traces)
     return [_result(acc, lane, plan.replications, traces) for lane in range(len(policies))]
 
 
@@ -520,7 +547,7 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain]) -> PairedRunRes
     if plan.record_traces:
         raise ValueError("a paired run records no traces; run_lanes(plan, [policy_b]) "
                          "gives both lanes' traces on the same noise")
-    acc = _accumulate(plan, _compile(plan, [plan.policy, policy_b]), 2, "paired")
+    acc = _accumulate(plan, _compile(plan, [plan.policy, policy_b]), "paired")
     return PairedRunResult(center_of_mass=acc.com_sum / plan.replications,
                            max_stretch_diff=acc.max_diff,
                            shift_mean=acc.shift_sum / plan.replications)
@@ -549,11 +576,8 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     specs = [PolicySpec(kind="weighted", rho=float(rho)) for rho in grid]
     if not specs:
         return []
-    count = min(replications, block_size)
-    # a group's scratch holds no more replications than one block of a run
-    group = max(1, block_size // count)
     # a chunk's positions, sums and stacked scales stay within the budget
-    bound = max(1, CELL_BUDGET // max(cfg.n * count, cfg.horizon + 1))
+    bound = max(1, CELL_BUDGET // max(cfg.n * min(replications, block_size), cfg.horizon + 1))
     # as few chunks as the bound allows, of sizes that differ by at most one
     chunks = -(-len(specs) // bound)
     edges = [i * len(specs) // chunks for i in range(chunks + 1)]
@@ -562,7 +586,7 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     for chunk in range(chunks):
         lanes = specs[edges[chunk]:edges[chunk + 1]]
         # each lane's var_stretch column, as a run of its policy computes it
-        var = _accumulate(plan, _compile(plan, lanes), group, "variance").sum_sq / replications
+        var = _accumulate(plan, _compile(plan, lanes), "variance").sum_sq / replications
         points += [SweepPoint(rho=spec.rho, var_empirical=steady_state_variance(var[lane]),
                               var_closed_form=var_limit(spec.rho, cfg))
                    for lane, spec in enumerate(lanes)]

@@ -704,6 +704,36 @@ class TestFailClosed:
         assert "error: Unable to allocate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+    def test_replications_too_many_for_memory_fail_at_once(self, tmp_path, capsys, command):
+        # 10**18 replications are 5 * 10**13 blocks of 20,000, whose result
+        # slots alone need more than the address space holds
+        code = main([command, "--reps", str(10 ** 18), "--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep"])
+    def test_sigma0_beyond_the_engine_limit_writes_nothing(self, tmp_path, capsys,
+                                                           monkeypatch, command):
+        # the engine would lose the stretches' bits: simulate used to print a
+        # final-round variance of 0.00144 beside a predicted limit of 1.804
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        monkeypatch.setattr(sim.streams, "substream", no_blocks)
+        code = main([command, "--n", "5", "--sigma0", "1e20", "--rounds", "100",
+                     "--reps", "20000", "--seed", "1", "--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert ("error: sigma0 = 1e+20 exceeds 1e+12 * sqrt(alpha_infty) = "
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_forms_take_a_sigma0_the_engine_rejects(self, tmp_path):
+        assert main(["best-response", "--n", "5", "--sigma0", "1e20", "--threads", "1",
+                     "--out", "br.csv"]) == 0
+        assert (tmp_path / "br.csv").exists()
+
     def test_helper_thread_that_cannot_start_is_exit_2(self, tmp_path, capsys, monkeypatch):
         # stands in for a process out of threads; no thread is started
         class CannotStart(threading.Thread):

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo engine."""
 
 import errno
+import re
 import sys
 import threading
 import tracemalloc
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from stochalign import sim, streams
-from stochalign.analysis import var_limit
+from stochalign.analysis import alpha_infty, var_limit
 from stochalign.game import deviant_policy
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
@@ -223,21 +224,40 @@ class TestScheduledPolicies:
         for t, (var, var_se) in enumerate(zip(result.var_stretch, result.var_std_error)):
             assert abs(var - sched.alpha(t)) <= 6.0 * var_se, f"round {t}"
 
-    LOST_BITS = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 13: the engine subtracts absolute positions, so at "
-        "sigma0 >> sigma_d the stretches lose about log2(sigma0/sigma_d) bits"))
-
-    @pytest.mark.parametrize("sigma0", [1.0, 1e8, 1e12, pytest.param(1e16, marks=LOST_BITS),
-                                        pytest.param(1e20, marks=LOST_BITS)])
+    @pytest.mark.parametrize("sigma0", [1.0, 1e8, 1e12])
     @pytest.mark.parametrize("kind", ["wstar", "matc"])
     def test_scheduled_variance_equals_alpha_at_large_sigma0(self, kind, sigma0):
-        # a tripwire for a known defect: the stretch variance must be
-        # alpha_t in every round at any accepted sigma0.  Up to 1e12 the
-        # largest |z| reads about 2.9; at 1e16 and 1e20 it reads 33 or more
+        # the stretch variance must be alpha_t in every round at any sigma0
+        # a plan accepts.  Up to 1e12 the largest |z| reads about 2.9
         cfg = ModelConfig(n=5, sigma0=sigma0, horizon=100, seed=1)
         result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind=kind), replications=5_000))
         alphas = AlphaSchedule(cfg, 100).alphas(100)
         assert np.all(np.abs(result.var_stretch - alphas) <= 6.0 * result.var_std_error)
+
+    @pytest.mark.parametrize("sigma0", [1e16, 1e20])
+    @pytest.mark.parametrize("kind", ["wstar", "matc"])
+    def test_sigma0_beyond_the_engine_limit_rejected_before_any_block(self, monkeypatch,
+                                                                      kind, sigma0):
+        # the engine subtracts absolute positions, so its stretches lose about
+        # log2(sigma0 / sqrt(alpha_infty)) bits: at 1e16 and 1e20 the largest
+        # |z| of the test above reads 33 or more
+        def no_blocks(*args):
+            raise AssertionError("a block started")
+
+        monkeypatch.setattr(streams, "substream", no_blocks)
+        cfg = ModelConfig(n=5, sigma0=sigma0, horizon=100, seed=1)
+        limit = sim.SIGMA0_RATIO_LIMIT * np.sqrt(alpha_infty(cfg))
+        message = f"sigma0 = {sigma0:g} exceeds 1e+12 * sqrt(alpha_infty) = {limit:g}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run(RunPlan(cfg=cfg, policy=PolicySpec(kind=kind), replications=5_000))
+
+    def test_sigma0_limit_is_inclusive(self):
+        cfg = ModelConfig(n=5, seed=1)
+        limit = float(sim.SIGMA0_RATIO_LIMIT * np.sqrt(alpha_infty(cfg)))
+        RunPlan(cfg=replace(cfg, sigma0=limit), policy=PolicySpec(kind="wstar"), replications=1)
+        with pytest.raises(ValueError, match="exceeds"):
+            RunPlan(cfg=replace(cfg, sigma0=np.nextafter(limit, np.inf)),
+                    policy=PolicySpec(kind="wstar"), replications=1)
 
     def test_near_noiseless_center_seeking_settles_immediately(self):
         tiny = 1e-9
@@ -510,6 +530,31 @@ class TestLanes:
         for pair, result in zip(pairs, paired):
             assert_same_bits(result, run_paired(*pair))
 
+    def test_lane_groups_give_the_same_results(self, monkeypatch):
+        groups = []
+        run_block = sim._run_block
+
+        def spy(*args):
+            groups.append(args[-2])
+            return run_block(*args)
+
+        monkeypatch.setattr(sim, "_run_block", spy)
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=100,
+                          record_traces=True)
+        others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3),
+                  Gain(np.linspace(0.1, 0.9, 10)),
+                  deviant_policy(np.full(11, 0.5), AlphaSchedule(plan.cfg, 10), agent=1)]
+        # 100 replications are one block of 100, 250 or 1000, so the noise
+        # is the same: groups of 1, 2 and all 5 lanes
+        results = []
+        for block_size, group in ((100, 1), (250, 2), (1_000, 10)):
+            groups.clear()
+            results.append(run_lanes(replace(plan, block_size=block_size), others))
+            assert groups == [group]
+        for other in results[1:]:
+            for a, b in zip(results[0], other, strict=True):
+                assert_same_bits(a, b)
+
     def test_thread_count_does_not_change_results(self):
         # more threads than cores, switching often: every lane's per-round
         # and per-agent sums are merged in block order, and its traces are
@@ -569,7 +614,7 @@ class TestBlockScheduler:
         run_block = sim._run_block
 
         def spy(*args):
-            index = args[-2]
+            index = args[-1]
             started.append((threading.get_ident(), index))
             before(index)
             return run_block(*args)
@@ -590,10 +635,11 @@ class TestBlockScheduler:
             assert_same_bits(paired[0], result)
 
     @staticmethod
-    def spy_threads(monkeypatch, start=None):
+    def spy_threads(monkeypatch, start=None, join=None):
         """Patch sim.threading.Thread with a subclass that records each
         helper it starts; start(count), when given, runs before each start
-        with the number of helpers started so far."""
+        with the number of helpers started so far, and join() before each
+        join."""
         helpers = []
 
         class SpyThread(threading.Thread):
@@ -602,6 +648,11 @@ class TestBlockScheduler:
                     start(len(helpers))
                 super().start()
                 helpers.append(self)
+
+            def join(self, timeout=None):
+                if join is not None:
+                    join()
+                super().join(timeout)
 
         monkeypatch.setattr(sim.threading, "Thread", SpyThread)
         return helpers
@@ -654,6 +705,29 @@ class TestBlockScheduler:
         assert len(helpers) == 1 and not helpers[0].is_alive()
         assert threading.active_count() == threads_before
 
+    def test_helper_that_cannot_start_stops_the_run(self, monkeypatch):
+        class CannotStart(RuntimeError):
+            pass
+
+        def start(count):
+            if count == 1:
+                raise CannotStart
+
+        # the first helper's block waits until the caller joins it, which the
+        # caller does only once the failed start is recorded; after that no
+        # thread may start a block
+        joining = threading.Event()
+        threads_before = threading.active_count()
+        helpers = self.spy_threads(monkeypatch, start, joining.set)
+        started = self.spy_blocks(monkeypatch, lambda index: joining.wait(self.WAIT_S))
+        with pytest.raises(OSError) as failed:
+            run(self.five_block_plan(3))
+        assert failed.value.errno == errno.EAGAIN
+        assert len(started) <= 1
+        assert len(helpers) == 1 and not helpers[0].is_alive()
+        assert {ident for ident, _ in started} <= {helpers[0].ident}
+        assert threading.active_count() == threads_before
+
     def test_failing_block_stops_the_run_and_joins_every_thread(self, monkeypatch):
         class BlockFailed(Exception):
             pass
@@ -692,10 +766,12 @@ class TestBlockScheduler:
 
 
 class TestBlockMemory:
-    """One block's peak is its floor: the positions and the scratch of
-    every lane, two (lanes, count) rows of sums and one (count, n) noise
-    draw.  Every other per-round temporary is freed before a draw is made
-    or fits in the space of one."""
+    """One block's peak is its floor: the positions of every lane, one
+    group's scratch and its two (group, count) rows of sums, and one
+    (count, n) noise draw.  With more than one group a second array of
+    a draw's size counts too: a later group's |s| temporary, made while
+    the round's draw is held.  Every other per-round temporary is freed
+    before a draw is made or fits in the space of these."""
 
     COUNT = 20_000
 
@@ -709,23 +785,28 @@ class TestBlockMemory:
         finally:
             tracemalloc.stop()
 
-    def floor_bytes(self, lanes, n):
+    def floor_bytes(self, lanes, n, group):
         c = self.COUNT
-        return 8 * (2 * lanes * n * c + 2 * lanes * c + n * c)
+        draws = 1 if group >= lanes else 2
+        return 8 * (lanes * n * c + group * (n + 2) * c + draws * n * c)
 
     @pytest.mark.parametrize("lanes", [1, 2, 6])
     def test_lanes_peak_at_their_floor(self, lanes):
+        # one block of COUNT replications: groups of one lane
         cfg = ModelConfig(n=5, horizon=3, seed=1)
-        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=self.COUNT)
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=self.COUNT,
+                       block_size=self.COUNT)
         others = [PolicySpec(kind="weighted", rho=0.2 * i) for i in range(1, lanes)]
         peak = self.peak_bytes(lambda: run_lanes(plan, others))
-        assert peak <= self.floor_bytes(lanes, cfg.n) + 64 * 1024
+        assert peak <= self.floor_bytes(lanes, cfg.n, 1) + 64 * 1024
 
     def test_paired_operator_lane_peaks_at_its_floor(self):
+        # a paired run's two lanes are one group
         cfg = ModelConfig(n=3, horizon=3, seed=1)
-        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=self.COUNT)
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=self.COUNT,
+                       block_size=self.COUNT)
         peak = self.peak_bytes(lambda: run_paired(plan, PolicySpec(kind="matc")))
-        assert peak <= self.floor_bytes(2, cfg.n) + 64 * 1024
+        assert peak <= self.floor_bytes(2, cfg.n, 2) + 64 * 1024
 
 
 class TestSweep:
@@ -745,15 +826,24 @@ class TestSweep:
 
     @staticmethod
     def spy_chunks(monkeypatch):
-        """(lanes, group) of every chunk a sweep runs, in order."""
-        chunks = []
-        accumulate = sim._accumulate
+        """(lanes, group) of every chunk a sweep runs, in order: the lane
+        group is the one every block of the chunk runs with."""
+        chunks, groups = [], set()
+        accumulate, run_block = sim._accumulate, sim._run_block
 
-        def counting(plan, fns, group, *args, **kwargs):
+        def counting(plan, fns, *args, **kwargs):
+            groups.clear()
+            acc = accumulate(plan, fns, *args, **kwargs)
+            (group,) = groups
             chunks.append((len(fns), group))
-            return accumulate(plan, fns, group, *args, **kwargs)
+            return acc
+
+        def block(*args):
+            groups.add(args[-2])
+            return run_block(*args)
 
         monkeypatch.setattr(sim, "_accumulate", counting)
+        monkeypatch.setattr(sim, "_run_block", block)
         return chunks
 
     def test_balanced_chunks_give_the_same_points_on_any_thread_count(self, monkeypatch):
