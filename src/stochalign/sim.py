@@ -26,21 +26,25 @@ is a paired run, whose two lanes are one group because its rows compare
 them within a round.  The tile is also a cache tile: a group's scratch
 stays in cache while its lanes' per-round work runs, where one group of
 every lane would stream through memory.  At n = 2 and 8,000
-replications, 50 sweep lanes in one group took about a third longer
+replications, 50 sweep lanes in one group took about two fifths longer
 than in groups of 2, so the groups stay even where memory would allow
 one.
 
-A sweep also bounds what a block keeps across rounds (positions,
-per-lane sums and the stacked scales) to about CELL_BUDGET cells: a
-chunk holds at most max(1, CELL_BUDGET // max(n * count, rounds + 1))
-lanes.  The grid is split into as few chunks as that allows, of sizes
-that differ by at most one.  The chunks run one after another, and the
-threads share each chunk's blocks, so with T threads up to T blocks hold
-their positions at once.  A sweep point is steady_state_variance of its
-lane's var_stretch column, divided straight from its chunk's merged sums
-of squared stretches, the only statistic a sweep accumulates.  Noise is
-keyed by (seed, block, kind) and every lane is reduced over its own
-slice, so neither the groups nor the chunks change a point's bits.
+A sweep also bounds what a block keeps across rounds to about
+CELL_BUDGET cells: a chunk holds at most max(1, CELL_BUDGET // max(n *
+count, rounds + 1)) lanes, where n * count bounds a lane's positions
+and rounds + 1 its stacked scales.  The grid is split into as few chunks
+as that allows, of sizes that differ by at most one.  The chunks run one
+after another, and the threads share each chunk's blocks, so with T
+threads up to T blocks hold their positions at once.  A sweep point is
+steady_state_variance of its lane's var_stretch column, the mean of the
+column's last tenth of rounds (at least one).  A sweep accumulates only
+the sums of squared stretches of those tail rounds, the only statistic
+it reads, and divides each lane's merged tail sums straight into its
+point; every earlier round still computes the stretches and moves the
+positions, but no statistic.  Noise is keyed by (seed, block, kind) and
+every lane is reduced over its own slice, so neither the groups nor the
+chunks change a point's bits.
 
 Every lane moves by one update per round: the lanes' scales, stacked
 once per run, times the measurements, the same products as the gains'
@@ -249,14 +253,20 @@ class _Accumulator:
     "lanes" (run_lanes') keeps the sums every RunResult column is made
     of; "paired" (run_paired's) each lane's centre of mass, the stretch
     difference of the two lanes and their moves' common shift; "variance"
-    (sweep_rho's) sum_sq alone.  Each lane is reduced over its own
-    contiguous slice, so its sums carry the same bits whatever the number
-    of lanes and whatever else is kept.
+    (sweep_rho's) sum_sq alone, and only for the rounds
+    steady_state_variance reads: its rows are (lanes, k) for the last k =
+    _tail_length(horizon + 1) rounds, from round first on.  Each lane is
+    reduced over its own contiguous slice, so its sums carry the same bits
+    whatever the number of lanes and whatever else is kept.
     """
 
     def __init__(self, plan: RunPlan, lanes: int, kind: str):
         rounds = plan.cfg.horizon + 1
-        shapes = {"lane": (lanes, rounds), "agent": (lanes, rounds, plan.cfg.n), "run": (rounds,)}
+        # a variance accumulator keeps only the rounds steady_state_variance reads
+        self.first = rounds - _tail_length(rounds) if kind == "variance" else 0
+        columns = rounds - self.first
+        shapes = {"lane": (lanes, columns), "agent": (lanes, columns, plan.cfg.n),
+                  "run": (columns,)}
         self.kind, self.names = kind, KINDS[kind]
         for name in self.names:
             setattr(self, name, np.zeros(shapes[STATS[name][0]]))
@@ -267,7 +277,9 @@ class _Accumulator:
         the slice lanes.  total holds each replication's sum of positions
         and is scratch once read; work is (group, count) scratch.  A paired
         accumulator, whose two lanes are one group, stops after the centre
-        of mass and the stretch difference, a variance one after sum_sq.
+        of mass and the stretch difference.  A variance one returns at once
+        for a round before first, and adds round t to column t - first of
+        sum_sq, where it stops.
         |s| is taken one lane at a time into one (n, count) temporary,
         which is no larger than a noise draw.
 
@@ -277,6 +289,8 @@ class _Accumulator:
         np.einsum("ij,ij->i") over agent-last rows.  Per-agent sums reduce
         each agent's contiguous row of replications.
         """
+        if t < self.first:
+            return
         if self.kind != "variance":
             self.com_sum[lanes, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
         if self.kind == "paired":
@@ -288,7 +302,7 @@ class _Accumulator:
         np.einsum("lac,lac->lc", even, even, out=work)
         work += np.einsum("lac,lac->lc", odd, odd, out=total)
         work /= n
-        self.sum_sq[lanes, t] = work.sum(axis=1)
+        self.sum_sq[lanes, t - self.first] = work.sum(axis=1)
         if self.kind == "variance":
             return
         self.sum_sq2[lanes, t] = np.multiply(work, work, out=work).sum(axis=1)
@@ -553,11 +567,19 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain]) -> PairedRunRes
                            shift_mean=acc.shift_sum / plan.replications)
 
 
+def _tail_length(rounds: int) -> int:
+    """How many of a column's rounds steady_state_variance averages: the last 10%, at least one."""
+    return max(1, rounds // 10)
+
+
 def steady_state_variance(var_stretch: Sequence[float]) -> float:
-    """Mean of a per-round variance column over its last 10% of rounds, at least one."""
+    """Mean of a per-round variance column over its last 10% of rounds, at least one.
+
+    _tail_length states that rule; a sweep keeps only those rounds' sums.
+    """
     if not len(var_stretch):
         raise ValueError("need at least one round to average")
-    return float(np.mean(var_stretch[-max(1, len(var_stretch) // 10):]))
+    return float(np.mean(var_stretch[-_tail_length(len(var_stretch)):]))
 
 
 def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
@@ -576,7 +598,8 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     specs = [PolicySpec(kind="weighted", rho=float(rho)) for rho in grid]
     if not specs:
         return []
-    # a chunk's positions, sums and stacked scales stay within the budget
+    # a chunk's positions (n * count a lane) and stacked scales (at most
+    # horizon + 1 a lane, as are its tail sums) stay within the budget
     bound = max(1, CELL_BUDGET // max(cfg.n * min(replications, block_size), cfg.horizon + 1))
     # as few chunks as the bound allows, of sizes that differ by at most one
     chunks = -(-len(specs) // bound)
@@ -585,9 +608,9 @@ def sweep_rho(cfg: ModelConfig, grid: Sequence[float], replications: int,
     points = []
     for chunk in range(chunks):
         lanes = specs[edges[chunk]:edges[chunk + 1]]
-        # each lane's var_stretch column, as a run of its policy computes it
-        var = _accumulate(plan, _compile(plan, lanes), "variance").sum_sq / replications
-        points += [SweepPoint(rho=spec.rho, var_empirical=steady_state_variance(var[lane]),
+        # the tail of each lane's var_stretch column, as a run of its policy computes it
+        tail = _accumulate(plan, _compile(plan, lanes), "variance").sum_sq / replications
+        points += [SweepPoint(rho=spec.rho, var_empirical=float(np.mean(tail[lane])),
                               var_closed_form=var_limit(spec.rho, cfg))
                    for lane, spec in enumerate(lanes)]
     return points

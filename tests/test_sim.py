@@ -341,13 +341,15 @@ class TestAccumulator:
         monkeypatch.setattr(sim, "_Accumulator", Recording)
         plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500, block_size=200)
         matc = PolicySpec(kind="matc")
-        # two lanes of 11 rounds and 3 agents, in each of three blocks
-        lane, agent, per_run = (2, 11), (2, 11, 3), (11,)
+        # two lanes of 11 rounds and 3 agents, in each of three blocks; a
+        # sweep keeps only the rounds steady_state_variance reads, the last
+        # max(1, 11 // 10) = 1
+        lane, agent, per_run, tail = (2, 11), (2, 11, 3), (11,), (2, 1)
         shapes = {"lane": lane, "agent": agent, "run": per_run}
         # (run, kind, every row its accumulators keep, in the shape it has):
         # a run keeps every per-lane and per-agent sum and no diagnostic;
         # a paired run no per-lane sum but the centre of mass, and a sweep
-        # sum_sq alone, so neither computes a sum it does not keep
+        # the tail of sum_sq alone, so neither computes a sum it does not keep
         cases = [
             (lambda: run_lanes(plan, [matc]), "lanes",
              {"sum_sq": lane, "sum_sq2": lane, "sum_abs": lane, "sum_abs2": lane,
@@ -355,7 +357,7 @@ class TestAccumulator:
             (lambda: run_paired(plan, matc), "paired",
              {"com_sum": lane, "max_diff": per_run, "shift_sum": per_run}),
             (lambda: sweep_rho(plan.cfg, [0.3, 0.6], 500, block_size=200), "variance",
-             {"sum_sq": lane}),
+             {"sum_sq": tail}),
         ]
         for call, kind, kept in cases:
             made.clear()
@@ -367,8 +369,9 @@ class TestAccumulator:
                 assert set(kept) == set(sim.KINDS[kind])
                 for name in sim.STATS:
                     assert hasattr(acc, name) == (name in kept), name
+                table = {"lane": tail} if kind == "variance" else shapes
                 for name, shape in kept.items():
-                    assert getattr(acc, name).shape == shape == shapes[sim.STATS[name][0]], name
+                    assert getattr(acc, name).shape == shape == table[sim.STATS[name][0]], name
 
     def test_merge_folds_each_row_by_its_own_rule(self):
         # a worst case takes the larger of two blocks' values, every other
@@ -933,6 +936,53 @@ class TestSweep:
             tracemalloc.stop()
         assert chunks == [(13, 1), (13, 1), (14, 1)]
         assert peak < 1.25 * 8 * (budget + scratch)
+
+    def test_points_equal_single_runs_at_every_tail_boundary(self):
+        # the tail, max(1, (horizon + 1) // 10) rounds, steps up at horizons
+        # 19 and 29; 300 replications are two blocks of 200, on one and on
+        # two threads
+        grid = [0.2, 0.5, 0.9]
+        tails = {0: 1, 1: 1, 8: 1, 9: 1, 18: 1, 19: 2, 28: 2, 29: 3}
+        for horizon, tail in tails.items():
+            assert sim._tail_length(horizon + 1) == tail
+            cfg = ModelConfig(n=3, horizon=horizon, seed=5)
+            alone = [steady_state_variance(run(RunPlan(
+                cfg=cfg, policy=PolicySpec(kind="weighted", rho=rho), replications=300,
+                block_size=200)).var_stretch) for rho in grid]
+            for threads in (1, 2):
+                points = sweep_rho(cfg, grid, 300, threads=threads, block_size=200)
+                assert [p.var_empirical for p in points] == alone, (horizon, threads)
+
+    def test_each_block_computes_the_statistic_only_in_its_tail(self, monkeypatch):
+        made = []
+
+        class Spy(sim._Accumulator):
+            """Notes each (round, first lane) whose statistic ran: the work
+            row, NaN beforehand, holds the squares once it has."""
+
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.worked = []
+                made.append(self)
+
+            def record(self, t, lanes, st, total, work):
+                work[...] = np.nan
+                super().record(t, lanes, st, total, work)
+                if not np.isnan(work).all():
+                    self.worked.append((t, lanes.start))
+
+        monkeypatch.setattr(sim, "_Accumulator", Spy)
+        # 29 rounds keep the last 3; 300 replications in blocks of 200 are
+        # two blocks, each with groups of one lane
+        cfg = ModelConfig(n=3, horizon=29, seed=5)
+        grid = [0.1, 0.3, 0.5, 0.7, 0.9]
+        sweep_rho(cfg, grid, 300, threads=2, block_size=200)
+        assert len(made) == 2
+        for acc in made:
+            assert acc.first == 27
+            assert acc.sum_sq.shape == (len(grid), 3)
+            assert sorted(acc.worked) == [(t, lane) for t in range(27, 30)
+                                          for lane in range(len(grid))]
 
     def test_counts_checked_before_the_grid(self, monkeypatch):
         def no_blocks(*args):
