@@ -262,7 +262,6 @@ class _Accumulator:
 
     def __init__(self, plan: RunPlan, lanes: int, kind: str):
         rounds = plan.cfg.horizon + 1
-        # a variance accumulator keeps only the rounds steady_state_variance reads
         self.first = rounds - _tail_length(rounds) if kind == "variance" else 0
         columns = rounds - self.first
         shapes = {"lane": (lanes, columns), "agent": (lanes, columns, plan.cfg.n),
