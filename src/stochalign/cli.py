@@ -39,6 +39,7 @@ SHIFT_TOL = 1e-12
 STRETCH_EQ_TOL = 1e-9
 MAX_GRID_POINTS = 10_000  # every point is a simulated policy lane
 MIN_GRID_STEP = 1e-12  # grid points are rounded to 12 decimals
+DEVIATION_ROWS = 64  # rows per band of kalman-check's deviation buffer
 
 DEFAULTS = {
     "n": 3,
@@ -294,11 +295,22 @@ def cmd_sweep(settings: dict, args: argparse.Namespace) -> int:
 
 
 def _max_deviation(dense: np.ndarray, x: StructuredMatrix, buf: np.ndarray) -> float:
-    """max |dense - x.to_dense()| entrywise, the same bits, computed in the
-    n x n buffer buf without forming x."""
-    np.subtract(dense, x.off, out=buf)
-    np.subtract(dense.diagonal(), x.diag, out=buf.reshape(-1)[::x.n + 1])
-    return np.abs(buf, out=buf).max()
+    """max |dense - x.to_dense()| entrywise, the same bits, without forming x.
+
+    The deviation is taken a band of rows at a time in buf, a C-contiguous
+    buffer of n columns and up to DEVIATION_ROWS rows; a max of absolute
+    values does not depend on how the entries are grouped.
+    """
+    n = x.n
+    peaks = []
+    for lo in range(0, n, len(buf)):
+        band = buf[:min(len(buf), n - lo)]
+        hi = lo + len(band)
+        np.subtract(dense[lo:hi], x.off, out=band)
+        # entry (i, i) of the matrix is entry (i - lo, i) of the band
+        np.subtract(dense.diagonal()[lo:hi], x.diag, out=band.reshape(-1)[lo::n + 1])
+        peaks.append(np.abs(band, out=band).max())
+    return np.max(peaks)
 
 
 def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
@@ -310,15 +322,20 @@ def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
     cov_tol = KALMAN_TOL * _noise_scale(cfg) ** 2
     cov_worst = gain_worst = 0.0
     rows = []
-    buf = np.empty((cfg.n, cfg.n))
+    buf = np.empty((min(cfg.n, DEVIATION_ROWS), cfg.n))
+    path = dense_filter_path(cfg, t_max)
     try:
-        for t, (cov_dense, gain_dense) in enumerate(dense_filter_path(cfg, t_max)):
+        for t in range(t_max + 1):
+            # taken with next() and dropped at the end of the round, so that
+            # no round's matrices stay alive while the path computes the next
+            cov_dense, gain_dense = next(path)
             cov_cf, gain_cf = closed_form_filter_state(cfg, t, schedule)
             cov_dev = _max_deviation(cov_dense, cov_cf, buf)
             gain_dev = _max_deviation(gain_dense, gain_cf, buf)
             cov_worst, gain_worst = max(cov_worst, cov_dev), max(gain_worst, gain_dev)
             rows.append([_fmt(t), _fmt(schedule.alpha(t)), _fmt(schedule.rho(t)),
                          _fmt(cov_dev), _fmt(gain_dev)])
+            del cov_dense, gain_dense
     except np.linalg.LinAlgError as exc:
         # only the dense filter's solve raises this: a valid config can
         # still be singular to LAPACK, so the check cannot pass

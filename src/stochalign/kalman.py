@@ -2,7 +2,7 @@
 
 The pooled filter on the stretch vector comes two ways: `dense_filter_path`
 streams the dense covariance recursion, one solve and one matrix product
-per round in O(n^2) memory, and the closed forms (`AlphaSchedule`,
+per round in about four n x n arrays, and the closed forms (`AlphaSchedule`,
 `closed_form_filter_state`) exploit the constant-diagonal structure of
 the alignment system at O(1) per round.  `kalman-check` compares the two
 round by round.  `scalar_filter_step` is the deviating agent's filter,
@@ -27,11 +27,15 @@ def dense_filter_path(cfg: ModelConfig, t_max: int):
 
     These are the bits of the general recursion in `tests/test_kalman.py`,
     products with I included, except that at sigma0 = 0 zero entries of
-    K_0 may carry the other sign.  Yields (P-_t, K_t) for t = 0..t_max as
-    fresh dense arrays, one round at a time.  Besides the current round's
-    matrices it holds one n x n work buffer, which takes P + R and then
-    I - K, so its memory is O(n^2) independent of t_max.  t_max is checked
-    when this is called, not when the first round is drawn.
+    K_0 may carry the other sign: R and I are never formed and touch only
+    the diagonal, so off it P + R and I - K hold P's and -K's own entries
+    where the recursion added or subtracted 0.  Yields (P-_t, K_t) for
+    t = 0..t_max as fresh dense arrays, one round at a time.  Besides P-_t
+    it holds Q and one n x n work buffer, which takes P + R and then I - K,
+    and it drops K_t once I - K is formed; a consumer that drops each pair
+    before taking the next sees a peak of four n x n arrays, the new K
+    during a solve, independent of t_max.  t_max is checked when this is
+    called, not when the first round is drawn.
     """
     require_int("t_max", t_max, lo=0)
     return _dense_filter_rounds(cfg, t_max)
@@ -39,17 +43,23 @@ def dense_filter_path(cfg: ModelConfig, t_max: int):
 
 def _dense_filter_rounds(cfg: ModelConfig, t_max: int):
     m = mn(cfg.n).to_dense()
-    m2 = m @ m
-    p = cfg.sigma0 ** 2 * m2
-    q = cfg.sigma_d ** 2 * m2
-    eye = np.eye(cfg.n)
-    r = cfg.sigma_m ** 2 * eye
+    q = m @ m  # M^2, scaled into Q in place once P-_0 is formed
+    del m
+    p = cfg.sigma0 ** 2 * q
+    q *= cfg.sigma_d ** 2
     work = np.empty_like(p)  # P + R, then I - K
+    diagonal = work.reshape(-1)[::cfg.n + 1]
+    sm2 = cfg.sigma_m ** 2
     for _ in range(t_max + 1):
         # K = P (P + R)^-1, solved on the transposed system
-        k = np.linalg.solve(np.add(p, r, out=work).T, p.T).T
+        np.copyto(work, p)
+        diagonal += sm2
+        k = np.linalg.solve(work.T, p.T).T
         yield p, k
-        p = np.subtract(eye, k, out=work) @ p
+        np.negative(k, out=work)
+        diagonal += 1.0
+        del k  # the consumer's copy is all that may keep K alive now
+        p = work @ p
         p += q
 
 

@@ -8,6 +8,7 @@ import os
 import re
 import shlex
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +445,33 @@ class TestKalmanCheck:
         _, rows = read_csv(tmp_path / "kc.csv")
         assert float(rows[0][1]) == 0.0  # alpha_0
         assert float(rows[0][2]) == 0.0  # rho*(0)
+
+    def test_peak_memory_is_five_arrays(self, tmp_path, capsys):
+        # the dense path's 4 arrays (see test_kalman) and the deviation's
+        # band of DEVIATION_ROWS rows; no round's P- or K outlives it.  The
+        # traced peak leaves out numpy's solve copies and OpenBLAS's buffers
+        n = 300
+        tracemalloc.start()
+        try:
+            code = main(["kalman-check", "--n", str(n), "--t-max", "3",
+                         "--threads", "1", "--out", "kc.csv"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(read_csv(tmp_path / "kc.csv")[1]) == 4
+        assert peak < 5 * 8 * n ** 2
+
+    @pytest.mark.parametrize("n", [2, cli.DEVIATION_ROWS - 1, cli.DEVIATION_ROWS,
+                                   cli.DEVIATION_ROWS + 1, 2 * cli.DEVIATION_ROWS + 1])
+    def test_banded_deviation_is_the_dense_one_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        buf = np.empty((min(n, cli.DEVIATION_ROWS), n))
+        for scale in (1e-3, 1.0, 1e40):
+            dense = scale * rng.standard_normal((n, n))
+            x = StructuredMatrix(n, scale * rng.standard_normal(), scale * rng.standard_normal())
+            got = cli._max_deviation(dense, x, buf)
+            assert got.tobytes() == np.abs(dense - x.to_dense()).max().tobytes()
 
     def test_singular_dense_filter_fails_the_check(self, tmp_path, capsys):
         # valid settings, but P + R is singular to LAPACK at round 0

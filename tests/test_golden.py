@@ -56,6 +56,11 @@ CASES = {
     "kalman-check": (
         ["kalman-check", "--n", "6", "--t-max", "40"],
         "9938fbb335cd1653ef6c1c44f323f316af86951fee4701b2e995889498f0ba14"),
+    # sigma0 = 0 is the one input where zero entries of K_0 may carry
+    # either sign; the deviations take absolute values, so no byte moves
+    "kalman-check-zero-start": (
+        ["kalman-check", "--n", "7", "--sigma0", "0", "--t-max", "30"],
+        "0b9be81017aa9cff69e041afc5ebbe0bc62e4a4bcc1b4f246f31376a149c51db"),
     "best-response-wstar": (
         ["best-response", "--opponents", "wstar", "--n", "4", "--t-max", "40"],
         "eb56372cd3306703ba5f152126327acec0760890faba2b710d2854ee22c08ae8"),

@@ -192,8 +192,14 @@ class TestDenseFilterPath:
             with pytest.raises(ValueError, match="t_max must be an integer"):
                 dense_filter_path(ModelConfig(n=2), t_max)
 
+    # tracemalloc sees numpy's arrays but neither the two copies of the
+    # system numpy's solve makes with plain malloc nor OpenBLAS's own
+    # buffers, so these peaks hold on any BLAS thread count
+
     def test_memory_does_not_grow_with_rounds(self):
-        # 201 rounds of (P-, K) at n=64 would hold 201 * 2 * 32 KiB = 12.6 MiB
+        # a consumer that holds each pair while the next round is computed
+        # adds its 2 arrays to the path's 4 (P-, Q, the work buffer and the
+        # new K); 201 rounds kept would be 402 arrays
         cfg = ModelConfig(n=64)
         tracemalloc.start()
         try:
@@ -204,7 +210,23 @@ class TestDenseFilterPath:
         finally:
             tracemalloc.stop()
         assert rounds == 201
-        assert peak < 2 * 2**20
+        assert peak < 6.5 * 8 * cfg.n ** 2
+
+    def test_path_holds_four_arrays_beside_a_consumer_that_drops_each_round(self):
+        # P-, Q, the work buffer (P + R, then I - K) and the new K during a
+        # solve; M, M^2, I and R are never held, nor is the last K
+        cfg = ModelConfig(n=300)
+        path = dense_filter_path(cfg, 3)
+        tracemalloc.start()
+        try:
+            rounds = 0
+            while next(path, None) is not None:
+                rounds += 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rounds == 4
+        assert peak < 4.5 * 8 * cfg.n ** 2
 
 
 class TestAlphaSchedule:
