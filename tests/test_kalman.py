@@ -214,7 +214,8 @@ class TestDenseFilterPath:
 
     def test_path_holds_four_arrays_beside_a_consumer_that_drops_each_round(self):
         # P-, Q, the work buffer (P + R, then I - K) and the new K during a
-        # solve; M, M^2, I and R are never held, nor is the last K
+        # solve; M is dropped, M^2 becomes Q, I and R are never formed and
+        # the last round's K is not kept
         cfg = ModelConfig(n=300)
         path = dense_filter_path(cfg, 3)
         tracemalloc.start()
