@@ -1,0 +1,119 @@
+"""The paper's three exact claims as checks, each returning a Verdict.
+
+filter_agreement: the closed-form filter is the dense Kalman filter
+(kalman-check).  shift_identity: W* and the centre-seeking rule make the
+same move up to a common per-round shift (compare).  nash_fixed_point:
+rho*(t) is its own best response (best-response).
+
+Each check takes values its command has already computed, and computes
+nothing its command computed: no filter pass, compile or best response.
+Each tolerance lives beside the one check that applies it.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .model import ModelConfig
+from .policies import Gain
+from .structmat import StructuredMatrix
+
+@dataclass(frozen=True)
+class Verdict:
+    """A check's stdout line and whether the check passed."""
+
+    line: str
+    ok: bool
+
+
+def _fmt(x: float) -> str:
+    """Fixed 17-significant-digit decimal form; round-trips doubles."""
+    return f"{float(x):.17g}"
+
+
+def _noise_scale(cfg: ModelConfig) -> float:
+    """max(1, sigma0, sigma_m, sigma_d): the unit of the checks' absolute deviations."""
+    return max(1.0, cfg.sigma0, cfg.sigma_m, cfg.sigma_d)
+
+
+# kalman-check: the closed-form filter is the dense Kalman filter
+
+KALMAN_TOL = 1e-9
+DEVIATION_ROWS = 64  # rows per band of kalman-check's deviation buffer
+
+
+def _max_deviation(dense: np.ndarray, x: StructuredMatrix, buf: np.ndarray) -> float:
+    """max |dense - x.to_dense()| entrywise, the same bits, without forming x.
+
+    The deviation is taken a band of rows at a time in buf, a C-contiguous
+    buffer of n columns and up to DEVIATION_ROWS rows; a max of absolute
+    values does not depend on how the entries are grouped.
+    """
+    n = x.n
+    peaks = []
+    for lo in range(0, n, len(buf)):
+        band = buf[:min(len(buf), n - lo)]
+        hi = lo + len(band)
+        np.subtract(dense[lo:hi], x.off, out=band)
+        # entry (i, i) of the matrix is entry (i - lo, i) of the band
+        np.subtract(dense.diagonal()[lo:hi], x.diag, out=band.reshape(-1)[lo::n + 1])
+        peaks.append(np.abs(band, out=band).max())
+    return np.max(peaks)
+
+
+def filter_agreement(cfg: ModelConfig, t_max: int, cov_dev: float, gain_dev: float) -> Verdict:
+    """The worst covariance and gain deviations of rounds 0..t_max against their bounds.
+
+    Covariances grow with the square of the noise scale; gains have no units.
+    """
+    cov_tol = KALMAN_TOL * _noise_scale(cfg) ** 2
+    ok = bool(cov_dev <= cov_tol and gain_dev <= KALMAN_TOL)
+    bound = (f"{KALMAN_TOL}" if cov_tol == KALMAN_TOL
+             else f"{cov_tol:g} for covariances, {KALMAN_TOL} for gains")
+    return Verdict(f"dense filter vs closed form, n={cfg.n}, t<= {t_max}: "
+                   f"max entrywise deviation {_fmt(max(cov_dev, gain_dev))} "
+                   f"({'pass' if ok else 'FAIL'} at {bound})", ok)
+
+
+# compare: W* and the centre-seeking rule differ by a common shift
+
+SHIFT_TOL = 1e-12
+STRETCH_EQ_TOL = 1e-9
+
+
+def _entries(gain: Gain) -> np.ndarray:
+    """A compiled gain's (diagonal, off-diagonal) entries, one row per round."""
+    entries = (1.0, 0.0) if gain.op is None else (gain.op.diag, gain.op.off)
+    return gain.scale[:, np.newaxis] * entries
+
+
+def shift_identity(cfg: ModelConfig, stretch_diff: float, gain_a: Gain, gain_b: Gain,
+                   rhos: np.ndarray) -> Verdict:
+    """gain_a and gain_b make the same move up to a common per-round shift.
+
+    The shift is rhos[t] times the mean measurement, so the gains differ
+    in every entry by rhos[t]/n.  Gains have no units, so that check is
+    exact; stretch_diff, the paired run's largest stretch difference,
+    grows with the noise scale, and so does its bound.
+    """
+    stretch_tol = STRETCH_EQ_TOL * _noise_scale(cfg)
+    diff = _entries(gain_a) - _entries(gain_b)
+    rule = rhos[:cfg.horizon, np.newaxis] / cfg.n
+    worst_spread = np.abs(diff[:, 0] - diff[:, 1]).max(initial=0.0)
+    worst_rule = np.abs(diff - rule).max(initial=0.0)
+    ok = bool(stretch_diff <= stretch_tol
+              and worst_spread <= SHIFT_TOL and worst_rule <= SHIFT_TOL)
+    return Verdict(f"shift equivalence: stretch diff <= {stretch_tol:g}, "
+                   f"shift spread {_fmt(worst_spread)}, rule deviation {_fmt(worst_rule)}: "
+                   f"{'pass' if ok else 'FAIL'}", ok)
+
+
+# best-response: rho*(t) is its own best response
+
+NASH_TOL = 1e-12
+
+
+def nash_fixed_point(residual: float) -> Verdict:
+    """The worst gap between a schedule and its best response, against NASH_TOL."""
+    ok = bool(residual <= NASH_TOL)
+    return Verdict(f"nash fixed point at {NASH_TOL}: {'pass' if ok else 'FAIL'}", ok)

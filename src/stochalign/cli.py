@@ -9,10 +9,15 @@ are the policy/rho settings.  Every run writes its CSV plus a
 count and the command, but not the subcommand-only flags (compare's
 --b/--rho-b, --t-max, --opponents and --assert-nash).  Every setting is
 checked before any work starts, and the CSV and its sidecar are both
-written or neither is.  Exit codes: 0 success / assertion
-passed, 1 assertion failed (kalman-check also when its dense reference
-filter fails), 2 usage, configuration, I/O, out-of-memory or
-out-of-threads error.  Threads come from --threads, else all cores.
+written or neither is.  Threads come from --threads, else all cores.
+
+compare (of wstar and matc), kalman-check and best-response (against
+wstar, or with --assert-nash) end in a check: the command computes its
+inputs and writes its rows, a function of stochalign.checks turns them
+into a Verdict, and _report, the one place a verdict becomes an exit
+code, prints its line.  Exit codes: 0 success / check passed, 1 check
+failed (kalman-check also when its dense reference filter fails), 2
+usage, configuration, I/O, out-of-memory or out-of-threads error.
 """
 
 import argparse
@@ -26,20 +31,16 @@ from typing import Optional
 import numpy as np
 
 from .analysis import alpha_infty, cost_from_variance, rho_star_const, var_limit
+from .checks import (DEVIATION_ROWS, Verdict, _fmt, _max_deviation, filter_agreement,
+                     nash_fixed_point, shift_identity)
 from .game import best_response
 from .kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from .model import ModelConfig
-from .policies import POLICY_KINDS, Gain, PolicySpec, make_policy
+from .policies import POLICY_KINDS, PolicySpec, make_policy
 from .sim import RunPlan, run, run_paired, sweep_rho
-from .structmat import StructuredMatrix
 
-KALMAN_TOL = 1e-9
-NASH_TOL = 1e-12
-SHIFT_TOL = 1e-12
-STRETCH_EQ_TOL = 1e-9
 MAX_GRID_POINTS = 10_000  # every point is a simulated policy lane
 MIN_GRID_STEP = 1e-12  # grid points are rounded to 12 decimals
-DEVIATION_ROWS = 64  # rows per band of kalman-check's deviation buffer
 
 DEFAULTS = {
     "n": 3,
@@ -58,11 +59,6 @@ DEFAULTS = {
 
 # keys accepted in a JSON config file, with the type of their values
 CONFIG_KEYS = {**{key: type(value) for key, value in DEFAULTS.items()}, "out": str}
-
-
-def _fmt(x: float) -> str:
-    """Fixed 17-significant-digit decimal form; round-trips doubles."""
-    return f"{float(x):.17g}"
 
 
 def _load_config_file(path: str) -> dict:
@@ -131,17 +127,6 @@ def _model_config(settings: dict) -> ModelConfig:
     return ModelConfig(**{f.name: settings[f.name] for f in dataclasses.fields(ModelConfig)})
 
 
-def _noise_scale(cfg: ModelConfig) -> float:
-    """max(1, sigma0, sigma_m, sigma_d): the unit of the checks' absolute deviations."""
-    return max(1.0, cfg.sigma0, cfg.sigma_m, cfg.sigma_d)
-
-
-def _entries(gain: Gain) -> np.ndarray:
-    """A compiled gain's (diagonal, off-diagonal) entries, one row per round."""
-    entries = (1.0, 0.0) if gain.op is None else (gain.op.diag, gain.op.off)
-    return gain.scale[:, np.newaxis] * entries
-
-
 def _policy_spec(name: str, rho: float) -> PolicySpec:
     """Only the weighted kind takes rho; PolicySpec rejects an unknown kind."""
     return PolicySpec(kind=name, rho=rho if name == "weighted" else None)
@@ -179,6 +164,12 @@ def _write_outputs(settings: dict, header: str, rows) -> None:
         for tmp in created:
             if os.path.exists(tmp):
                 os.remove(tmp)
+
+
+def _report(verdict: Verdict) -> int:
+    """Print a check's verdict line; the exit code is 0 if it passed, else 1."""
+    print(verdict.line)
+    return 0 if verdict.ok else 1
 
 
 def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
@@ -225,25 +216,16 @@ def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
                      _fmt(paired.max_stretch_diff[t]), _fmt(shift)])
     _write_outputs(settings, "round,com_a,com_b,max_stretch_diff,move_shift", rows)
 
+    stretch_diff = paired.max_stretch_diff.max()
     print(f"paired {spec_a.kind} vs {spec_b.kind}: max stretch difference "
-          f"{_fmt(paired.max_stretch_diff.max())} -> {settings['out']}")
+          f"{_fmt(stretch_diff)} -> {settings['out']}")
     if (spec_a.kind, spec_b.kind) != ("wstar", "matc"):
         return 0
-    # the two policies must be the same move up to a common per-round shift,
-    # rho*(t) times the mean measurement: their gains differ in every entry
-    # by rho*(t)/n.  Gains have no units, so that check is exact; the
-    # sampled stretches grow with the noise scale, and so does their bound
-    stretch_tol = STRETCH_EQ_TOL * _noise_scale(cfg)
-    diff = _entries(make_policy(spec_a, cfg)) - _entries(make_policy(spec_b, cfg))
-    rule = AlphaSchedule(cfg, cfg.horizon).rhos(cfg.horizon)[:cfg.horizon, np.newaxis] / cfg.n
-    worst_spread = np.abs(diff[:, 0] - diff[:, 1]).max(initial=0.0)
-    worst_rule = np.abs(diff - rule).max(initial=0.0)
-    ok = (paired.max_stretch_diff.max() <= stretch_tol
-          and worst_spread <= SHIFT_TOL and worst_rule <= SHIFT_TOL)
-    print(f"shift equivalence: stretch diff <= {stretch_tol:g}, "
-          f"shift spread {_fmt(worst_spread)}, rule deviation {_fmt(worst_rule)}: "
-          f"{'pass' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    # the two policies must be the same move up to a common per-round
+    # shift, rho*(t) times the mean measurement
+    rhos = AlphaSchedule(cfg, cfg.horizon).rhos(cfg.horizon)
+    return _report(shift_identity(cfg, stretch_diff, make_policy(spec_a, cfg),
+                                  make_policy(spec_b, cfg), rhos))
 
 
 def _rho_grid(start: float, stop: float, step: float) -> list:
@@ -294,32 +276,11 @@ def cmd_sweep(settings: dict, args: argparse.Namespace) -> int:
     return 0
 
 
-def _max_deviation(dense: np.ndarray, x: StructuredMatrix, buf: np.ndarray) -> float:
-    """max |dense - x.to_dense()| entrywise, the same bits, without forming x.
-
-    The deviation is taken a band of rows at a time in buf, a C-contiguous
-    buffer of n columns and up to DEVIATION_ROWS rows; a max of absolute
-    values does not depend on how the entries are grouped.
-    """
-    n = x.n
-    peaks = []
-    for lo in range(0, n, len(buf)):
-        band = buf[:min(len(buf), n - lo)]
-        hi = lo + len(band)
-        np.subtract(dense[lo:hi], x.off, out=band)
-        # entry (i, i) of the matrix is entry (i - lo, i) of the band
-        np.subtract(dense.diagonal()[lo:hi], x.diag, out=band.reshape(-1)[lo::n + 1])
-        peaks.append(np.abs(band, out=band).max())
-    return np.max(peaks)
-
-
 def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
     t_max = args.t_max
     schedule = AlphaSchedule(cfg, t_max)
     residual = abs(schedule.alpha(t_max) - alpha_infty(cfg))
-    # covariances grow with the square of the noise scale; gains have no units
-    cov_tol = KALMAN_TOL * _noise_scale(cfg) ** 2
     cov_worst = gain_worst = 0.0
     rows = []
     buf = np.empty((min(cfg.n, DEVIATION_ROWS), cfg.n))
@@ -339,19 +300,14 @@ def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
     except np.linalg.LinAlgError as exc:
         # only the dense filter's solve raises this: a valid config can
         # still be singular to LAPACK, so the check cannot pass
-        print(f"dense filter vs closed form, n={cfg.n}, t<= {t_max}: the dense "
-              f"reference filter failed at round {len(rows)} ({exc}): FAIL")
-        return 1
+        return _report(Verdict(f"dense filter vs closed form, n={cfg.n}, t<= {t_max}: the "
+                               f"dense reference filter failed at round {len(rows)} ({exc}): "
+                               "FAIL", False))
     _write_outputs(settings, "t,alpha,rho_star,cov_dev,gain_dev", rows)
 
-    ok = cov_worst <= cov_tol and gain_worst <= KALMAN_TOL
-    bound = (f"{KALMAN_TOL}" if cov_tol == KALMAN_TOL
-             else f"{cov_tol:g} for covariances, {KALMAN_TOL} for gains")
-    print(f"dense filter vs closed form, n={cfg.n}, t<= {t_max}: "
-          f"max entrywise deviation {_fmt(max(cov_worst, gain_worst))} "
-          f"({'pass' if ok else 'FAIL'} at {bound})")
+    code = _report(filter_agreement(cfg, t_max, cov_worst, gain_worst))
     print(f"alpha_infty residual |alpha_{t_max} - alpha_inf| = {_fmt(residual)}")
-    return 0 if ok else 1
+    return code
 
 
 def cmd_best_response(settings: dict, args: argparse.Namespace) -> int:
@@ -359,11 +315,8 @@ def cmd_best_response(settings: dict, args: argparse.Namespace) -> int:
     opponents, t_max = args.opponents, args.t_max
     if opponents == "wstar":
         opp = AlphaSchedule(cfg, t_max).rhos(t_max)
-    else:
-        rho = settings["rho"]
-        if not 0.0 <= rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {rho}")
-        opp = np.full(t_max + 1, rho)
+    else:  # constant opponents play W(rho), so rho is checked as W(rho)'s
+        opp = np.full(t_max + 1, PolicySpec(kind="weighted", rho=settings["rho"]).rho)
 
     br = best_response(opp, cfg, t_max)
     residual = np.abs(br.responsiveness - opp)
@@ -375,9 +328,7 @@ def cmd_best_response(settings: dict, args: argparse.Namespace) -> int:
     print(f"best response vs {opponents} opponents: max residual {_fmt(worst)} "
           f"-> {settings['out']}")
     if opponents == "wstar" or args.assert_nash:
-        ok = worst <= NASH_TOL
-        print(f"nash fixed point at {NASH_TOL}: {'pass' if ok else 'FAIL'}")
-        return 0 if ok else 1
+        return _report(nash_fixed_point(worst))
     return 0
 
 

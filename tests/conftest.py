@@ -7,6 +7,18 @@ from stochalign import sim, streams
 
 
 @pytest.fixture
+def dominance_margin():
+    """The 3-SE margin by which a rival's mean |stretch| stays above the base's.
+
+    Returns a function of (base, rival, rival_se), arrays of the base's
+    and the rival's mean |stretch| and the rival's standard errors,
+    giving rival + 3 rival_se - base entrywise: where it is >= 0, the
+    rival does not beat the base by more than 3 standard errors.
+    """
+    return lambda base, rival, rival_se: rival + 3.0 * rival_se - base
+
+
+@pytest.fixture
 def paired_shift(monkeypatch):
     """Run a single-block pair and measure the shift between its moves.
 

@@ -13,6 +13,7 @@ from dataclasses import fields
 import numpy as np
 
 import stochalign as sa
+from stochalign.checks import KALMAN_TOL, NASH_TOL, STRETCH_EQ_TOL
 from stochalign.cli import main as cli_main
 from stochalign.game import best_response
 from stochalign.kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
@@ -96,8 +97,8 @@ def test_closed_form_filter_matches_dense_filter():
                 worst = max(worst, np.abs(gain_dense - gain_cf.to_dense()).max())
     _report(
         "closed-form filter vs dense filter (n in {2,3,10}, t <= 100)",
-        worst <= 1e-9,
-        f"max entrywise deviation {worst:.2e} (tol 1e-9)",
+        worst <= KALMAN_TOL,
+        f"max entrywise deviation {worst:.2e} (tol {KALMAN_TOL:g})",
     )
 
 
@@ -111,8 +112,8 @@ def test_scheduled_and_center_seeking_policies_coincide(paired_shift):
     stretch_dev = paired.max_stretch_diff.max()
     _report(
         "scheduled vs center-seeking moves differ only by the predicted shift",
-        stretch_dev <= 1e-9 and spread <= 1e-12 and rule_dev <= 1e-12,
-        f"stretch dev {stretch_dev:.1e} (tol 1e-9), shift spread {spread:.1e}, "
+        stretch_dev <= STRETCH_EQ_TOL and spread <= 1e-12 and rule_dev <= 1e-12,
+        f"stretch dev {stretch_dev:.1e} (tol {STRETCH_EQ_TOL:g}), shift spread {spread:.1e}, "
         f"rule dev {rule_dev:.1e} (tol 1e-12)",
     )
 
@@ -154,13 +155,13 @@ def test_schedule_is_best_response_fixed_point():
         worst_var = max(worst_var, np.abs(br.p_pre - sched.alphas(50)).max())
     _report(
         "per-round schedule is its own best response (t <= 50)",
-        worst_coeff <= 1e-12 and worst_var <= 1e-10,
-        f"max coefficient gap {worst_coeff:.1e} (tol 1e-12), "
+        worst_coeff <= NASH_TOL and worst_var <= 1e-10,
+        f"max coefficient gap {worst_coeff:.1e} (tol {NASH_TOL:g}), "
         f"max variance gap {worst_var:.1e} (tol 1e-10)",
     )
 
 
-def test_scheduled_policy_dominates_constant_weights():
+def test_scheduled_policy_dominates_constant_weights(dominance_margin):
     cfg = ModelConfig(n=5, sigma0=1.0, sigma_m=1.0, sigma_d=1.0,
                       horizon=200, seed=7)
     reps = 100_000
@@ -175,12 +176,12 @@ def test_scheduled_policy_dominates_constant_weights():
     worst_margin = worst_max_margin = math.inf
     ok = True
     for result in others:
-        margins = result.mean_abs_stretch + 3.0 * result.std_error - base_abs
+        margins = dominance_margin(base_abs, result.mean_abs_stretch, result.std_error)
         worst_margin = min(worst_margin, margins.min())
         ok &= bool(np.all(margins >= 0.0))
         mabs, se = result.agent_mean_abs_stretch, result.agent_std_error
         at = np.arange(len(mabs)), mabs.argmax(axis=1)
-        max_margins = mabs[at] + 3.0 * se[at] - base_max
+        max_margins = dominance_margin(base_max, mabs[at], se[at])
         worst_max_margin = min(worst_max_margin, max_margins.min())
         ok &= bool(np.all(max_margins >= 0.0))
     _report(

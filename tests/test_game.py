@@ -148,7 +148,7 @@ class TestDeviantPolicy:
 
 
 class TestEmpiricalDominance:
-    def test_best_response_beats_fixed_deviations(self):
+    def test_best_response_beats_fixed_deviations(self, dominance_margin):
         # the deviator's mean |stretch| under the best-response schedule is
         # no worse (within 3 standard errors) than under any fixed
         # deviation coefficient, against scheduled opponents
@@ -170,8 +170,8 @@ class TestEmpiricalDominance:
         # the deviator is agent 0: its own column of each lane's statistics
         base_abs = base.agent_mean_abs_stretch[:, 0]
         for coeff, result in zip(fixed, others):
-            other_abs = result.agent_mean_abs_stretch[:, 0]
-            other_se = result.agent_std_error[:, 0]
-            assert np.all(base_abs <= other_abs + 3.0 * other_se), (
+            margins = dominance_margin(base_abs, result.agent_mean_abs_stretch[:, 0],
+                                       result.agent_std_error[:, 0])
+            assert np.all(margins >= 0.0), (
                 f"fixed coefficient {coeff} beat the best response"
             )
