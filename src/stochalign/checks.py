@@ -39,17 +39,18 @@ def _noise_scale(cfg: ModelConfig) -> float:
 # kalman-check: the closed-form filter is the dense Kalman filter
 
 KALMAN_TOL = 1e-9
-DEVIATION_ROWS = 64  # rows per band of kalman-check's deviation buffer
+DEVIATION_ROWS = 64  # rows per band of _max_deviation's buffer
 
 
-def _max_deviation(dense: np.ndarray, x: StructuredMatrix, buf: np.ndarray) -> float:
+def _max_deviation(dense: np.ndarray, x: StructuredMatrix) -> float:
     """max |dense - x.to_dense()| entrywise, the same bits, without forming x.
 
-    The deviation is taken a band of rows at a time in buf, a C-contiguous
-    buffer of n columns and up to DEVIATION_ROWS rows; a max of absolute
-    values does not depend on how the entries are grouped.
+    The deviation is taken a band of rows at a time in a buffer of n
+    columns and up to DEVIATION_ROWS rows; a max of absolute values does
+    not depend on how the entries are grouped.
     """
     n = x.n
+    buf = np.empty((min(n, DEVIATION_ROWS), n))
     peaks = []
     for lo in range(0, n, len(buf)):
         band = buf[:min(len(buf), n - lo)]

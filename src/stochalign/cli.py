@@ -9,12 +9,15 @@ are the policy/rho settings.  Every run writes its CSV plus a
 count and the command, but not the subcommand-only flags (compare's
 --b/--rho-b, --t-max, --opponents and --assert-nash).  Every setting is
 checked before any work starts, and the CSV and its sidecar are both
-written or neither is.  Threads come from --threads, else all cores.
+written or neither is.  Commands hand their rows to _write_outputs as
+plain numbers and strings, and it alone formats a cell.  Threads come
+from --threads, else all cores.
 
 compare (of wstar and matc), kalman-check and best-response (against
 wstar, or with --assert-nash) end in a check: the command computes its
 inputs and writes its rows, a function of stochalign.checks turns them
-into a Verdict, and _report, the one place a verdict becomes an exit
+into a Verdict (compare's check reads the two compiled gains its paired
+run ran), and _report, the one place a verdict becomes an exit
 code, prints its line.  Exit codes: 0 success / check passed, 1 check
 failed (kalman-check also when its dense reference filter fails), 2
 usage, configuration, I/O, out-of-memory or out-of-threads error.
@@ -26,16 +29,15 @@ import json
 import math
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
 from .analysis import alpha_infty, cost_from_variance, rho_star_const, var_limit
-from .checks import (DEVIATION_ROWS, Verdict, _fmt, _max_deviation, filter_agreement,
-                     nash_fixed_point, shift_identity)
+from .checks import (Verdict, _fmt, _max_deviation, filter_agreement, nash_fixed_point,
+                     shift_identity)
 from .game import best_response
 from .kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
-from .model import ModelConfig
+from .model import ModelConfig, require_int
 from .policies import POLICY_KINDS, PolicySpec, make_policy
 from .sim import RunPlan, run, run_paired, sweep_rho
 
@@ -104,7 +106,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    settings["threads"] = _resolve_threads(args.threads)
+    settings["threads"] = (os.cpu_count() or 1) if args.threads is None else args.threads
+    require_int("threads", settings["threads"], lo=1)
     settings["command"] = args.command
     out = settings["out"]
     if not os.path.basename(out) or os.path.isdir(out):
@@ -113,14 +116,6 @@ def _resolve(args: argparse.Namespace) -> dict:
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} does not exist")
     return settings
-
-
-def _resolve_threads(flag: Optional[int]) -> int:
-    """--threads, else all cores."""
-    threads = (os.cpu_count() or 1) if flag is None else flag
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return threads
 
 
 def _model_config(settings: dict) -> ModelConfig:
@@ -135,10 +130,12 @@ def _policy_spec(name: str, rho: float) -> PolicySpec:
 def _write_outputs(settings: dict, header: str, rows) -> None:
     """Write the CSV and its <out>.config.json sidecar, or neither.
 
-    Both are written to temp files beside their targets and moved into
-    place only once both are complete, the sidecar first; if the CSV then
-    cannot be moved, the new sidecar is removed again.  Only temp files
-    this call created are ever removed.
+    This is the one place a CSV cell is formatted.  Each row is a
+    sequence of cells: a str cell is written as it is, and any other cell
+    as _fmt formats it.  Both files are written to temp files beside their
+    targets and moved into place only once both are complete, the sidecar
+    first; if the CSV then cannot be moved, the new sidecar is removed
+    again.  Only temp files this call created are ever removed.
     """
     out = settings["out"]
     sidecar = out + ".config.json"
@@ -149,7 +146,7 @@ def _write_outputs(settings: dict, header: str, rows) -> None:
             created.append(tmp_out)
             fh.write(header + "\n")
             for row in rows:
-                fh.write(",".join(row) + "\n")
+                fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
         with open(tmp_sidecar, "x") as fh:
             created.append(tmp_sidecar)
             json.dump(settings, fh, indent=2, sort_keys=True)
@@ -177,18 +174,15 @@ def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
     spec = _policy_spec(settings["policy"], settings["rho"])
     plan = RunPlan(cfg=cfg, policy=spec, replications=settings["replications"],
                    threads=settings["threads"])
-    if spec.kind == "weighted":
-        limit = var_limit(spec.rho, cfg)
-        label = f"W({_fmt(spec.rho)})"
-    else:
-        rho_star = rho_star_const(cfg)
-        limit = var_limit(rho_star, cfg)
-        label = f"{spec.kind} (limiting responsiveness {_fmt(rho_star)})"
+    weighted = spec.kind == "weighted"
+    rho = spec.rho if weighted else rho_star_const(cfg)
+    limit = var_limit(rho, cfg)
+    label = f"W({_fmt(rho)})" if weighted else f"{spec.kind} (limiting responsiveness {_fmt(rho)})"
     cost = cost_from_variance(limit)
 
     result = run(plan)
-    rows = ([_fmt(t), _fmt(var), _fmt(mabs), _fmt(se)] for t, (var, mabs, se) in
-            enumerate(zip(result.var_stretch, result.mean_abs_stretch, result.std_error)))
+    rows = zip(range(cfg.horizon + 1), result.var_stretch, result.mean_abs_stretch,
+               result.std_error)
     _write_outputs(settings, "round,var_stretch,mean_abs_stretch,stderr", rows)
 
     print(f"policy {label}: predicted limiting variance {_fmt(limit)}, "
@@ -206,14 +200,14 @@ def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
     spec_b = _policy_spec(args.b, args.rho_b)
     plan = RunPlan(cfg=cfg, policy=spec_a, replications=settings["replications"],
                    threads=settings["threads"])
+    # compiled once the plan has checked its settings; the paired run
+    # runs, and the check reads, these gains
+    gain_a, gain_b = make_policy(spec_a, cfg), make_policy(spec_b, cfg)
 
-    paired = run_paired(plan, spec_b)
+    paired = run_paired(dataclasses.replace(plan, policy=gain_a), gain_b)
 
-    rows = []
-    for t, (com_a, com_b) in enumerate(paired.center_of_mass.T):
-        shift = paired.shift_mean[t] if t < cfg.horizon else math.nan
-        rows.append([_fmt(t), _fmt(com_a), _fmt(com_b),
-                     _fmt(paired.max_stretch_diff[t]), _fmt(shift)])
+    rows = zip(range(cfg.horizon + 1), *paired.center_of_mass, paired.max_stretch_diff,
+               np.append(paired.shift_mean[:cfg.horizon], math.nan))
     _write_outputs(settings, "round,com_a,com_b,max_stretch_diff,move_shift", rows)
 
     stretch_diff = paired.max_stretch_diff.max()
@@ -223,9 +217,8 @@ def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
         return 0
     # the two policies must be the same move up to a common per-round
     # shift, rho*(t) times the mean measurement
-    rhos = AlphaSchedule(cfg, cfg.horizon).rhos(cfg.horizon)
-    return _report(shift_identity(cfg, stretch_diff, make_policy(spec_a, cfg),
-                                  make_policy(spec_b, cfg), rhos))
+    rhos = AlphaSchedule(cfg, cfg.horizon).rhos()
+    return _report(shift_identity(cfg, stretch_diff, gain_a, gain_b, rhos))
 
 
 def _rho_grid(start: float, stop: float, step: float) -> list:
@@ -259,10 +252,8 @@ def cmd_sweep(settings: dict, args: argparse.Namespace) -> int:
     grid = _rho_grid(settings["grid_start"], settings["grid_stop"], settings["grid_step"])
     rho_star = rho_star_const(cfg)
     points = sweep_rho(cfg, grid, settings["replications"], threads=settings["threads"])
-    rows = []
-    for p in points:
-        empirical = "divergent" if math.isinf(p.var_closed_form) else _fmt(p.var_empirical)
-        rows.append([_fmt(p.rho), empirical, _fmt(p.var_closed_form)])
+    rows = ((p.rho, "divergent" if math.isinf(p.var_closed_form) else p.var_empirical,
+             p.var_closed_form) for p in points)
     _write_outputs(settings, "rho,var_empirical,var_closed_form", rows)
 
     finite = [p for p in points if not math.isinf(p.var_closed_form)]
@@ -283,7 +274,6 @@ def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
     residual = abs(schedule.alpha(t_max) - alpha_infty(cfg))
     cov_worst = gain_worst = 0.0
     rows = []
-    buf = np.empty((min(cfg.n, DEVIATION_ROWS), cfg.n))
     path = dense_filter_path(cfg, t_max)
     try:
         for t in range(t_max + 1):
@@ -291,11 +281,10 @@ def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
             # no round's matrices stay alive while the path computes the next
             cov_dense, gain_dense = next(path)
             cov_cf, gain_cf = closed_form_filter_state(cfg, t, schedule)
-            cov_dev = _max_deviation(cov_dense, cov_cf, buf)
-            gain_dev = _max_deviation(gain_dense, gain_cf, buf)
+            cov_dev = _max_deviation(cov_dense, cov_cf)
+            gain_dev = _max_deviation(gain_dense, gain_cf)
             cov_worst, gain_worst = max(cov_worst, cov_dev), max(gain_worst, gain_dev)
-            rows.append([_fmt(t), _fmt(schedule.alpha(t)), _fmt(schedule.rho(t)),
-                         _fmt(cov_dev), _fmt(gain_dev)])
+            rows.append((t, schedule.alpha(t), schedule.rho(t), cov_dev, gain_dev))
             del cov_dense, gain_dense
     except np.linalg.LinAlgError as exc:
         # only the dense filter's solve raises this: a valid config can
@@ -314,14 +303,13 @@ def cmd_best_response(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
     opponents, t_max = args.opponents, args.t_max
     if opponents == "wstar":
-        opp = AlphaSchedule(cfg, t_max).rhos(t_max)
+        opp = AlphaSchedule(cfg, t_max).rhos()
     else:  # constant opponents play W(rho), so rho is checked as W(rho)'s
         opp = np.full(t_max + 1, PolicySpec(kind="weighted", rho=settings["rho"]).rho)
 
     br = best_response(opp, cfg, t_max)
     residual = np.abs(br.responsiveness - opp)
-    rows = ([_fmt(t), _fmt(opp[t]), _fmt(br.responsiveness[t]), _fmt(residual[t])]
-            for t in range(t_max + 1))
+    rows = zip(range(t_max + 1), opp, br.responsiveness, residual)
     _write_outputs(settings, "t,opp_rho,best_response,residual", rows)
 
     worst = residual.max()

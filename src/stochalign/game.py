@@ -72,7 +72,7 @@ def deviant_policy(coeffs: Sequence[float], schedule: AlphaSchedule,
     require_int("agent", agent, lo=0, hi=n)
     coeffs = np.asarray(coeffs, dtype=float)
     rounds = min(len(coeffs), schedule.t_max + 1)
-    rhos = schedule.rhos(schedule.t_max)[:rounds]
+    rhos = schedule.rhos()[:rounds]
     scale = np.repeat(rhos[:, np.newaxis], n, axis=1)
     scale[:, agent] = coeffs[:rounds]
     return Gain(scale)

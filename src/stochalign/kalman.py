@@ -71,8 +71,9 @@ class AlphaSchedule:
         alpha_{t+1} = sigma_m^2 alpha_t / (c alpha_t + sigma_m^2) + c sigma_d^2,
         rho*(t)     = alpha_t / (c alpha_t + sigma_m^2),         c = n/(n-1).
 
-    Both are computed once, for rounds 0..t_max; a round outside that
-    range is rejected.
+    Both are computed once, for rounds 0..t_max.  alpha(t) and rho(t)
+    read one round and reject a round outside that range; alphas() and
+    rhos() return copies of all t_max + 1 rounds.
     """
 
     def __init__(self, cfg: ModelConfig, t_max: int):
@@ -100,11 +101,11 @@ class AlphaSchedule:
     def rho(self, t: int) -> float:
         return float(self._rhos[self._check(t)])
 
-    def alphas(self, t_max: int) -> np.ndarray:
-        return self._alphas[:self._check(t_max) + 1].copy()
+    def alphas(self) -> np.ndarray:
+        return self._alphas.copy()
 
-    def rhos(self, t_max: int) -> np.ndarray:
-        return self._rhos[:self._check(t_max) + 1].copy()
+    def rhos(self) -> np.ndarray:
+        return self._rhos.copy()
 
 
 def closed_form_filter_state(cfg: ModelConfig, t: int, schedule: AlphaSchedule):

@@ -90,7 +90,7 @@ def make_policy(spec: PolicySpec, cfg: ModelConfig) -> Gain:
     rounds = cfg.horizon
     if spec.kind == "weighted":
         return Gain(np.full(rounds, spec.rho, dtype=float))
-    rhos = AlphaSchedule(cfg, rounds).rhos(rounds)[:rounds]
+    rhos = AlphaSchedule(cfg, rounds).rhos()[:rounds]
     if spec.kind == "wstar":
         return Gain(rhos)
     n = cfg.n

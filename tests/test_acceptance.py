@@ -108,7 +108,7 @@ def test_scheduled_and_center_seeking_policies_coincide(paired_shift):
     cfg = ModelConfig(n=3, horizon=100, seed=77)
     sched = AlphaSchedule(cfg, 100)
     plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=100)
-    paired, spread, rule_dev = paired_shift(plan, PolicySpec(kind="matc"), sched.rhos(100))
+    paired, spread, rule_dev = paired_shift(plan, PolicySpec(kind="matc"), sched.rhos())
     stretch_dev = paired.max_stretch_diff.max()
     _report(
         "scheduled vs center-seeking moves differ only by the predicted shift",
@@ -133,7 +133,7 @@ def test_uncertainty_schedule_converges_geometrically():
         # per-round contraction factor bound k = a/(a + limit)
         a = cfg.sigma_m**2 * (n - 1) / n
         k = a / (a + limit)
-        errs = np.abs(sched.alphas(200) - limit)
+        errs = np.abs(sched.alphas() - limit)
         for t in range(200):
             if errs[t] <= 1e-12:
                 break
@@ -149,10 +149,10 @@ def test_schedule_is_best_response_fixed_point():
                               (10, 1.0, 1.0, 2.0)):
         cfg = ModelConfig(n=n, sigma0=sigma0, sigma_m=sm, sigma_d=sd)
         sched = AlphaSchedule(cfg, 50)
-        br = best_response(sched.rhos(50), cfg, 50)
+        br = best_response(sched.rhos(), cfg, 50)
         worst_coeff = max(worst_coeff,
-                          np.abs(br.responsiveness - sched.rhos(50)).max())
-        worst_var = max(worst_var, np.abs(br.p_pre - sched.alphas(50)).max())
+                          np.abs(br.responsiveness - sched.rhos()).max())
+        worst_var = max(worst_var, np.abs(br.p_pre - sched.alphas()).max())
     _report(
         "per-round schedule is its own best response (t <= 50)",
         worst_coeff <= NASH_TOL and worst_var <= 1e-10,

@@ -108,7 +108,7 @@ class TestShiftIdentity:
         # twice what they move it off the rule, so the spread alone fails;
         # equal offsets keep the spread and move only the rule
         cfg = ModelConfig(n=4, horizon=10)
-        rhos = AlphaSchedule(cfg, cfg.horizon).rhos(cfg.horizon)
+        rhos = AlphaSchedule(cfg, cfg.horizon).rhos()
         wstar = make_policy(PolicySpec(kind="wstar"), cfg)
         matc = make_policy(PolicySpec(kind="matc"), cfg)
         peak = wstar.scale.max()

@@ -214,16 +214,10 @@ class TestCompare:
         return (*map(float, match.groups()[:3]), match[4])
 
     @pytest.mark.parametrize("diag", [0.0, 1e-9], ids=["spread", "rule"])
-    def test_gains_off_the_shift_fail(self, tmp_path, capsys, monkeypatch, diag):
+    def test_gains_off_the_shift_fail(self, capsys, monkeypatch, diag):
         # the compiled matc gain's off-diagonal is off by 1e-9, and with its
         # diagonal too the gains differ by a common shift of the wrong size;
-        # the engine compiles its own gains: the same CSV, and only the
-        # exact check fails
-        argv = ["compare", "--n", "4", "--rounds", "10", "--reps", "50", "--threads", "1",
-                "--out", "cmp.csv"]
-        assert main(argv) == 0
-        expect = (tmp_path / "cmp.csv").read_bytes()
-        capsys.readouterr()
+        # the engine runs that gain too, and the exact check fails
         make_policy = cli.make_policy
 
         def off(spec, cfg):
@@ -234,30 +228,31 @@ class TestCompare:
                         StructuredMatrix(cfg.n, gain.op.diag + diag, gain.op.off + 1e-9))
 
         monkeypatch.setattr(cli, "make_policy", off)
-        assert main(argv) == 1
-        assert (tmp_path / "cmp.csv").read_bytes() == expect
+        assert main(["compare", "--n", "4", "--rounds", "10", "--reps", "50",
+                     "--threads", "1", "--out", "cmp.csv"]) == 1
         _, spread, rule, outcome = self.verdict(capsys)
         assert (spread > SHIFT_TOL) == (diag == 0.0)
         assert rule > SHIFT_TOL and outcome == "FAIL"
 
-    def test_engine_moves_off_the_shift_fail(self, tmp_path, capsys, monkeypatch):
-        # the engine's matc scale is off by one part in a million, so the
-        # stretches part while the compiled gains still differ by the shift
-        make_policy = sim.make_policy
+    def test_checks_the_gains_the_paired_run_ran(self, monkeypatch):
+        ran, checked = [], []
+        run_paired, shift_identity = cli.run_paired, cli.shift_identity
 
-        def off(spec, cfg):
-            gain = make_policy(spec, cfg)
-            return Gain(gain.scale * (1 + 1e-6), gain.op) if spec.kind == "matc" else gain
+        def spy_run(plan, policy_b):
+            ran.extend((plan.policy, policy_b))
+            return run_paired(plan, policy_b)
 
-        monkeypatch.setattr(sim, "make_policy", off)
-        code = main(["compare", "--n", "4", "--rounds", "10", "--reps", "50",
-                     "--threads", "1", "--out", "cmp.csv"])
-        assert code == 1
-        _, rows = read_csv(tmp_path / "cmp.csv")
-        assert max(float(r[3]) for r in rows) > STRETCH_EQ_TOL
-        stretch_tol, spread, rule, outcome = self.verdict(capsys)
-        assert stretch_tol == 1e-9 and spread <= SHIFT_TOL and rule <= SHIFT_TOL
-        assert outcome == "FAIL"
+        def spy_check(cfg, stretch_diff, gain_a, gain_b, rhos):
+            checked.extend((gain_a, gain_b))
+            return shift_identity(cfg, stretch_diff, gain_a, gain_b, rhos)
+
+        monkeypatch.setattr(cli, "run_paired", spy_run)
+        monkeypatch.setattr(cli, "shift_identity", spy_check)
+        assert main(["compare", "--n", "4", "--rounds", "5", "--reps", "10",
+                     "--threads", "1", "--out", "cmp.csv"]) == 0
+        assert len(ran) == len(checked) == 2
+        assert all(isinstance(gain, Gain) for gain in ran)
+        assert all(r is c for r, c in zip(ran, checked))
 
     def test_same_policy_compare_is_exact(self, tmp_path):
         code = main(["compare", "--a", "weighted", "--b", "weighted",
@@ -445,11 +440,10 @@ class TestKalmanCheck:
                                    checks.DEVIATION_ROWS + 1, 2 * checks.DEVIATION_ROWS + 1])
     def test_banded_deviation_is_the_dense_one_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
-        buf = np.empty((min(n, checks.DEVIATION_ROWS), n))
         for scale in (1e-3, 1.0, 1e40):
             dense = scale * rng.standard_normal((n, n))
             x = StructuredMatrix(n, scale * rng.standard_normal(), scale * rng.standard_normal())
-            got = checks._max_deviation(dense, x, buf)
+            got = checks._max_deviation(dense, x)
             assert got.tobytes() == np.abs(dense - x.to_dense()).max().tobytes()
 
     def test_singular_dense_filter_fails_the_check(self, tmp_path, capsys):

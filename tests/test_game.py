@@ -82,12 +82,12 @@ class TestBestResponse:
         for n, sm, sd in ((2, 1.0, 1.0), (5, 2.0, 1.0), (10, 1.0, 2.0)):
             cfg = ModelConfig(n=n, sigma_m=sm, sigma_d=sd)
             sched = AlphaSchedule(cfg, 50)
-            br = best_response(sched.rhos(50), cfg, 50)
+            br = best_response(sched.rhos(), cfg, 50)
             np.testing.assert_allclose(
-                br.responsiveness, sched.rhos(50), atol=1e-12
+                br.responsiveness, sched.rhos(), atol=1e-12
             )
             # and the deviator's uncertainty is exactly the shared alpha_t
-            np.testing.assert_allclose(br.p_pre, sched.alphas(50), atol=1e-10)
+            np.testing.assert_allclose(br.p_pre, sched.alphas(), atol=1e-10)
 
     def test_passive_opponents_not_a_fixed_point(self):
         cfg = ModelConfig(n=3)
@@ -109,7 +109,7 @@ class TestBestResponse:
     def test_nash_residual_of_scheduled_play(self):
         cfg = ModelConfig(n=5, sigma_m=1.5, sigma_d=0.5)
         sched = AlphaSchedule(cfg, 50)
-        assert nash_residual(sched.rhos(50), cfg, 50) <= 1e-12
+        assert nash_residual(sched.rhos(), cfg, 50) <= 1e-12
 
 
 class TestDeviantPolicy:
@@ -158,7 +158,7 @@ class TestEmpiricalDominance:
         cfg = ModelConfig(n=5, horizon=horizon, seed=2718)
         reps = 100_000
         sched = AlphaSchedule(cfg, horizon)
-        br = best_response(sched.rhos(horizon), cfg, horizon)
+        br = best_response(sched.rhos(), cfg, horizon)
 
         fixed = (0.0, 0.25, 0.5, 0.75, 1.0)
         # one pass: the best response and every fixed deviation are lanes

@@ -253,14 +253,14 @@ class TestAlphaSchedule:
         cfg = ModelConfig(n=5, sigma_m=2.0, sigma_d=0.7)
         short = AlphaSchedule(cfg, 2)
         long_ = AlphaSchedule(cfg, 300)
-        np.testing.assert_array_equal(short.alphas(2), long_.alphas(300)[:3])
-        np.testing.assert_array_equal(short.rhos(2), long_.rhos(300)[:3])
+        np.testing.assert_array_equal(short.alphas(), long_.alphas()[:3])
+        np.testing.assert_array_equal(short.rhos(), long_.rhos()[:3])
         assert short.rho(2) == long_.rho(2)
 
     def test_rho_stays_in_unit_interval(self):
         for n, sm, sd in ((2, 1.0, 1.0), (3, 0.1, 5.0), (10, 5.0, 0.1)):
             sched = AlphaSchedule(ModelConfig(n=n, sigma_m=sm, sigma_d=sd), 200)
-            rhos = sched.rhos(200)
+            rhos = sched.rhos()
             assert np.all(rhos >= 0.0) and np.all(rhos < 1.0)
 
     def test_converges_to_limit(self):
@@ -278,7 +278,7 @@ class TestAlphaSchedule:
         a = cfg.sigma_m**2 * (cfg.n - 1) / cfg.n
         k = a / (a + limit)
         sched = AlphaSchedule(cfg, 100)
-        errs = np.abs(sched.alphas(100) - limit)
+        errs = np.abs(sched.alphas() - limit)
         for t in range(100):
             if errs[t] <= 1e-12:
                 break
@@ -291,7 +291,7 @@ class TestAlphaSchedule:
 
     def test_rejects_rounds_beyond_t_max(self):
         sched = AlphaSchedule(ModelConfig(n=2), 4)
-        for read in (sched.alpha, sched.rho, sched.alphas, sched.rhos):
+        for read in (sched.alpha, sched.rho):
             with pytest.raises(ValueError, match="outside the schedule"):
                 read(5)
 
@@ -414,7 +414,7 @@ class TestCommunication:
         v' = (1 - c rho*)^2 v + c (rho*^2 sigma_m^2 + sigma_d^2)."""
         c = cfg.n / (cfg.n - 1)
         v = [c * cfg.sigma0 ** 2]
-        for rho in AlphaSchedule(cfg, rounds).rhos(rounds)[:rounds]:
+        for rho in AlphaSchedule(cfg, rounds).rhos()[:rounds]:
             v.append((1 - c * rho) ** 2 * v[-1]
                      + c * (rho ** 2 * cfg.sigma_m ** 2 + cfg.sigma_d ** 2))
         return np.array(v[1:])

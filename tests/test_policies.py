@@ -110,7 +110,7 @@ class TestMatc:
         # so their moves differ by rho*(t) mean(Y) on every agent, over the
         # accepted noise range
         cfg = ModelConfig(n=n, sigma0=sigma0, sigma_m=sigma_m, sigma_d=sigma_d, horizon=30)
-        rhos = AlphaSchedule(cfg, 30).rhos(30)
+        rhos = AlphaSchedule(cfg, 30).rhos()
         wstar = make_policy(PolicySpec(kind="wstar"), cfg)
         matc = make_policy(PolicySpec(kind="matc"), cfg)
         assert wstar.op is None and wstar.scale.shape == matc.scale.shape == (30,)

@@ -95,7 +95,7 @@ def test_every_lane_equals_its_own_run_bit_for_bit(setup):
        sigma_d=st.floats(0.01, 100.0), t_max=st.integers(0, 300))
 def test_alphas_move_monotonically_toward_alpha_infty(n, sigma0, sigma_m, sigma_d, t_max):
     cfg = ModelConfig(n=n, sigma0=sigma0, sigma_m=sigma_m, sigma_d=sigma_d)
-    alphas = AlphaSchedule(cfg, t_max).alphas(t_max)
+    alphas = AlphaSchedule(cfg, t_max).alphas()
     limit = alpha_infty(cfg)
     # rounding in the recursion and in the closed-form limit
     tol = 1e-12 * max(alphas[0], limit)

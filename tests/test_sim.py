@@ -231,7 +231,7 @@ class TestScheduledPolicies:
         # a plan accepts.  Up to 1e12 the largest |z| reads about 2.9
         cfg = ModelConfig(n=5, sigma0=sigma0, horizon=100, seed=1)
         result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind=kind), replications=5_000))
-        alphas = AlphaSchedule(cfg, 100).alphas(100)
+        alphas = AlphaSchedule(cfg, 100).alphas()
         assert np.all(np.abs(result.var_stretch - alphas) <= 6.0 * result.var_std_error)
 
     @pytest.mark.parametrize("sigma0", [1e16, 1e20])
@@ -296,7 +296,7 @@ class TestPairedRuns:
         cfg = ModelConfig(n=3, horizon=40, seed=21)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=200)
         sched = AlphaSchedule(cfg, 40)
-        paired, spread, rule_dev = paired_shift(plan, PolicySpec(kind="matc"), sched.rhos(40))
+        paired, spread, rule_dev = paired_shift(plan, PolicySpec(kind="matc"), sched.rhos())
         assert paired.max_stretch_diff.max() <= 1e-9
         # the moves the engine applies differ by a pure common shift that
         # follows the rule: rho*(t) times the mean measurement
