@@ -13,8 +13,7 @@ CSV-producing command line (`stochalign`).
 from .analysis import (alpha_infty, cost_from_variance, rho_star_const, var_limit,
                        var_star_large_n)
 from .game import BestResponseSchedule, best_response, deviant_policy, nash_residual
-from .kalman import (AlphaSchedule, closed_form_filter_state, dense_filter_path,
-                     scalar_filter_step)
+from .kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from .model import ModelConfig, stretch_values
 from .policies import Gain, PolicySpec, make_policy
 from .sim import (PairedRunResult, RoundStats, RunPlan, RunResult, SweepPoint,

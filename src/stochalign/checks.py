@@ -1,7 +1,8 @@
 """The paper's three exact claims as checks, each returning a Verdict.
 
 filter_agreement: the closed-form filter is the dense Kalman filter
-(kalman-check).  shift_identity: W* and the centre-seeking rule make the
+(kalman-check); filter_failure is that check's verdict when the dense
+filter raises.  shift_identity: W* and the centre-seeking rule make the
 same move up to a common per-round shift (compare).  nash_fixed_point:
 rho*(t) is its own best response (best-response).
 
@@ -71,9 +72,22 @@ def filter_agreement(cfg: ModelConfig, t_max: int, cov_dev: float, gain_dev: flo
     ok = bool(cov_dev <= cov_tol and gain_dev <= KALMAN_TOL)
     bound = (f"{KALMAN_TOL}" if cov_tol == KALMAN_TOL
              else f"{cov_tol:g} for covariances, {KALMAN_TOL} for gains")
-    return Verdict(f"dense filter vs closed form, n={cfg.n}, t<= {t_max}: "
-                   f"max entrywise deviation {_fmt(max(cov_dev, gain_dev))} "
-                   f"({'pass' if ok else 'FAIL'} at {bound})", ok)
+    return Verdict(f"{_filter_prefix(cfg, t_max)}max entrywise deviation "
+                   f"{_fmt(max(cov_dev, gain_dev))} ({'pass' if ok else 'FAIL'} at {bound})", ok)
+
+
+def filter_failure(cfg: ModelConfig, t_max: int, t: int, exc: Exception) -> Verdict:
+    """The dense reference filter raised exc at round t, so the check cannot pass.
+
+    A valid config can still be singular to LAPACK's solve.
+    """
+    return Verdict(f"{_filter_prefix(cfg, t_max)}the dense reference filter failed "
+                   f"at round {t} ({exc}): FAIL", False)
+
+
+def _filter_prefix(cfg: ModelConfig, t_max: int) -> str:
+    """The opening that both of kalman-check's verdict lines share."""
+    return f"dense filter vs closed form, n={cfg.n}, t<= {t_max}: "
 
 
 # compare: W* and the centre-seeking rule differ by a common shift

@@ -33,8 +33,8 @@ import sys
 import numpy as np
 
 from .analysis import alpha_infty, cost_from_variance, rho_star_const, var_limit
-from .checks import (Verdict, _fmt, _max_deviation, filter_agreement, nash_fixed_point,
-                     shift_identity)
+from .checks import (Verdict, _fmt, _max_deviation, filter_agreement, filter_failure,
+                     nash_fixed_point, shift_identity)
 from .game import best_response
 from .kalman import AlphaSchedule, closed_form_filter_state, dense_filter_path
 from .model import ModelConfig, require_int
@@ -280,7 +280,7 @@ def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
             # taken with next() and dropped at the end of the round, so that
             # no round's matrices stay alive while the path computes the next
             cov_dense, gain_dense = next(path)
-            cov_cf, gain_cf = closed_form_filter_state(cfg, t, schedule)
+            cov_cf, gain_cf = closed_form_filter_state(schedule, t)
             cov_dev = _max_deviation(cov_dense, cov_cf)
             gain_dev = _max_deviation(gain_dense, gain_cf)
             cov_worst, gain_worst = max(cov_worst, cov_dev), max(gain_worst, gain_dev)
@@ -289,9 +289,7 @@ def cmd_kalman_check(settings: dict, args: argparse.Namespace) -> int:
     except np.linalg.LinAlgError as exc:
         # only the dense filter's solve raises this: a valid config can
         # still be singular to LAPACK, so the check cannot pass
-        return _report(Verdict(f"dense filter vs closed form, n={cfg.n}, t<= {t_max}: the "
-                               f"dense reference filter failed at round {len(rows)} ({exc}): "
-                               "FAIL", False))
+        return _report(filter_failure(cfg, t_max, len(rows), exc))
     _write_outputs(settings, "t,alpha,rho_star,cov_dev,gain_dev", rows)
 
     code = _report(filter_agreement(cfg, t_max, cov_worst, gain_worst))

@@ -2,9 +2,10 @@
 
 When every other agent plays a weighted-average schedule rho(t), the
 deviating agent's optimal move is a coefficient times its own measurement,
-computed from the scalar Kalman filter that tracks its stretch.  The
-per-round optimal schedule rho*(t) is the unique fixed point: best
-responding to it returns it.
+computed from the scalar Kalman filter that tracks its stretch; that
+filter runs in `best_response`'s own loop.  The per-round optimal
+schedule rho*(t) is the unique fixed point: best responding to it
+returns it.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kalman import AlphaSchedule, scalar_filter_step
+from .kalman import AlphaSchedule
 from .model import ModelConfig, require_int, require_schedule
 from .policies import Gain
 
@@ -24,9 +25,6 @@ class BestResponseSchedule:
     responsiveness: np.ndarray
     p_pre: np.ndarray
 
-    def __len__(self):
-        return len(self.responsiveness)
-
 
 def best_response(opp_schedule: Sequence[float], cfg: ModelConfig,
                   t_max: int) -> BestResponseSchedule:
@@ -34,17 +32,23 @@ def best_response(opp_schedule: Sequence[float], cfg: ModelConfig,
 
     opp_schedule[t] is the finite responsiveness every opponent plays at round t.
     The deviating agent moves (1 - rho_opp/(n-1)) * gain * Y_i, the move
-    that zeroes its predicted stretch.  t_max is an integer >= 0.
+    that zeroes its predicted stretch.  Its scalar filter runs here, one
+    round per pass: the gain is p-/(p- + sigma_m^2), and the next
+    prediction variance adds the opponents' moves and the drift to the
+    shrunk posterior; its own move is known to it and does not enter the
+    variance.  t_max is an integer >= 0.
     """
     require_int("t_max", t_max, lo=0)
     opp = require_schedule("opponent schedule", opp_schedule, t_max + 1)
+    n, sm2, sd2 = cfg.n, cfg.sigma_m ** 2, cfg.sigma_d ** 2
     coeff = np.empty(t_max + 1)
     p_pre = np.empty(t_max + 1)
-    p = cfg.n * cfg.sigma0 ** 2 / (cfg.n - 1)
-    for t in range(t_max + 1):
+    p = n * cfg.sigma0 ** 2 / (n - 1)
+    for t, rho_opp in enumerate(opp[:t_max + 1]):
         p_pre[t] = p
-        k, p = scalar_filter_step(p, opp[t], cfg)
-        coeff[t] = (1.0 - opp[t] / (cfg.n - 1)) * k
+        shrink = 1.0 - rho_opp / (n - 1)
+        coeff[t] = shrink * (p / (p + sm2))
+        p = shrink ** 2 * p * sm2 / (p + sm2) + (rho_opp ** 2 * sm2 + sd2) / (n - 1) + sd2
     return BestResponseSchedule(responsiveness=coeff, p_pre=p_pre)
 
 

@@ -5,8 +5,7 @@ streams the dense covariance recursion, one solve and one matrix product
 per round in about four n x n arrays, and the closed forms (`AlphaSchedule`,
 `closed_form_filter_state`) exploit the constant-diagonal structure of
 the alignment system at O(1) per round.  `kalman-check` compares the two
-round by round.  `scalar_filter_step` is the deviating agent's filter,
-which the game layer uses.
+round by round.
 """
 
 import numpy as np
@@ -108,33 +107,14 @@ class AlphaSchedule:
         return self._rhos.copy()
 
 
-def closed_form_filter_state(cfg: ModelConfig, t: int, schedule: AlphaSchedule):
-    """Structured (prediction covariance, gain) at round t.
+def closed_form_filter_state(schedule: AlphaSchedule, t: int):
+    """Structured (prediction covariance, gain) at round t of the schedule's config.
 
     P-_t = -alpha_t M and K_t = -rho*(t) M, where M is the stretch
-    operator; both stay in the constant-diagonal family forever.
+    operator of the schedule's n; both stay in the constant-diagonal
+    family forever.
     """
-    m = mn(cfg.n)
+    m = mn(schedule.cfg.n)
     cov_pre: StructuredMatrix = -schedule.alpha(t) * m
     gain_t: StructuredMatrix = -schedule.rho(t) * m
     return cov_pre, gain_t
-
-
-def scalar_filter_step(p_pre: float, rho_opp: float, cfg: ModelConfig):
-    """One round of the deviating agent's scalar filter.
-
-    The agent tracks its own stretch while every opponent plays
-    responsiveness rho_opp this round.  Returns (gain, next prediction
-    variance); the agent's own move is known to it and does not enter the
-    variance recursion.
-    """
-    if p_pre < 0:
-        raise ValueError(f"prediction variance must be >= 0, got {p_pre}")
-    n = cfg.n
-    sm2 = cfg.sigma_m ** 2
-    sd2 = cfg.sigma_d ** 2
-    k = p_pre / (p_pre + sm2)
-    shrink = 1.0 - rho_opp / (n - 1)
-    p_next = (shrink ** 2 * p_pre * sm2 / (p_pre + sm2)
-              + (rho_opp ** 2 * sm2 + sd2) / (n - 1) + sd2)
-    return k, p_next

@@ -92,7 +92,7 @@ def test_closed_form_filter_matches_dense_filter():
             cfg = ModelConfig(n=n, sigma0=sigma0, sigma_m=sm, sigma_d=sd)
             sched = AlphaSchedule(cfg, 100)
             for t, (cov_dense, gain_dense) in enumerate(dense_filter_path(cfg, 100)):
-                cov_cf, gain_cf = closed_form_filter_state(cfg, t, sched)
+                cov_cf, gain_cf = closed_form_filter_state(sched, t)
                 worst = max(worst, np.abs(cov_dense - cov_cf.to_dense()).max())
                 worst = max(worst, np.abs(gain_dense - gain_cf.to_dense()).max())
     _report(

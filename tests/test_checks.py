@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from stochalign.checks import (KALMAN_TOL, NASH_TOL, SHIFT_TOL, STRETCH_EQ_TOL, Verdict,
-                               filter_agreement, nash_fixed_point, shift_identity)
+                               filter_agreement, filter_failure, nash_fixed_point,
+                               shift_identity)
 from stochalign.kalman import AlphaSchedule
 from stochalign.model import ModelConfig
 from stochalign.policies import Gain, PolicySpec, make_policy
@@ -50,6 +51,12 @@ class TestFilterAgreement:
         assert filter_agreement(ModelConfig(n=2, sigma_d=1e3), 3, 2e-3, 0.0) == Verdict(
             "dense filter vs closed form, n=2, t<= 3: max entrywise deviation "
             "0.002 (FAIL at 0.001 for covariances, 1e-09 for gains)", False)
+
+    def test_failure_line_names_the_round_and_the_error(self):
+        exc = np.linalg.LinAlgError("Singular matrix")
+        assert filter_failure(ModelConfig(n=2, sigma0=1e8, sigma_m=1e-3), 5, 0, exc) == Verdict(
+            "dense filter vs closed form, n=2, t<= 5: the dense reference filter failed "
+            "at round 0 (Singular matrix): FAIL", False)
 
 
 def offset_gains(n, rounds, diag, off):

@@ -407,7 +407,7 @@ class TestKalmanCheck:
         schedule = AlphaSchedule(cfg, 30)
         expected = []
         for t, dense in enumerate(dense_filter_path(cfg, 30)):
-            closed = closed_form_filter_state(cfg, t, schedule)
+            closed = closed_form_filter_state(schedule, t)
             expected.append([cli._fmt(np.abs(d - c.to_dense()).max())
                              for d, c in zip(dense, closed, strict=True)])
         assert [row[3:] for row in rows] == expected

@@ -48,8 +48,27 @@ class TestBestResponse:
 
     def test_result_length(self):
         br = best_response(np.full(11, 0.3), ModelConfig(n=4), 10)
-        assert len(br) == 11
+        assert br.responsiveness.shape == br.p_pre.shape == (11,)
         assert isinstance(br, BestResponseSchedule)
+
+    def test_zero_uncertainty_zero_gain(self):
+        br = best_response([0.5], ModelConfig(n=2, sigma0=0.0), 0)
+        assert br.p_pre[0] == 0.0
+        assert br.responsiveness[0] == 0.0
+
+    def test_passive_opponents_reduce_to_plain_tracking(self):
+        # rho_opp = 0: the stretch is a random walk with per-round noise
+        # (1/(n-1) + 1) sigma_d^2, and the move is the plain Kalman gain;
+        # compare with an independent recursion from p-_0 = n sigma0^2/(n-1)
+        cfg = ModelConfig(n=4, sigma_m=1.3, sigma_d=0.6)
+        q = (1.0 / (cfg.n - 1) + 1.0) * cfg.sigma_d**2
+        r = cfg.sigma_m**2
+        p_oracle = 4.0 / 3.0
+        br = best_response(np.zeros(31), cfg, 30)
+        for t in range(31):
+            assert br.p_pre[t] == pytest.approx(p_oracle, abs=1e-13)
+            assert br.responsiveness[t] == pytest.approx(p_oracle / (p_oracle + r), abs=1e-14)
+            p_oracle = p_oracle * r / (p_oracle + r) + q
 
     def test_rejects_short_schedule(self):
         with pytest.raises(ValueError):
@@ -110,6 +129,49 @@ class TestBestResponse:
         cfg = ModelConfig(n=5, sigma_m=1.5, sigma_d=0.5)
         sched = AlphaSchedule(cfg, 50)
         assert nash_residual(sched.rhos(), cfg, 50) <= 1e-12
+
+
+class TestNashUniqueness:
+    """rho*(t) is the only schedule that is its own best response.
+
+    The best response at round t is (1 - r[t]/(n-1)) k_t, where the gain
+    k_t depends only on the opponents' earlier rounds.  With those held,
+    it is affine in r[t] with slope -k_t/(n-1), of size below 1/(n-1) <= 1,
+    so each round has exactly one fixed point, round by round from t = 0.
+    """
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    def test_round_t_moves_with_slope_minus_gain_over_n_minus_one(self, n):
+        cfg = ModelConfig(n=n, sigma0=0.8, sigma_m=1.4, sigma_d=0.6)
+        t_max, step = 40, 0.25
+        opp = np.random.default_rng(n).uniform(0.0, 1.0, t_max + 1)
+        base = best_response(opp, cfg, t_max)
+        for t in range(t_max + 1):
+            moved = opp.copy()
+            moved[t] += step
+            br = best_response(moved, cfg, t_max)
+            # the earlier rounds, and so the gain at round t, are unchanged
+            np.testing.assert_array_equal(br.p_pre[:t + 1], base.p_pre[:t + 1])
+            np.testing.assert_array_equal(br.responsiveness[:t], base.responsiveness[:t])
+            k = base.p_pre[t] / (base.p_pre[t] + cfg.sigma_m**2)
+            slope = (br.responsiveness[t] - base.responsiveness[t]) / step
+            assert slope == pytest.approx(-k / (n - 1), rel=1e-12, abs=1e-15)
+            assert abs(slope) < 1.0 / (n - 1)
+
+    @pytest.mark.parametrize("n, sigma_m, sigma_d", [
+        (2, 1.0, 1.0), (3, 2.0, 1.0), (10, 1.0, 2.0), (3, 0.1, 3.0)])
+    def test_best_response_iteration_reaches_rho_star(self, n, sigma_m, sigma_d):
+        cfg = ModelConfig(n=n, sigma_m=sigma_m, sigma_d=sigma_d)
+        t_max = 50
+        rho_star = AlphaSchedule(cfg, t_max).rhos()
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            r = rng.uniform(0.0, 1.0, t_max + 1)
+            for _ in range(200):
+                if np.abs(r - rho_star).max() <= 1e-12:
+                    break
+                r = best_response(r, cfg, t_max).responsiveness
+            assert np.abs(r - rho_star).max() <= 1e-12
 
 
 class TestDeviantPolicy:

@@ -1,4 +1,4 @@
-"""Tests for the dense filter, the closed forms, and the scalar filter.
+"""Tests for the dense filter and the closed forms.
 
 `textbook_rounds` below, the general Kalman recursion run on the
 alignment system, is the oracle for the dense path and the closed forms;
@@ -17,7 +17,6 @@ from stochalign.kalman import (
     AlphaSchedule,
     closed_form_filter_state,
     dense_filter_path,
-    scalar_filter_step,
 )
 from stochalign.model import ModelConfig
 from stochalign.structmat import mn
@@ -179,7 +178,7 @@ class TestDenseFilterPath:
         assert not solves
         cov, k = next(path)
         assert len(solves) == 1
-        cov_cf, k_cf = closed_form_filter_state(cfg, 0, AlphaSchedule(cfg, 0))
+        cov_cf, k_cf = closed_form_filter_state(AlphaSchedule(cfg, 0), 0)
         np.testing.assert_allclose(cov, cov_cf.to_dense(), atol=1e-12)
         np.testing.assert_allclose(k, k_cf.to_dense(), atol=1e-12)
 
@@ -309,7 +308,7 @@ class TestClosedFormAgainstDense:
         sched = AlphaSchedule(cfg, 100)
         worst = 0.0
         for t, (cov_dense, gain_dense) in enumerate(dense_filter_path(cfg, 100)):
-            cov_cf, gain_cf = closed_form_filter_state(cfg, t, sched)
+            cov_cf, gain_cf = closed_form_filter_state(sched, t)
             worst = max(worst, np.abs(cov_dense - cov_cf.to_dense()).max())
             worst = max(worst, np.abs(gain_dense - gain_cf.to_dense()).max())
         assert worst <= 1e-9
@@ -317,7 +316,7 @@ class TestClosedFormAgainstDense:
     def test_gain_structure_values(self):
         # K_0 = -rho*(0) M: diagonal rho*(0), off-diagonal -rho*(0)/(n-1)
         cfg = ModelConfig(n=2)
-        _, k0 = closed_form_filter_state(cfg, 0, AlphaSchedule(cfg, 0))
+        _, k0 = closed_form_filter_state(AlphaSchedule(cfg, 0), 0)
         assert k0.diag == pytest.approx(0.4, abs=1e-15)
         assert k0.off == pytest.approx(-0.4, abs=1e-15)
 
@@ -353,45 +352,15 @@ class TestClosedFormAgainstDense:
             assert np.abs(x_next).max() < 1e-12
 
 
-class TestScalarFilter:
-    def test_zero_uncertainty_zero_gain(self):
-        k, _ = scalar_filter_step(0.0, 0.5, ModelConfig(n=2))
-        assert k == 0.0
-
-    def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            scalar_filter_step(-0.1, 0.5, ModelConfig(n=2))
-
-    def test_hand_value(self):
-        # n=2, unit noise, p=2, rho_opp=1/2:
-        # k = 2/3, p' = (1/4)(2/3) + (1/4 + 1) + 1 = 29/12
-        k, p = scalar_filter_step(2.0, 0.5, ModelConfig(n=2))
-        assert k == pytest.approx(2.0 / 3.0, abs=1e-15)
-        assert p == pytest.approx(29.0 / 12.0, abs=1e-15)
-
-    def test_scheduled_opponents_reproduce_alpha(self):
-        # against rho*(t) opponents the deviator's variance IS alpha_t
-        for n, sm, sd in ((2, 1.0, 1.0), (5, 2.0, 1.0), (10, 1.0, 2.0)):
-            cfg = ModelConfig(n=n, sigma_m=sm, sigma_d=sd)
-            sched = AlphaSchedule(cfg, 50)
-            p = cfg.n * cfg.sigma0**2 / (cfg.n - 1)
-            for t in range(50):
-                assert abs(p - sched.alpha(t)) <= 1e-10
-                _, p = scalar_filter_step(p, sched.rho(t), cfg)
-
-    def test_passive_opponents_reduce_to_plain_tracking(self):
-        # rho_opp = 0: the stretch is a random walk with per-round noise
-        # (1/(n-1) + 1) sigma_d^2; compare with an independent recursion
-        cfg = ModelConfig(n=4, sigma_m=1.3, sigma_d=0.6)
-        q = (1.0 / (cfg.n - 1) + 1.0) * cfg.sigma_d**2
-        r = cfg.sigma_m**2
-        p_oracle = 2.0
-        p = 2.0
-        for _ in range(30):
-            k, p = scalar_filter_step(p, 0.0, cfg)
-            assert k == pytest.approx(p_oracle / (p_oracle + r), abs=1e-14)
-            p_oracle = p_oracle * r / (p_oracle + r) + q
-            assert p == pytest.approx(p_oracle, abs=1e-13)
+class TestClosedFormState:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_takes_n_and_values_from_its_schedule(self, n):
+        sched = AlphaSchedule(ModelConfig(n=n, sigma0=0.7, sigma_m=1.3, sigma_d=0.4), 20)
+        # P-_t = -alpha_t M and K_t = -rho*(t) M with the schedule's own n
+        for t in range(21):
+            cov, gain = closed_form_filter_state(sched, t)
+            assert cov.to_dense().tobytes() == (-sched.alpha(t) * mn(n)).to_dense().tobytes()
+            assert gain.to_dense().tobytes() == (-sched.rho(t) * mn(n)).to_dense().tobytes()
 
 
 class TestCommunication:
