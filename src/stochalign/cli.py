@@ -8,10 +8,11 @@ are the policy/rho settings.  Every run writes its CSV plus a
 <out>.config.json sidecar holding the resolved config keys, the thread
 count and the command, but not the subcommand-only flags (compare's
 --b/--rho-b, --t-max, --opponents and --assert-nash).  Every setting is
-checked before any work starts, and the CSV and its sidecar are both
-written or neither is.  Commands hand their rows to _write_outputs as
-plain numbers and strings, and it alone formats a cell.  Threads come
-from --threads, else all cores.
+checked before any work starts, also one the command does not read, so
+the sidecar is strict JSON (no NaN or Infinity); the CSV and its sidecar
+are both written or neither is.  Commands hand their rows to
+_write_outputs as plain numbers and strings, and it alone formats a
+cell.  Threads come from --threads, else all cores.
 
 compare (of wstar and matc), kalman-check and best-response (against
 wstar, or with --assert-nash) end in a check: the command computes its
@@ -97,7 +98,11 @@ def _config_value(key: str, value):
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- flags, later wins."""
+    """defaults <- config file <- flags, later wins.
+
+    Every setting the sidecar records is checked, whether the command
+    reads it or not, by the rule of the command that does.
+    """
     settings = dict(DEFAULTS, replications=args.default_reps,
                     out=f"{args.command.replace('-', '_')}.csv")
     if args.config is not None:
@@ -115,6 +120,11 @@ def _resolve(args: argparse.Namespace) -> dict:
     out_dir = os.path.dirname(os.path.abspath(out))
     if not os.path.isdir(out_dir):
         raise ValueError(f"output directory {out_dir} does not exist")
+    _model_config(settings)
+    _policy_spec(settings["policy"], settings["rho"])
+    PolicySpec(kind="weighted", rho=settings["rho"])
+    _rho_grid(settings["grid_start"], settings["grid_stop"], settings["grid_step"])
+    require_int("replications", settings["replications"], lo=1)
     return settings
 
 
@@ -149,7 +159,7 @@ def _write_outputs(settings: dict, header: str, rows) -> None:
                 fh.write(",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n")
         with open(tmp_sidecar, "x") as fh:
             created.append(tmp_sidecar)
-            json.dump(settings, fh, indent=2, sort_keys=True)
+            json.dump(settings, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
         os.replace(tmp_sidecar, sidecar)
         try:
@@ -302,8 +312,8 @@ def cmd_best_response(settings: dict, args: argparse.Namespace) -> int:
     opponents, t_max = args.opponents, args.t_max
     if opponents == "wstar":
         opp = AlphaSchedule(cfg, t_max).rhos()
-    else:  # constant opponents play W(rho), so rho is checked as W(rho)'s
-        opp = np.full(t_max + 1, PolicySpec(kind="weighted", rho=settings["rho"]).rho)
+    else:  # constant opponents play W(rho), whose rho _resolve checked
+        opp = np.full(t_max + 1, settings["rho"])
 
     br = best_response(opp, cfg, t_max)
     residual = np.abs(br.responsiveness - opp)

@@ -9,10 +9,11 @@ and drift normals are drawn once per block as (block, n) arrays and
 added through their transpose to every lane.  All lanes therefore see
 identical noise (common random numbers) for the price of one draw.
 `run_lanes` returns one RunResult per lane, and is the one entry point
-that records traces; `run` is its single lane, `run_paired` two lanes
-that record only what `compare` writes (each lane's centre of mass,
-their stretch difference and the common shift of their moves), and
-`sweep_rho` runs its grid as lanes in chunks.
+that records traces, when its call asks for them; `run` is its single
+untraced lane, `run_paired` two lanes that record only what `compare`
+writes (each lane's centre of mass, their stretch difference and the
+common shift of their moves), and `sweep_rho` runs its grid as lanes in
+chunks.
 
 A block keeps every lane's positions from its first round to its last,
 but does each round's per-lane work (stretches, statistics, moves) over
@@ -106,7 +107,8 @@ class RunPlan:
     """One Monte Carlo job: a scenario, a policy, and replication count.
 
     The run lasts cfg.horizon rounds.  block_size is part of the result's
-    identity (changing it reorders float reductions); threads is not.
+    identity (changing it reorders float reductions); threads is not.  A
+    plan does not say whether to record traces: run_lanes' call does.
 
     The engine keeps absolute positions and subtracts them to get the
     stretches, which settle at about sqrt(alpha_infty) while the centre
@@ -119,7 +121,6 @@ class RunPlan:
     cfg: ModelConfig
     policy: Union[PolicySpec, Gain]
     replications: int
-    record_traces: bool = False
     threads: int = 1
     block_size: int = DEFAULT_BLOCK_SIZE
 
@@ -186,9 +187,9 @@ class PairedRunResult:
     shift_mean the per-round mean over replications of the common shift,
     the per-agent move difference (a minus b) averaged over agents.  These
     are what `compare` writes.  A paired run computes no other per-lane
-    statistic and records no traces: run_lanes(plan, [policy_b]) gives
-    both lanes' RunResults and traces on the same noise, bit-identical
-    to the paired lanes.
+    statistic and records no traces: run_lanes(plan, [policy_b],
+    traces=True) gives both lanes' RunResults and traces on the same
+    noise, bit-identical to the paired lanes.
     """
 
     center_of_mass: np.ndarray
@@ -521,31 +522,33 @@ def _accumulate(plan: RunPlan, fns, kind: str = "lanes", traces=None) -> _Accumu
     return acc
 
 
-def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]]) -> List[RunResult]:
+def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]], *,
+              traces: bool = False) -> List[RunResult]:
     """Simulate plan.policy and every policy in others on the plan's noise.
 
     Lane 0 is plan.policy and lane i is others[i-1]; each lane's result
-    is bit-identical to a run of its policy alone.  This is the one entry
-    point that records traces: when the plan asks for them, the run's
-    (stretch, com) arrays, each indexed by lane first, are allocated once
-    the policies compile, and each lane's RunResult holds a view of its row.
+    is bit-identical to a run of its policy alone, traced or not.  This
+    is the one entry point that records traces: with traces=True the
+    run's (stretch, com) arrays, each indexed by lane first, are
+    allocated once the policies compile, and each lane's RunResult holds
+    a view of its row.
     """
     policies = [plan.policy, *others]
     cfg = plan.cfg
     shape = (len(policies), cfg.horizon + 1, plan.replications)
     # per lane, round and replication: n stretch cells and one centre of mass
     cells = len(policies) * (cfg.horizon + 1) * plan.replications * (cfg.n + 1)
-    if plan.record_traces and cells > TRACE_LIMIT:
+    if traces and cells > TRACE_LIMIT:
         raise ValueError(f"trace recording would allocate {cells} cells "
                          f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
-    traces = (np.empty(shape + (cfg.n,)), np.empty(shape)) if plan.record_traces else None
-    acc = _accumulate(plan, fns, traces=traces)
-    return [_result(acc, lane, plan.replications, traces) for lane in range(len(policies))]
+    arrays = (np.empty(shape + (cfg.n,)), np.empty(shape)) if traces else None
+    acc = _accumulate(plan, fns, traces=arrays)
+    return [_result(acc, lane, plan.replications, arrays) for lane in range(len(policies))]
 
 
 def run(plan: RunPlan) -> RunResult:
-    """Simulate the plan and return per-round statistics."""
+    """Simulate the plan and return per-round statistics, without traces."""
     return run_lanes(plan, ())[0]
 
 
@@ -554,12 +557,8 @@ def run_paired(plan: RunPlan, policy_b: Union[PolicySpec, Gain]) -> PairedRunRes
 
     Records only what pairing adds (see PairedRunResult).  The two lanes'
     per-round statistics, and their traces, come from
-    run_lanes(plan, [policy_b]); a plan that records traces is rejected
-    before any policy compiles.
+    run_lanes(plan, [policy_b], traces=True).
     """
-    if plan.record_traces:
-        raise ValueError("a paired run records no traces; run_lanes(plan, [policy_b]) "
-                         "gives both lanes' traces on the same noise")
     acc = _accumulate(plan, _compile(plan, [plan.policy, policy_b]), "paired")
     return PairedRunResult(center_of_mass=acc.com_sum / plan.replications,
                            max_stretch_diff=acc.max_diff,

@@ -11,6 +11,8 @@ from typing import Optional
 
 import numpy as np
 
+from .model import require_int
+
 
 @dataclass(frozen=True)
 class StructuredMatrix:
@@ -21,8 +23,7 @@ class StructuredMatrix:
     off: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
+        require_int("n", self.n, lo=1)
 
     def __mul__(self, c):
         if not np.isscalar(c):

@@ -208,9 +208,8 @@ def test_model_invariants(tmp_path, monkeypatch, capsys):
 
     # the stretch distribution stays Gaussian (1e6 pooled round-30 stretches)
     cfg = ModelConfig(n=4, horizon=30, seed=404)
-    result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
-                         replications=250_000, record_traces=True,
-                         threads=THREADS))
+    result = run_lanes(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
+                               replications=250_000, threads=THREADS), (), traces=True)[0]
     last = result.stretch_traces[-1].ravel()
     d = last - last.mean()
     m2 = np.mean(d * d)

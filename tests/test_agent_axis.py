@@ -149,8 +149,8 @@ class TestWholeRun:
         others = [PolicySpec(kind="weighted", rho=0.3), PolicySpec(kind="matc"), deviant]
         reps = 37
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
-                       record_traces=True, block_size=reps)
-        for lane in run_lanes(plan, others):
+                       block_size=reps)
+        for lane in run_lanes(plan, others, traces=True):
             assert lane.var_stretch.shape == lane.center_of_mass.shape == (cfg.horizon + 1,)
             for t, s in enumerate(lane.stretch_traces):
                 sq = np.einsum("ij,ij->i", s, s) / n
@@ -176,8 +176,8 @@ class TestWholeRun:
         cfg = ModelConfig(n=5, sigma0=2.0, sigma_m=0.7, sigma_d=0.4, horizon=4, seed=11)
         reps, block = 37, 10
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=reps,
-                       record_traces=True, threads=2, block_size=block)
-        for lane in run_lanes(plan, [PolicySpec(kind="matc")]):
+                       threads=2, block_size=block)
+        for lane in run_lanes(plan, [PolicySpec(kind="matc")], traces=True):
             for t in range(cfg.horizon + 1):
                 agent_sq, agent_abs = np.zeros(cfg.n), np.zeros(cfg.n)
                 for start in range(0, reps, block):

@@ -767,6 +767,66 @@ class TestClosedFormFlags:
         assert (sidecar["replications"], sidecar["horizon"]) == (7, 9)
 
 
+class TestUnreadSettings:
+    """A setting the command does not read is checked as the command that
+    reads it checks it, since the sidecar records it."""
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["best-response", "--opponents", "wstar", "--rho", "nan", "--t-max", "3"], None,
+         "rho must be in [0, 1], got nan"),
+        (["simulate", "--policy", "wstar", "--rho", "inf", "--n", "2", "--rounds", "2",
+          "--reps", "2"], None, "rho must be in [0, 1], got inf"),
+        (["kalman-check"], '{"replications": -5, "grid_step": -1.0, "grid_stop": 1e400, '
+                           '"rho": 7.0}', "rho must be in [0, 1], got 7.0"),
+        (["kalman-check"], '{"replications": -5}', "replications must be >= 1, got -5"),
+        (["kalman-check"], '{"grid_step": -1.0}', "grid_step must be >= 1e-12, got -1.0"),
+        (["kalman-check"], '{"grid_stop": 1e400}',
+         "grid start, stop and step must be finite, got 0.02, inf, 0.02"),
+        (["best-response"], '{"policy": "bogus"}', "unknown policy kind 'bogus'"),
+        (["sweep", "--reps", "3", "--rounds", "3"], '{"rho": 1.5}',
+         "rho must be in [0, 1], got 1.5"),
+    ], ids=["best-response-nan-rho", "simulate-inf-rho", "kalman-check-four",
+            "kalman-check-replications", "kalman-check-grid-step",
+            "kalman-check-grid-stop", "best-response-policy", "sweep-rho"])
+    def test_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, argv, config,
+                                      message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command started its work")
+
+        for name in ("run", "sweep_rho", "dense_filter_path", "best_response"):
+            monkeypatch.setattr(cli, name, no_work)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            argv = argv + ["--config", "cfg.json"]
+        code = main(argv + ["--threads", "1", "--out", "s.csv"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            (["cfg.json"] if config is not None else [])
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--rounds", "3", "--reps", "5"],
+        ["compare", "--rounds", "3"],
+        ["sweep", "--rounds", "3", "--reps", "5", "--grid-step", "0.5"],
+        ["kalman-check", "--t-max", "3"],
+        ["best-response", "--opponents", "constant", "--t-max", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_every_sidecar_is_strict_json(self, tmp_path, argv):
+        # as RFC 8259 reads it: NaN and Infinity are not JSON
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main(argv + ["--threads", "1", "--out", "s.csv"]) == 0
+        text = (tmp_path / "s.csv.config.json").read_text()
+        assert json.loads(text, parse_constant=no_constant)["command"] == argv[0]
+
+    def test_the_writer_refuses_a_value_that_is_not_json(self, tmp_path):
+        settings = dict(cli.DEFAULTS, rho=math.nan, out="s.csv")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_outputs(settings, "t", [(0,)])
+        assert list(tmp_path.iterdir()) == []
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -17,7 +17,7 @@ import pytest
 from stochalign.model import (SCALE_MAX, SCALE_MIN, ModelConfig, require_int,
                               require_schedule, stretch_values)
 from stochalign.policies import PolicySpec
-from stochalign.sim import RunPlan, run
+from stochalign.sim import RunPlan, run, run_lanes
 from stochalign.streams import INIT, substream
 
 TINY = 1e-12
@@ -29,9 +29,9 @@ def rng_for(seed):
 
 def engine_run(cfg, rho, reps, rounds=1, **plan):
     """The engine's traced run of W(rho) for the given number of rounds."""
-    return run(RunPlan(cfg=replace(cfg, horizon=rounds),
-                       policy=PolicySpec(kind="weighted", rho=rho),
-                       replications=reps, record_traces=True, **plan))
+    return run_lanes(RunPlan(cfg=replace(cfg, horizon=rounds),
+                             policy=PolicySpec(kind="weighted", rho=rho),
+                             replications=reps, **plan), (), traces=True)[0]
 
 
 def engine_traces(cfg, rho, reps, rounds=1):

@@ -37,7 +37,8 @@ gain_values = st.floats(-1.5, 1.5)
 
 @st.composite
 def lane_setups(draw):
-    """A plan with random size, blocking and threads, plus 0-4 further lanes.
+    """A plan with random size, blocking and threads, 0-4 further lanes, and
+    whether run_lanes records traces.
 
     Lanes are drawn from the three spec kinds, Gain(rhos) schedules and
     per-agent deviant_policy gains; a gain may cover more rounds than the
@@ -65,26 +66,31 @@ def lane_setups(draw):
     plan = RunPlan(cfg=cfg, policy=draw(policies()),
                    replications=draw(st.integers(1, 30)),
                    block_size=draw(st.integers(1, 40)),
-                   threads=draw(st.sampled_from([1, 2])),
-                   record_traces=draw(st.booleans()))
-    return plan, draw(st.lists(policies(), max_size=4))
+                   threads=draw(st.sampled_from([1, 2])))
+    return plan, draw(st.lists(policies(), max_size=4)), draw(st.booleans())
 
 
 @derandomized(150)
 @given(lane_setups())
 def test_every_lane_equals_its_own_run_bit_for_bit(setup):
-    plan, others = setup
-    lanes = run_lanes(plan, others)
+    # every statistic column equals the untraced run of the lane's policy,
+    # so recording traces changes no statistic; a traced lane's traces
+    # equal those of its policy's traced run alone
+    plan, others, traces = setup
+    lanes = run_lanes(plan, others, traces=traces)
     assert len(lanes) == 1 + len(others)
     for policy, lane in zip([plan.policy, *others], lanes):
-        alone = run(replace(plan, policy=policy))
-        # every column and trace, byte for byte: -0.0 is not 0.0
+        alone = replace(plan, policy=policy)
+        untraced = run(alone)
+        traced = run_lanes(alone, (), traces=True)[0] if traces else None
+        # byte for byte: -0.0 is not 0.0
         for field in fields(lane):
-            x, y = getattr(lane, field.name), getattr(alone, field.name)
+            x, y = getattr(lane, field.name), getattr(untraced, field.name)
             if field.name in ("stretch_traces", "com_traces"):
-                assert (x is None) == (y is None) == (not plan.record_traces)
+                assert y is None and (x is None) == (not traces), field.name
                 if x is None:
                     continue
+                y = getattr(traced, field.name)
             assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
             assert x.tobytes() == y.tobytes(), field.name
 

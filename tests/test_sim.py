@@ -110,9 +110,9 @@ class TestDeterminism:
 
     def test_common_noise_across_policies(self):
         # same plan, different policy: the initial worlds coincide exactly
-        a = run(small_plan(replications=50, record_traces=True))
-        b = run(small_plan(replications=50, record_traces=True,
-                           policy=PolicySpec(kind="weighted", rho=0.9)))
+        a = run_lanes(small_plan(replications=50), (), traces=True)[0]
+        b = run_lanes(small_plan(replications=50, policy=PolicySpec(kind="weighted", rho=0.9)),
+                      (), traces=True)[0]
         np.testing.assert_array_equal(a.stretch_traces[0], b.stretch_traces[0])
         assert not np.array_equal(a.stretch_traces[5], b.stretch_traces[5])
 
@@ -174,8 +174,8 @@ class TestStatistics:
 
     def test_gaussian_shape_of_initial_stretch(self):
         cfg = ModelConfig(n=4, horizon=0, seed=5)
-        result = run(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
-                             replications=50_000, record_traces=True))
+        result = run_lanes(RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.5),
+                                   replications=50_000), (), traces=True)[0]
         skew, kurt = shape_moments(result.stretch_traces[0])
         assert abs(skew) < 0.05
         assert abs(kurt) < 0.1
@@ -186,14 +186,14 @@ class TestStatistics:
         # lanes' are run_lanes'.  Three blocks on one and on two threads
         for threads in (1, 2):
             plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500,
-                              block_size=200, threads=threads, record_traces=True)
-            result = run(plan)
+                              block_size=200, threads=threads)
+            result = run_lanes(plan, (), traces=True)[0]
             assert result.center_of_mass.dtype == np.float64
             assert result.center_of_mass.shape == (11,)
             np.testing.assert_allclose(result.center_of_mass, result.com_traces.mean(axis=-1),
                                        rtol=0, atol=1e-12)
-            paired = run_paired(replace(plan, record_traces=False), PolicySpec(kind="matc"))
-            lanes = run_lanes(plan, [PolicySpec(kind="matc")])
+            paired = run_paired(plan, PolicySpec(kind="matc"))
+            lanes = run_lanes(plan, [PolicySpec(kind="matc")], traces=True)
             assert paired.center_of_mass.shape == (2, 11)
             np.testing.assert_allclose(paired.center_of_mass,
                                        [lane.com_traces.mean(axis=-1) for lane in lanes],
@@ -303,24 +303,14 @@ class TestPairedRuns:
         assert spread <= 1e-12
         assert rule_dev <= 1e-12
 
-    def test_paired_traces(self, monkeypatch):
-        # a paired run records no traces: a traced plan is rejected before
-        # any policy compiles or any block starts, and the two lanes'
-        # traces come from run_lanes on the same noise
-        def not_reached(*args):
-            raise AssertionError("a policy compiled or a block started")
-
+    def test_paired_traces(self):
+        # a paired run records no traces: the two lanes' traces come from
+        # run_lanes on the same noise
         cfg = ModelConfig(n=3, horizon=4, seed=2)
-        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=50,
-                       record_traces=True)
+        plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="wstar"), replications=50)
         assert [f.name for f in fields(sim.PairedRunResult)] == \
             ["center_of_mass", "max_stretch_diff", "shift_mean"]
-        with monkeypatch.context() as m:
-            m.setattr(streams, "substream", not_reached)
-            m.setattr(sim, "make_policy", not_reached)
-            with pytest.raises(ValueError, match=r"run_lanes\(plan, \[policy_b\]\)"):
-                run_paired(plan, PolicySpec(kind="matc"))
-        a, b = run_lanes(plan, [PolicySpec(kind="matc")])
+        a, b = run_lanes(plan, [PolicySpec(kind="matc")], traces=True)
         assert a.stretch_traces.shape == b.stretch_traces.shape == (5, 50, 3)
         assert a.com_traces.shape == b.com_traces.shape == (5, 50)
         np.testing.assert_allclose(a.stretch_traces, b.stretch_traces, atol=1e-9)
@@ -394,18 +384,18 @@ class TestAccumulator:
 
 class TestTraces:
     def test_shapes(self):
-        result = run(small_plan(replications=40, record_traces=True))
+        result = run_lanes(small_plan(replications=40), (), traces=True)[0]
         assert result.stretch_traces.shape == (11, 40, 3)
         assert result.com_traces.shape == (11, 40)
 
     def test_traces_sum_to_zero(self):
-        result = run(small_plan(replications=40, record_traces=True))
+        result = run_lanes(small_plan(replications=40), (), traces=True)[0]
         np.testing.assert_allclose(
             result.stretch_traces.sum(axis=-1), 0.0, atol=1e-10)
 
     def test_size_limit(self):
         with pytest.raises(ValueError):
-            run(small_plan(replications=10_000_000, record_traces=True))
+            run_lanes(small_plan(replications=10_000_000), (), traces=True)
 
     def test_size_limit_counts_both_traces(self, monkeypatch):
         def no_blocks(*args):
@@ -413,10 +403,10 @@ class TestTraces:
 
         # 11 rounds of 50 replications of 3 agents: per lane 1650 stretch
         # cells and 550 centre-of-mass cells
-        plan = small_plan(replications=50, record_traces=True)
+        plan = small_plan(replications=50)
         substream = streams.substream
-        calls = [(2_200, lambda: run(plan)),
-                 (4_400, lambda: run_lanes(plan, [PolicySpec(kind="matc")]))]
+        calls = [(2_200, lambda: run_lanes(plan, (), traces=True)),
+                 (4_400, lambda: run_lanes(plan, [PolicySpec(kind="matc")], traces=True))]
         for cells, call in calls:
             monkeypatch.setattr(streams, "substream", no_blocks)
             monkeypatch.setattr(sim, "TRACE_LIMIT", cells - 1)
@@ -462,9 +452,9 @@ class TestLanes:
         # largest stretch difference that of their traces
         for threads in (1, 2):
             plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900,
-                              block_size=400, threads=threads, record_traces=True)
-            paired = run_paired(replace(plan, record_traces=False), PolicySpec(kind="matc"))
-            a, b = run_lanes(plan, [PolicySpec(kind="matc")])
+                              block_size=400, threads=threads)
+            paired = run_paired(plan, PolicySpec(kind="matc"))
+            a, b = run_lanes(plan, [PolicySpec(kind="matc")], traces=True)
             for lane, result in enumerate((a, b)):
                 assert paired.center_of_mass[lane].tobytes() == \
                     result.center_of_mass.tobytes()
@@ -475,13 +465,13 @@ class TestLanes:
     def test_spec_lanes_equal_single_runs_bit_for_bit(self, threads):
         # 900 replications in blocks of 400: three blocks per lane
         plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900, block_size=400,
-                          threads=threads, record_traces=True)
+                          threads=threads)
         others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3),
                   Gain(np.linspace(0.1, 0.9, 10))]
-        lanes = run_lanes(plan, others)
+        lanes = run_lanes(plan, others, traces=True)
         assert len(lanes) == 4
         for policy, lane in zip([plan.policy] + others, lanes):
-            assert_same_bits(lane, run(replace(plan, policy=policy)))
+            assert_same_bits(lane, run_lanes(replace(plan, policy=policy), (), traces=True)[0])
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_deviant_lanes_equal_single_runs_bit_for_bit(self, threads):
@@ -502,17 +492,16 @@ class TestLanes:
         cfg = ModelConfig(n=n, horizon=12, seed=3)
         sched = AlphaSchedule(cfg, 12)
         plan = RunPlan(cfg=cfg, policy=PolicySpec(kind="weighted", rho=0.4), replications=500,
-                       block_size=200, threads=threads, record_traces=True)
+                       block_size=200, threads=threads)
         specs = [PolicySpec(kind="wstar"), PolicySpec(kind="weighted", rho=1.0),
                  PolicySpec(kind="matc")]
         # one scale per round, and with a per-agent lane one row of n
         lane_sets = [specs, specs + [deviant_policy(np.linspace(0.0, 1.2, 13), sched,
                                                     agent=n - 1)]]
-        # (plan, policy_b), untraced as a paired run must be: an operator
-        # matc lane beside a wstar lane, and two weighted lanes
-        untraced = replace(plan, record_traces=False)
-        pairs = [(replace(untraced, policy=PolicySpec(kind="wstar")), PolicySpec(kind="matc")),
-                 (replace(untraced, policy=PolicySpec(kind="weighted", rho=0.2)),
+        # (plan, policy_b): an operator matc lane beside a wstar lane, and
+        # two weighted lanes
+        pairs = [(replace(plan, policy=PolicySpec(kind="wstar")), PolicySpec(kind="matc")),
+                 (replace(plan, policy=PolicySpec(kind="weighted", rho=0.2)),
                   PolicySpec(kind="weighted", rho=0.7))]
 
         def no_call(self, y, t):
@@ -520,7 +509,7 @@ class TestLanes:
 
         with monkeypatch.context() as m:
             m.setattr(Gain, "__call__", no_call)
-            stacked = [run_lanes(plan, others) for others in lane_sets]
+            stacked = [run_lanes(plan, others, traces=True) for others in lane_sets]
             paired = [run_paired(*pair) for pair in pairs]
         # every compiled lane wrapped in a plain callable, as the benchmark
         # tracer wraps make_policy's gains, is called on its own
@@ -528,7 +517,7 @@ class TestLanes:
         monkeypatch.setattr(sim, "_compile", lambda plan, policies: [
             lambda y, t, g=g: g(y, t) for g in compile_lanes(plan, policies)])
         for others, results in zip(lane_sets, stacked):
-            for a, b in zip(results, run_lanes(plan, others), strict=True):
+            for a, b in zip(results, run_lanes(plan, others, traces=True), strict=True):
                 assert_same_bits(a, b)
         for pair, result in zip(pairs, paired):
             assert_same_bits(result, run_paired(*pair))
@@ -542,8 +531,7 @@ class TestLanes:
             return run_block(*args)
 
         monkeypatch.setattr(sim, "_run_block", spy)
-        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=100,
-                          record_traces=True)
+        plan = small_plan(policy=PolicySpec(kind="wstar"), replications=100)
         others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3),
                   Gain(np.linspace(0.1, 0.9, 10)),
                   deviant_policy(np.full(11, 0.5), AlphaSchedule(plan.cfg, 10), agent=1)]
@@ -552,7 +540,8 @@ class TestLanes:
         results = []
         for block_size, group in ((100, 1), (250, 2), (1_000, 10)):
             groups.clear()
-            results.append(run_lanes(replace(plan, block_size=block_size), others))
+            results.append(run_lanes(replace(plan, block_size=block_size), others,
+                                     traces=True))
             assert groups == [group]
         for other in results[1:]:
             for a, b in zip(results[0], other, strict=True):
@@ -562,14 +551,14 @@ class TestLanes:
         # more threads than cores, switching often: every lane's per-round
         # and per-agent sums are merged in block order, and its traces are
         # slices of the run's trace arrays
-        plan = small_plan(replications=2_500, block_size=500, record_traces=True)
+        plan = small_plan(replications=2_500, block_size=500)
         others = [PolicySpec(kind="matc"),
                   deviant_policy(np.full(11, 0.5), AlphaSchedule(plan.cfg, 10), agent=1)]
-        base = run_lanes(plan, others)
+        base = run_lanes(plan, others, traces=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_lanes(replace(plan, threads=4), others)
+            threaded = run_lanes(replace(plan, threads=4), others, traces=True)
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(base, threaded, strict=True):
@@ -606,8 +595,7 @@ class TestBlockScheduler:
 
     @staticmethod
     def five_block_plan(threads):
-        return small_plan(replications=500, block_size=100, threads=threads,
-                          record_traces=True)
+        return small_plan(replications=500, block_size=100, threads=threads)
 
     @staticmethod
     def spy_blocks(monkeypatch, before):
@@ -627,9 +615,9 @@ class TestBlockScheduler:
 
     def test_five_blocks_give_the_same_bits_on_one_two_and_three_threads(self):
         others = [PolicySpec(kind="matc"), PolicySpec(kind="weighted", rho=0.3)]
-        lanes = [run_lanes(self.five_block_plan(threads), others) for threads in (1, 2, 3)]
-        paired = [run_paired(replace(self.five_block_plan(threads), policy=PolicySpec(kind="wstar"),
-                                     record_traces=False),
+        lanes = [run_lanes(self.five_block_plan(threads), others, traces=True)
+                 for threads in (1, 2, 3)]
+        paired = [run_paired(replace(self.five_block_plan(threads), policy=PolicySpec(kind="wstar")),
                              PolicySpec(kind="matc")) for threads in (1, 2, 3)]
         for results in lanes[1:]:
             for a, b in zip(lanes[0], results, strict=True):

@@ -71,6 +71,19 @@ def test_apply_dimension_mismatch():
         apply(StructuredMatrix(3, 1.0, 0.0), np.zeros(4))
 
 
+@pytest.mark.parametrize("n, message", [
+    (2.5, "n must be an integer, got 2.5"),
+    (True, "n must be an integer, got True"),
+    (2.0, "n must be an integer, got 2.0"),
+    (0, "n must be >= 1, got 0"),
+])
+def test_dimension_is_a_positive_integer(n, message):
+    # a float or bool dimension used to build, and to_dense then failed in numpy
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StructuredMatrix(n, 1.0, 0.0)
+    assert StructuredMatrix(np.int64(1), 1.0, 0.0).to_dense().tolist() == [[1.0]]
+
+
 def test_operator_sugar():
     m = StructuredMatrix(3, 2.0, 1.0)
     scaled = 2.0 * m
