@@ -40,27 +40,26 @@ def _noise_scale(cfg: ModelConfig) -> float:
 # kalman-check: the closed-form filter is the dense Kalman filter
 
 KALMAN_TOL = 1e-9
-DEVIATION_ROWS = 64  # rows per band of _max_deviation's buffer
 
 
 def _max_deviation(dense: np.ndarray, x: StructuredMatrix) -> float:
     """max |dense - x.to_dense()| entrywise, the same bits, without forming x.
 
-    The deviation is taken a band of rows at a time in a buffer of n
-    columns and up to DEVIATION_ROWS rows; a max of absolute values does
-    not depend on how the entries are grouped.
+    Rounding is monotone, so fl(e - c) is monotone in e: over a set of
+    entries (the diagonal, or the off-diagonal entries, with c the
+    matching entry of x) every fl(e - c) lies between those of the set's
+    min and max, and the largest |fl(e - c)| is one of theirs.  A NaN
+    shows too: a NaN entry is both extremes, and e - c is NaN otherwise
+    only at e = c = +-inf, an extreme.  In memory order, C or F, the
+    off-diagonal entries are flat[1:] cut into rows of n + 1 with each
+    row's last entry, a diagonal one, left out: a view for any contiguous
+    dense.  Needs n >= 2.
     """
     n = x.n
-    buf = np.empty((min(n, DEVIATION_ROWS), n))
-    peaks = []
-    for lo in range(0, n, len(buf)):
-        band = buf[:min(len(buf), n - lo)]
-        hi = lo + len(band)
-        np.subtract(dense[lo:hi], x.off, out=band)
-        # entry (i, i) of the matrix is entry (i - lo, i) of the band
-        np.subtract(dense.diagonal()[lo:hi], x.diag, out=band.reshape(-1)[lo::n + 1])
-        peaks.append(np.abs(band, out=band).max())
-    return np.max(peaks)
+    off = dense.ravel(order="K")[1:].reshape(n - 1, n + 1)[:, :n]
+    diag = dense.diagonal()
+    return np.max(np.abs([off.max() - x.off, off.min() - x.off,
+                          diag.max() - x.diag, diag.min() - x.diag]))
 
 
 def filter_agreement(cfg: ModelConfig, t_max: int, cov_dev: float, gain_dev: float) -> Verdict:

@@ -9,10 +9,11 @@ are the policy/rho settings.  Every run writes its CSV plus a
 count and the command, but not the subcommand-only flags (compare's
 --b/--rho-b, --t-max, --opponents and --assert-nash).  Every setting is
 checked before any work starts, also one the command does not read, so
-the sidecar is strict JSON (no NaN or Infinity); the CSV and its sidecar
-are both written or neither is.  Commands hand their rows to
-_write_outputs as plain numbers and strings, and it alone formats a
-cell.  Threads come from --threads, else all cores.
+the sidecar is strict JSON (no NaN or Infinity), and compare checks
+--rho-b whatever --b is.  The CSV and its sidecar are both written or
+neither is.  Commands hand their rows to _write_outputs as plain numbers
+and strings, and it alone formats a cell.  Threads come from --threads,
+else all cores.
 
 compare (of wstar and matc), kalman-check and best-response (against
 wstar, or with --assert-nash) end in a check: the command computes its
@@ -207,6 +208,8 @@ def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
 def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
     spec_a = _policy_spec(settings["policy"], settings["rho"])
+    # --rho-b is checked whatever --b is, as _resolve checks rho
+    PolicySpec(kind="weighted", rho=args.rho_b)
     spec_b = _policy_spec(args.b, args.rho_b)
     plan = RunPlan(cfg=cfg, policy=spec_a, replications=settings["replications"],
                    threads=settings["threads"])

@@ -420,10 +420,12 @@ class TestKalmanCheck:
         assert float(rows[0][1]) == 0.0  # alpha_0
         assert float(rows[0][2]) == 0.0  # rho*(0)
 
-    def test_peak_memory_is_five_arrays(self, tmp_path, capsys):
-        # the dense path's 4 arrays (see test_kalman) and the deviation's
-        # band of DEVIATION_ROWS rows; no round's P- or K outlives it.  The
-        # traced peak leaves out numpy's solve copies and OpenBLAS's buffers
+    def test_peak_memory_is_the_dense_paths_four_arrays(self, tmp_path, capsys):
+        # the dense path's 4 arrays (see test_kalman) and nothing of n columns
+        # from the deviation, which reads extremes through views; no round's P-
+        # or K outlives it.  It reads about 4.2 arrays, so the bound leaves no
+        # room for a buffer of a tenth of an array.  The traced peak leaves
+        # out numpy's solve copies and OpenBLAS's buffers
         n = 300
         tracemalloc.start()
         try:
@@ -434,17 +436,39 @@ class TestKalmanCheck:
             tracemalloc.stop()
         assert code == 0
         assert len(read_csv(tmp_path / "kc.csv")[1]) == 4
-        assert peak < 5 * 8 * n ** 2
+        assert peak < 4.3 * 8 * n ** 2
 
-    @pytest.mark.parametrize("n", [2, checks.DEVIATION_ROWS - 1, checks.DEVIATION_ROWS,
-                                   checks.DEVIATION_ROWS + 1, 2 * checks.DEVIATION_ROWS + 1])
-    def test_banded_deviation_is_the_dense_one_bit_for_bit(self, n):
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 129, 256])
+    def test_deviation_from_extremes_is_the_dense_one_bit_for_bit(self, n, layout):
+        # P- comes C-ordered and K F-ordered from the dense path
         rng = np.random.default_rng(n)
+        cases = []
         for scale in (1e-3, 1.0, 1e40):
-            dense = scale * rng.standard_normal((n, n))
             x = StructuredMatrix(n, scale * rng.standard_normal(), scale * rng.standard_normal())
-            got = checks._max_deviation(dense, x)
-            assert got.tobytes() == np.abs(dense - x.to_dense()).max().tobytes()
+            cases.append((scale * rng.standard_normal((n, n)), x))
+            near = x.to_dense() + scale * 1e-15 * rng.standard_normal((n, n))
+            cases.append((near, x))
+        x = StructuredMatrix(n, 2.0, -0.5)
+        for special in (math.nan, math.inf, -math.inf, -0.0):
+            for i, j in ((0, 0), (n - 1, 0), (0, n - 1), (n - 1, n - 1), (n // 2, n // 3)):
+                dense = x.to_dense()
+                dense[i, j] = special
+                cases.append((dense, x))
+        for special in (math.inf, -math.inf, -0.0):
+            cases.append((np.full((n, n), special), StructuredMatrix(n, special, 0.0)))
+            cases.append((np.full((n, n), special), StructuredMatrix(n, 0.0, special)))
+        cases.append((np.zeros((n, n)), StructuredMatrix(n, -0.0, -0.0)))
+        cases.append((np.full((n, n), 1.0), StructuredMatrix(n, math.nan, 1.0)))
+        for dense, x in cases:
+            if layout == "F":
+                dense = np.asfortranarray(dense)
+            elif layout == "transposed":
+                dense = dense.T
+            with np.errstate(invalid="ignore"):  # inf - inf
+                got = checks._max_deviation(dense, x)
+                want = np.abs(dense - x.to_dense()).max()
+            assert got.tobytes() == want.tobytes()
 
     def test_singular_dense_filter_fails_the_check(self, tmp_path, capsys):
         # valid settings, but P + R is singular to LAPACK at round 0
@@ -785,15 +809,20 @@ class TestUnreadSettings:
         (["best-response"], '{"policy": "bogus"}', "unknown policy kind 'bogus'"),
         (["sweep", "--reps", "3", "--rounds", "3"], '{"rho": 1.5}',
          "rho must be in [0, 1], got 1.5"),
+        (["compare", "--b", "wstar", "--rho-b", "nan", "--rounds", "2", "--reps", "2"], None,
+         "rho must be in [0, 1], got nan"),
+        (["compare", "--b", "matc", "--rho-b", "1.5", "--rounds", "2", "--reps", "2"], None,
+         "rho must be in [0, 1], got 1.5"),
     ], ids=["best-response-nan-rho", "simulate-inf-rho", "kalman-check-four",
             "kalman-check-replications", "kalman-check-grid-step",
-            "kalman-check-grid-stop", "best-response-policy", "sweep-rho"])
+            "kalman-check-grid-stop", "best-response-policy", "sweep-rho",
+            "compare-wstar-nan-rho-b", "compare-matc-rho-b"])
     def test_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, argv, config,
                                       message):
         def no_work(*args, **kwargs):
             raise AssertionError("the command started its work")
 
-        for name in ("run", "sweep_rho", "dense_filter_path", "best_response"):
+        for name in ("run", "run_paired", "sweep_rho", "dense_filter_path", "best_response"):
             monkeypatch.setattr(cli, name, no_work)
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)
