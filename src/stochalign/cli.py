@@ -123,7 +123,6 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError(f"output directory {out_dir} does not exist")
     _model_config(settings)
     _policy_spec(settings["policy"], settings["rho"])
-    PolicySpec(kind="weighted", rho=settings["rho"])
     _rho_grid(settings["grid_start"], settings["grid_stop"], settings["grid_step"])
     require_int("replications", settings["replications"], lo=1)
     return settings
@@ -134,8 +133,11 @@ def _model_config(settings: dict) -> ModelConfig:
 
 
 def _policy_spec(name: str, rho: float) -> PolicySpec:
-    """Only the weighted kind takes rho; PolicySpec rejects an unknown kind."""
-    return PolicySpec(kind=name, rho=rho if name == "weighted" else None)
+    """Only the weighted kind takes rho, but rho is checked by its rule
+    whatever the kind, once PolicySpec has checked the kind."""
+    spec = PolicySpec(kind=name, rho=rho if name == "weighted" else None)
+    PolicySpec(kind="weighted", rho=rho)
+    return spec
 
 
 def _write_outputs(settings: dict, header: str, rows) -> None:
@@ -208,8 +210,6 @@ def cmd_simulate(settings: dict, args: argparse.Namespace) -> int:
 def cmd_compare(settings: dict, args: argparse.Namespace) -> int:
     cfg = _model_config(settings)
     spec_a = _policy_spec(settings["policy"], settings["rho"])
-    # --rho-b is checked whatever --b is, as _resolve checks rho
-    PolicySpec(kind="weighted", rho=args.rho_b)
     spec_b = _policy_spec(args.b, args.rho_b)
     plan = RunPlan(cfg=cfg, policy=spec_a, replications=settings["replications"],
                    threads=settings["threads"])

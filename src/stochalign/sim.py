@@ -96,7 +96,7 @@ from .policies import Gain, PolicySpec, make_policy
 from .structmat import apply
 
 DEFAULT_BLOCK_SIZE = 20_000
-TRACE_LIMIT = 50_000_000  # cells of whole-run traces; traces suit small runs only
+TRACE_LIMIT = 50_000_000  # stretch-trace cells a run may allocate; traces suit small runs only
 CELL_BUDGET = 2 ** 22  # cells a sweep chunk keeps across rounds, per block
 # the largest sigma0 / sqrt(alpha_infty) whose stretches the engine resolves
 SIGMA0_RATIO_LIMIT = 1e12
@@ -143,7 +143,6 @@ class RoundStats:
     mean_abs_stretch: float
     std_error: float
     var_std_error: float
-    center_of_mass: float
 
 
 @dataclass
@@ -151,9 +150,9 @@ class RunResult:
     """One lane's per-round statistics, as float64 columns indexed by round.
 
     The (rounds+1,) columns average the n agents: var_stretch,
-    mean_abs_stretch, their standard errors and center_of_mass.  The
-    agent_* arrays are (rounds+1, n), one column per agent: agent i's
-    variance, mean |stretch| and that mean's standard error.
+    mean_abs_stretch and their standard errors.  The agent_* arrays are
+    (rounds+1, n), one column per agent: agent i's variance, mean
+    |stretch| and that mean's standard error.
     agent_mean_abs_stretch.max(axis=1) is the worst agent's per round.
     """
 
@@ -161,13 +160,11 @@ class RunResult:
     var_std_error: np.ndarray
     mean_abs_stretch: np.ndarray
     std_error: np.ndarray
-    center_of_mass: np.ndarray
     # per-round max over replications of |sum of stretches|; zero in exact arithmetic
     max_abs_stretch_sum: np.ndarray = field(repr=False)
     agent_var_stretch: np.ndarray = field(repr=False)
     agent_mean_abs_stretch: np.ndarray = field(repr=False)
     agent_std_error: np.ndarray = field(repr=False)
-    com_traces: Optional[np.ndarray] = None  # (rounds+1, reps) when traced
     stretch_traces: Optional[np.ndarray] = None  # (rounds+1, reps, n) when traced
 
     @property
@@ -241,7 +238,7 @@ STATS = {"sum_sq": ("lane", np.add), "sum_sq2": ("lane", np.add),
          "max_diff": ("run", np.maximum), "shift_sum": ("run", np.add)}
 # the rows each kind of run keeps
 KINDS = {"lanes": ("sum_sq", "sum_sq2", "sum_abs", "sum_abs2", "agent_sq", "agent_abs",
-                   "com_sum", "max_zero_sum"),
+                   "max_zero_sum"),
          "paired": ("com_sum", "max_diff", "shift_sum"),
          "variance": ("sum_sq",)}
 
@@ -276,8 +273,9 @@ class _Accumulator:
         """Add round t of the (group, n, count) stretches st of the lanes in
         the slice lanes.  total holds each replication's sum of positions
         and is scratch once read; work is (group, count) scratch.  A paired
-        accumulator, whose two lanes are one group, stops after the centre
-        of mass and the stretch difference.  A variance one returns at once
+        accumulator, whose two lanes are one group, records only the centre
+        of mass, the one statistic that reads total, and the stretch
+        difference.  A variance one returns at once
         for a round before first, and adds round t to column t - first of
         sum_sq, where it stops.
         |s| is taken one lane at a time into one (n, count) temporary,
@@ -291,9 +289,8 @@ class _Accumulator:
         """
         if t < self.first:
             return
-        if self.kind != "variance":
-            self.com_sum[lanes, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
         if self.kind == "paired":
+            self.com_sum[lanes, t] = np.divide(total, st.shape[1], out=work).sum(axis=1)
             diff = st[0] - st[1]
             self.max_diff[t] = np.abs(diff, out=diff).max()
             return
@@ -348,13 +345,11 @@ def _result(acc: _Accumulator, lane: int, count: int, traces) -> RunResult:
     var, var_se = _mean_and_se(acc.sum_sq[lane], acc.sum_sq2[lane], count)
     mabs, mabs_se = _mean_and_se(acc.sum_abs[lane], acc.sum_abs2[lane], count)
     agent_abs, agent_se = _mean_and_se(acc.agent_abs[lane], acc.agent_sq[lane], count)
-    stretch, com = (None, None) if traces is None else (trace[lane] for trace in traces)
     return RunResult(var_stretch=var, var_std_error=var_se, mean_abs_stretch=mabs,
-                     std_error=mabs_se, center_of_mass=acc.com_sum[lane] / count,
-                     max_abs_stretch_sum=acc.max_zero_sum[lane],
+                     std_error=mabs_se, max_abs_stretch_sum=acc.max_zero_sum[lane],
                      agent_var_stretch=acc.agent_sq[lane] / count,
                      agent_mean_abs_stretch=agent_abs, agent_std_error=agent_se,
-                     stretch_traces=stretch, com_traces=com)
+                     stretch_traces=None if traces is None else traces[lane])
 
 
 def _stack(plan: RunPlan, fns):
@@ -396,11 +391,11 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
     (see _stack) turns every slice into its lane's moves.  Operators,
     called lanes, stretch_values and the traces see the agent-last
     (count, n) views.  The block's statistics go into acc.  traces, when
-    recorded, are the run's (stretch, com) arrays; the block writes its
-    replications' slice.  Each round's sums of a group's positions over
-    agents feed the stretches, the centre of mass and its trace, and then
-    serve acc as scratch, as do the moves once the positions have taken
-    them.
+    recorded, is the run's (lanes, rounds+1, reps, n) stretch array; the
+    block writes its replications' slice.  Each round's sums of a group's
+    positions over agents feed the stretches (and a paired run's centre
+    of mass), and then serve acc as scratch, as do the moves once the
+    positions have taken them.
     """
     cfg = plan.cfg
     rounds = cfg.horizon
@@ -434,8 +429,7 @@ def _run_block(plan: RunPlan, fns, stack: np.ndarray, called: List[int], acc: _A
             st_t = st.transpose(0, 2, 1)
             stretch_values(gpos.transpose(0, 2, 1), out=st_t, total=total)
             if traces is not None:
-                traces[0][part, t, reps] = st_t
-                traces[1][part, t, reps] = total / cfg.n
+                traces[part, t, reps] = st_t
             acc.record(t, part, st, total, work)
             if t == rounds:
                 continue
@@ -529,22 +523,22 @@ def run_lanes(plan: RunPlan, others: Iterable[Union[PolicySpec, Gain]], *,
     Lane 0 is plan.policy and lane i is others[i-1]; each lane's result
     is bit-identical to a run of its policy alone, traced or not.  This
     is the one entry point that records traces: with traces=True the
-    run's (stretch, com) arrays, each indexed by lane first, are
-    allocated once the policies compile, and each lane's RunResult holds
-    a view of its row.
+    run's (lanes, rounds+1, reps, n) stretch array, TRACE_LIMIT cells at
+    most, is allocated once the policies compile, and each lane's
+    RunResult holds a view of its row.
     """
     policies = [plan.policy, *others]
     cfg = plan.cfg
-    shape = (len(policies), cfg.horizon + 1, plan.replications)
-    # per lane, round and replication: n stretch cells and one centre of mass
-    cells = len(policies) * (cfg.horizon + 1) * plan.replications * (cfg.n + 1)
+    shape = (len(policies), cfg.horizon + 1, plan.replications, cfg.n)
+    # per lane, round and replication: n stretch cells
+    cells = len(policies) * (cfg.horizon + 1) * plan.replications * cfg.n
     if traces and cells > TRACE_LIMIT:
         raise ValueError(f"trace recording would allocate {cells} cells "
                          f"(limit {TRACE_LIMIT}); reduce replications or horizon")
     fns = _compile(plan, policies)
-    arrays = (np.empty(shape + (cfg.n,)), np.empty(shape)) if traces else None
-    acc = _accumulate(plan, fns, traces=arrays)
-    return [_result(acc, lane, plan.replications, arrays) for lane in range(len(policies))]
+    array = np.empty(shape) if traces else None
+    acc = _accumulate(plan, fns, traces=array)
+    return [_result(acc, lane, plan.replications, array) for lane in range(len(policies))]
 
 
 def run(plan: RunPlan) -> RunResult:

@@ -19,6 +19,23 @@ def dominance_margin():
 
 
 @pytest.fixture
+def tail_mean_se():
+    """The exact relative standard error of a stationary tail mean of var_stretch.
+
+    Returns a function of (n, a, replications, rounds) for a constant
+    gain whose stretches contract by a = 1 - c rho a round.  One
+    replication's (1/n) |s|^2 is a scaled chi-square with n - 1 degrees
+    of freedom, of relative variance 2 / (n - 1), and at stationarity its
+    lag-k autocorrelation is a^(2k); the mean over the given number of
+    tail rounds therefore has relative standard error
+    sqrt(2 (1 + a^2) / ((n - 1) R m (1 - a^2))), up to the terms of order
+    1/m in the autocorrelation sum.
+    """
+    return lambda n, a, replications, rounds: np.sqrt(
+        2.0 * (1.0 + a * a) / ((n - 1) * replications * rounds * (1.0 - a * a)))
+
+
+@pytest.fixture
 def paired_shift(monkeypatch):
     """Run a single-block pair and measure the shift between its moves.
 

@@ -3,7 +3,9 @@
 `textbook_rounds` below, the general Kalman recursion run on the
 alignment system, is the oracle for the dense path and the closed forms;
 `least_linear_stretch`, a least-squares search over every causal linear
-policy, is the oracle for the communication claim.
+policy, is the oracle for the communication claim, and
+`wstar_prediction_error`, the same least squares on W*'s own path, the
+oracle for the information W* leaves unprocessed.
 """
 
 import math
@@ -71,26 +73,59 @@ def least_linear_stretch(cfg, rounds, lag=0):
     n = cfg.n
     m = mn(n).to_dense()
     dim = n * (1 + 2 * rounds)
-
-    def normals(scale, k):
-        """scale times the k-th group of n standard normals, as a map of z."""
-        out = np.zeros((n, dim))
-        out[:, k * n:(k + 1) * n] = scale * np.eye(n)
-        return out
-
-    unmoved = m @ normals(cfg.sigma0, 0)
+    unmoved = m @ normals(n, dim, cfg.sigma0, 0)
     purified, mean, bird0 = [], [], []
     for t in range(1, rounds + 1):
-        purified.append(unmoved + normals(cfg.sigma_m, t))
-        unmoved = unmoved + m @ normals(cfg.sigma_d, rounds + t)
+        purified.append(unmoved + normals(n, dim, cfg.sigma_m, t))
+        unmoved = unmoved + m @ normals(n, dim, cfg.sigma_d, rounds + t)
         seen = np.vstack(purified[:t - lag] or [np.zeros((0, dim))])
         # vec(M G A) = (A^T kron M) vec(G), column-major
         for rows, target, least in ((m, unmoved.reshape(-1, order="F"), mean),
                                     (m[:1], unmoved[0], bird0)):
-            design = np.kron(seen.T, rows)
-            residual = target + design @ np.linalg.lstsq(design, -target, rcond=None)[0]
-            least.append(residual @ residual / len(rows))
+            least.append(least_squares_error(np.kron(seen.T, rows), target) / len(rows))
     return np.array(mean), np.array(bird0)
+
+
+def normals(n, dim, scale, k):
+    """scale times the k-th group of n standard normals, as an n x dim map
+    of the stacked standard normals z."""
+    out = np.zeros((n, dim))
+    out[:, k * n:(k + 1) * n] = scale * np.eye(n)
+    return out
+
+
+def least_squares_error(design, target):
+    """min over w of |target - design w|^2: as E|F z|^2 = |F|_F^2, the
+    least mean square error of a linear prediction of the variable target,
+    a row map of z, from the variables whose maps are design's columns."""
+    residual = target - design @ np.linalg.lstsq(design, target, rcond=None)[0]
+    return residual @ residual
+
+
+def wstar_prediction_error(cfg, rounds):
+    """Under W*, the least mean square error of bird 0's pre-move stretch
+    s_{t,0}, t = 0..rounds-1, predicted linearly from its own measurements
+    y_{k,0}, k <= t, and from every bird's: (own, every).
+
+    Every variable is a linear map of the stacked standard normals z, as in
+    least_linear_stretch: s_0 = M sigma0 z, y_t = s_t + sigma_m z, and W*
+    moves rho*(t) y_t, so s_{t+1} = s_t + rho*(t) M y_t + M sigma_d z.
+    """
+    n = cfg.n
+    m = mn(n).to_dense()
+    dim = n * (1 + 2 * rounds)
+    rhos = AlphaSchedule(cfg, rounds).rhos()
+    stretch = m @ normals(n, dim, cfg.sigma0, 0)
+    seen, own, every = [], [], []
+    for t in range(rounds):
+        measured = stretch + normals(n, dim, cfg.sigma_m, 1 + t)
+        seen.append(measured)
+        history = np.vstack(seen)
+        own.append(least_squares_error(history[::n].T, stretch[0]))
+        every.append(least_squares_error(history.T, stretch[0]))
+        stretch = (stretch + rhos[t] * (m @ measured)
+                   + m @ normals(n, dim, cfg.sigma_d, 1 + rounds + t))
+    return np.array(own), np.array(every)
 
 
 class TestAlignmentSystem:
@@ -405,3 +440,27 @@ class TestCommunication:
               f"deviation {worst:.2g} (tolerance {self.RTOL:g}); one round late, "
               f"at least {gap:.1%} above")
         assert ok
+
+
+class TestUnprocessedInformation:
+    """The paper's other communication claim: the birds other than i
+    gather information relevant to i's stretch that W* does not process.
+    Under W* at sigma0 = sigma_m = sigma_d = 1, bird 0's own measurement
+    history predicts its stretch exactly as well as its filter's posterior
+    alpha_t sigma_m^2 / (alpha_t + sigma_m^2), and every bird's history
+    predicts it better, by over 5 % at every round and n here.
+    """
+
+    ROUNDS = 8
+
+    # n, and the errors of round 7 to four places, ROADMAP's steady state
+    @pytest.mark.parametrize("n, own_steady, every_steady", [
+        (2, 0.7071, 0.4142), (3, 0.6667, 0.5), (5, 0.6434, 0.5542), (10, 0.6296, 0.5884)])
+    def test_every_history_predicts_better_than_the_own(self, n, own_steady, every_steady):
+        cfg = ModelConfig(n=n)
+        own, every = wstar_prediction_error(cfg, self.ROUNDS)
+        sm2 = cfg.sigma_m ** 2
+        alphas = AlphaSchedule(cfg, self.ROUNDS).alphas()[:self.ROUNDS]
+        np.testing.assert_allclose(own, alphas * sm2 / (alphas + sm2), rtol=1e-12, atol=0)
+        assert np.all(every < 0.99 * own), every / own
+        assert (round(own[-1], 4), round(every[-1], 4)) == (own_steady, every_steady)

@@ -1,9 +1,10 @@
 """Tests for the world model: configuration, positions, stretch,
 measurement and drift.  Initial draws, measurements and drift exist only
-inside the Monte Carlo engine, so those are checked on its stretch and
-center-of-mass traces: one round of W(rho) maps a stretch s to
-(1 - c rho) s + M_n (rho e + d), c = n/(n-1), with measurement noise e
-and drift d.
+inside the Monte Carlo engine, so those are checked on its stretch traces:
+one round of W(rho) maps a stretch s to (1 - c rho) s + M_n (rho e + d),
+c = n/(n-1), with measurement noise e and drift d.  Where the draws move
+the centre of mass, which only a paired run records, is bounded against
+an exact replay of the same draws in tests/test_exact_replay.py.
 """
 
 import math
@@ -35,9 +36,8 @@ def engine_run(cfg, rho, reps, rounds=1, **plan):
 
 
 def engine_traces(cfg, rho, reps, rounds=1):
-    """(stretch, center of mass) traces of engine_run."""
-    result = engine_run(cfg, rho, reps, rounds)
-    return result.stretch_traces, result.com_traces
+    """The (rounds+1, reps, n) stretch traces of engine_run."""
+    return engine_run(cfg, rho, reps, rounds).stretch_traces
 
 
 class TestModelConfig:
@@ -113,9 +113,8 @@ class TestModelConfig:
 
     def test_degenerate_initial_spread_allowed(self):
         cfg = ModelConfig(n=4, sigma0=0.0)
-        st, com = engine_traces(cfg, 0.5, 10, rounds=0)
+        st = engine_traces(cfg, 0.5, 10, rounds=0)
         np.testing.assert_array_equal(st[0], np.zeros((10, 4)))
-        np.testing.assert_array_equal(com[0], np.zeros(10))
 
 
 class TestChecks:
@@ -159,19 +158,18 @@ class TestInitWorld:
         assert result.stretch_traces.shape == (1, 4, 5)
 
     def test_deterministic_per_seed(self):
-        a, _ = engine_traces(ModelConfig(n=5, seed=9), 0.5, 6, rounds=0)
-        b, _ = engine_traces(ModelConfig(n=5, seed=9), 0.5, 6, rounds=0)
-        c, _ = engine_traces(ModelConfig(n=5, seed=10), 0.5, 6, rounds=0)
+        a = engine_traces(ModelConfig(n=5, seed=9), 0.5, 6, rounds=0)
+        b = engine_traces(ModelConfig(n=5, seed=9), 0.5, 6, rounds=0)
+        c = engine_traces(ModelConfig(n=5, seed=10), 0.5, 6, rounds=0)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_initial_spread_scale(self):
-        # positions are i.i.d. N(0, sigma0^2): the center of mass has
-        # variance sigma0^2/n and each stretch c sigma0^2
+        # positions are i.i.d. N(0, sigma0^2): each stretch has variance
+        # c sigma0^2
         cfg = ModelConfig(n=3, sigma0=1.5, seed=17)
-        st, com = engine_traces(cfg, 0.5, 40_000, rounds=0)
+        st = engine_traces(cfg, 0.5, 40_000, rounds=0)
         c = cfg.n / (cfg.n - 1)
-        assert abs(com[0].var() * cfg.n / cfg.sigma0**2 - 1.0) < 0.03
         assert abs(st[0].var() / (c * cfg.sigma0**2) - 1.0) < 0.03
 
 
@@ -210,7 +208,7 @@ class TestStretch:
     def test_stretch_of_world(self):
         # the engine's initial world is the block's INIT draw, bit for bit
         cfg = ModelConfig(n=3, seed=4)
-        st, _ = engine_traces(cfg, 0.5, 6, rounds=0)
+        st = engine_traces(cfg, 0.5, 6, rounds=0)
         positions = substream(cfg.seed, 0, INIT).normal(0.0, cfg.sigma0, (6, 3))
         np.testing.assert_array_equal(st[0], stretch_values(positions))
 
@@ -219,43 +217,40 @@ class TestMeasure:
     def test_noise_free_limit(self):
         # with no noise, W(1) moves each agent by its exact stretch
         cfg = ModelConfig(n=3, sigma_m=TINY, sigma_d=TINY, seed=5)
-        st, _ = engine_traces(cfg, 1.0, 50)
+        st = engine_traces(cfg, 1.0, 50)
         np.testing.assert_allclose(st[1], -0.5 * st[0], atol=1e-9)
 
     def test_unbiased(self):
         # W(1/2): s' - (1 - c/2) s = M_n e / 2 averages to zero
         cfg = ModelConfig(n=3, sigma_m=1.0, sigma_d=TINY, seed=2)
-        st, _ = engine_traces(cfg, 0.5, 50_000)
+        st = engine_traces(cfg, 0.5, 50_000)
         residual = st[1] - 0.25 * st[0]
         np.testing.assert_allclose(residual.mean(axis=0), np.zeros(3), atol=0.02)
 
     def test_noise_scale(self):
         # from an aligned start W(1) leaves s' = M_n e, variance c sigma_m^2
         cfg = ModelConfig(n=2, sigma0=0.0, sigma_m=0.7, sigma_d=TINY, seed=13)
-        st, _ = engine_traces(cfg, 1.0, 50_000)
+        st = engine_traces(cfg, 1.0, 50_000)
         assert abs(st[1].var() / (2.0 * cfg.sigma_m**2) - 1.0) < 0.03
 
 
 class TestStep:
     def test_zero_moves_drift_free(self):
         cfg = ModelConfig(n=4, sigma_d=TINY, seed=8)
-        st, com = engine_traces(cfg, 0.0, 50)
+        st = engine_traces(cfg, 0.0, 50)
         np.testing.assert_allclose(st[1], st[0], atol=1e-9)
-        np.testing.assert_allclose(com[1], com[0], atol=1e-9)
 
     def test_moves_are_added(self):
         # noise-free W(1/2) moves by s/2, which shrinks s to (1 - c/2) s
         cfg = ModelConfig(n=3, sigma_m=TINY, sigma_d=TINY, seed=4)
-        st, _ = engine_traces(cfg, 0.5, 50)
+        st = engine_traces(cfg, 0.5, 50)
         np.testing.assert_allclose(st[1], 0.25 * st[0], atol=1e-9)
 
     def test_drift_scale(self):
-        # from an aligned start with no moves: s' = M_n d and the center
-        # moves by the mean drift
+        # from an aligned start with no moves: s' = M_n d
         cfg = ModelConfig(n=2, sigma0=0.0, sigma_d=2.0, seed=19)
-        st, com = engine_traces(cfg, 0.0, 50_000)
+        st = engine_traces(cfg, 0.0, 50_000)
         assert abs(st[1].var() / (2.0 * cfg.sigma_d**2) - 1.0) < 0.03
-        assert abs(com[1].var() * cfg.n / cfg.sigma_d**2 - 1.0) < 0.03
 
     def test_rejects_shape_mismatch(self):
         from stochalign.game import deviant_policy

@@ -104,8 +104,7 @@ class TestDeterminism:
     def test_seed_changes_results(self):
         a = run(small_plan())
         b = run(small_plan(cfg=ModelConfig(n=3, horizon=10, seed=8)))
-        for name in ("var_stretch", "var_std_error", "mean_abs_stretch", "std_error",
-                     "center_of_mass"):
+        for name in ("var_stretch", "var_std_error", "mean_abs_stretch", "std_error"):
             assert not np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_common_noise_across_policies(self):
@@ -180,33 +179,14 @@ class TestStatistics:
         assert abs(skew) < 0.05
         assert abs(kurt) < 0.1
 
-    def test_center_of_mass_recorded(self):
-        # every run records the centre of mass, both paired lanes too, as
-        # the mean of its trace; a paired run records no traces, so its
-        # lanes' are run_lanes'.  Three blocks on one and on two threads
-        for threads in (1, 2):
-            plan = small_plan(policy=PolicySpec(kind="wstar"), replications=500,
-                              block_size=200, threads=threads)
-            result = run_lanes(plan, (), traces=True)[0]
-            assert result.center_of_mass.dtype == np.float64
-            assert result.center_of_mass.shape == (11,)
-            np.testing.assert_allclose(result.center_of_mass, result.com_traces.mean(axis=-1),
-                                       rtol=0, atol=1e-12)
-            paired = run_paired(plan, PolicySpec(kind="matc"))
-            lanes = run_lanes(plan, [PolicySpec(kind="matc")], traces=True)
-            assert paired.center_of_mass.shape == (2, 11)
-            np.testing.assert_allclose(paired.center_of_mass,
-                                       [lane.com_traces.mean(axis=-1) for lane in lanes],
-                                       rtol=0, atol=1e-12)
-
-
     def test_rounds_view_reads_the_columns(self):
         result = run(small_plan(replications=300))
         assert len(result.rounds) == 11
+        names = ["var_stretch", "mean_abs_stretch", "std_error", "var_std_error"]
+        assert [f.name for f in fields(sim.RoundStats)] == ["round", *names]
         for t, stats in enumerate(result.rounds):
             assert stats.round == t
-            for name in ("var_stretch", "var_std_error", "mean_abs_stretch", "std_error",
-                         "center_of_mass"):
+            for name in names:
                 value = getattr(stats, name)
                 assert type(value) is float
                 assert np.float64(value).tobytes() == getattr(result, name)[t].tobytes(), name
@@ -312,11 +292,11 @@ class TestPairedRuns:
             ["center_of_mass", "max_stretch_diff", "shift_mean"]
         a, b = run_lanes(plan, [PolicySpec(kind="matc")], traces=True)
         assert a.stretch_traces.shape == b.stretch_traces.shape == (5, 50, 3)
-        assert a.com_traces.shape == b.com_traces.shape == (5, 50)
         np.testing.assert_allclose(a.stretch_traces, b.stretch_traces, atol=1e-9)
         # center-seeking keeps the measured center fixed up to drift, the
-        # plain schedule lets it wander: traces must differ
-        assert not np.allclose(a.com_traces, b.com_traces)
+        # plain schedule lets it wander: the centres of mass must differ
+        paired = run_paired(plan, PolicySpec(kind="matc"))
+        assert not np.allclose(*paired.center_of_mass)
 
 
 class TestAccumulator:
@@ -337,13 +317,14 @@ class TestAccumulator:
         lane, agent, per_run, tail = (2, 11), (2, 11, 3), (11,), (2, 1)
         shapes = {"lane": lane, "agent": agent, "run": per_run}
         # (run, kind, every row its accumulators keep, in the shape it has):
-        # a run keeps every per-lane and per-agent sum and no diagnostic;
-        # a paired run no per-lane sum but the centre of mass, and a sweep
-        # the tail of sum_sq alone, so neither computes a sum it does not keep
+        # a run keeps every per-lane and per-agent sum, no diagnostic and no
+        # centre of mass; a paired run no per-lane sum but the centre of
+        # mass, and a sweep the tail of sum_sq alone, so no run computes a
+        # sum it does not keep
         cases = [
             (lambda: run_lanes(plan, [matc]), "lanes",
              {"sum_sq": lane, "sum_sq2": lane, "sum_abs": lane, "sum_abs2": lane,
-              "agent_sq": agent, "agent_abs": agent, "com_sum": lane, "max_zero_sum": lane}),
+              "agent_sq": agent, "agent_abs": agent, "max_zero_sum": lane}),
             (lambda: run_paired(plan, matc), "paired",
              {"com_sum": lane, "max_diff": per_run, "shift_sum": per_run}),
             (lambda: sweep_rho(plan.cfg, [0.3, 0.6], 500, block_size=200), "variance",
@@ -386,7 +367,6 @@ class TestTraces:
     def test_shapes(self):
         result = run_lanes(small_plan(replications=40), (), traces=True)[0]
         assert result.stretch_traces.shape == (11, 40, 3)
-        assert result.com_traces.shape == (11, 40)
 
     def test_traces_sum_to_zero(self):
         result = run_lanes(small_plan(replications=40), (), traces=True)[0]
@@ -397,16 +377,15 @@ class TestTraces:
         with pytest.raises(ValueError):
             run_lanes(small_plan(replications=10_000_000), (), traces=True)
 
-    def test_size_limit_counts_both_traces(self, monkeypatch):
+    def test_size_limit_counts_the_stretch_cells(self, monkeypatch):
         def no_blocks(*args):
             raise AssertionError("a block started")
 
-        # 11 rounds of 50 replications of 3 agents: per lane 1650 stretch
-        # cells and 550 centre-of-mass cells
+        # 11 rounds of 50 replications of 3 agents: 1650 stretch cells per lane
         plan = small_plan(replications=50)
         substream = streams.substream
-        calls = [(2_200, lambda: run_lanes(plan, (), traces=True)),
-                 (4_400, lambda: run_lanes(plan, [PolicySpec(kind="matc")], traces=True))]
+        calls = [(1_650, lambda: run_lanes(plan, (), traces=True)),
+                 (3_300, lambda: run_lanes(plan, [PolicySpec(kind="matc")], traces=True))]
         for cells, call in calls:
             monkeypatch.setattr(streams, "substream", no_blocks)
             monkeypatch.setattr(sim, "TRACE_LIMIT", cells - 1)
@@ -447,17 +426,14 @@ class TestLanes:
             assert point.var_empirical == steady_state_variance(alone.var_stretch)
 
     def test_paired_lanes_equal_single_runs_bit_for_bit(self):
-        # three blocks, on one and on two threads: a paired run's centre of
-        # mass is that of run_lanes' lanes on the same noise, and its
-        # largest stretch difference that of their traces
+        # three blocks, on one and on two threads: a paired run's largest
+        # stretch difference is that of run_lanes' traces on the same noise
+        # (tests/test_exact_replay.py bounds its centre of mass)
         for threads in (1, 2):
             plan = small_plan(policy=PolicySpec(kind="wstar"), replications=900,
                               block_size=400, threads=threads)
             paired = run_paired(plan, PolicySpec(kind="matc"))
             a, b = run_lanes(plan, [PolicySpec(kind="matc")], traces=True)
-            for lane, result in enumerate((a, b)):
-                assert paired.center_of_mass[lane].tobytes() == \
-                    result.center_of_mass.tobytes()
             diff = np.abs(a.stretch_traces - b.stretch_traces).max(axis=(1, 2))
             assert paired.max_stretch_diff.tobytes() == diff.tobytes()
 
